@@ -17,13 +17,15 @@ from pulsegate import (
     SceneConfig,
     ToyEstimator,
     TrainConfig,
+    Waveform,
+    clip_predictions,
     extract_features,
     feature_matrix,
     generate_positive,
-    infer_video,
     make_negative,
     train,
 )
+from pulsegate.estimator import stitch_overlap_add
 
 FPS, DIMS, NFFT, CLIP = 20.0, (12, 12), 5400, 200
 
@@ -43,7 +45,9 @@ def scene(seed, duration, noise):
 def median_snr(model, cubes):
     values = []
     for cube in cubes:
-        wave = infer_video(model, cube, CLIP, overlap=0.5, standardize_clips=False)
+        # raw clip amplitudes: a flatline must stay a flatline for the SNR
+        outputs, starts = clip_predictions(model, cube, CLIP, overlap=0.5)
+        wave = Waveform(stitch_overlap_add(outputs, starts, cube.data.shape[0]), cube.fps)
         values += list(feature_matrix(extract_features(wave, 10.0, 2.0, NFFT))[:, 0])
     return float(np.median(values))
 

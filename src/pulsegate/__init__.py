@@ -22,7 +22,7 @@ from .estimator import (
     ToyEstimator,
     TrainConfig,
     backward,
-    clip_prediction_stds,
+    clip_predictions,
     forward,
     infer_video,
     train,
@@ -56,7 +56,7 @@ __all__ = [
     "ANOMALOUS", "ErrorReport", "LIVE", "LossSpec", "NegativeTransform",
     "NormalizedPSD", "PulseFeatureVector", "PulsegateError", "RateSeries",
     "RgbTrace", "SceneConfig", "SvmModel", "ToyEstimator", "TrainConfig",
-    "VideoCube", "Waveform", "ampd_peaks", "backward", "clip_prediction_stds",
+    "VideoCube", "Waveform", "ampd_peaks", "backward", "clip_predictions",
     "combined_loss", "decision_values", "error_metrics", "error_report",
     "estimate_chrom", "estimate_green", "estimate_pos", "extract_features",
     "feature_matrix", "fit_one_class", "fit_two_class", "forward",

@@ -125,3 +125,7 @@ def estimate_pos(trace: RgbTrace, window_s: float = CHROM_POS_WINDOW_S) -> Wavef
         return s1 + (s1.std() / sd2) * s2
 
     return _windowed_projection(trace, window_s, project)
+
+
+# baseline name -> estimator, for the CLI and the experiment
+ESTIMATORS = {"green": estimate_green, "chrom": estimate_chrom, "pos": estimate_pos}

@@ -96,9 +96,7 @@ def cmd_estimate(args):
         clip_len = min(args.clip_len, cube.data.shape[0])
         wave = infer_video(model, cube, clip_len, overlap=args.overlap)
     else:
-        estimator = {"green": bl.estimate_green, "chrom": bl.estimate_chrom,
-                     "pos": bl.estimate_pos}[args.method]
-        wave = estimator(bl.trace_from_cube(cube))
+        wave = bl.ESTIMATORS[args.method](bl.trace_from_cube(cube))
     if args.bandpass:
         wave = bandpass_brickwall(wave, DEFAULT_BAND_BPM)
     if args.resample_fps:
@@ -250,7 +248,7 @@ def build_parser():
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("estimate", help="estimate a pulse waveform from a cube")
-    p.add_argument("--method", required=True, choices=["green", "chrom", "pos", "model"])
+    p.add_argument("--method", required=True, choices=[*bl.ESTIMATORS, "model"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--model")

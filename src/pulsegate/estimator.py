@@ -10,7 +10,7 @@ Hann-weighted overlap-add.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -198,48 +198,30 @@ class TrainConfig:
             raise InvalidArgumentError("negative_mix must be in [0, 1]")
 
     def to_dict(self):
-        return {"clip_len": self.clip_len, "batch_size": self.batch_size,
-                "steps": self.steps, "learning_rate": self.learning_rate,
-                "momentum": self.momentum, "seed": self.seed,
-                "loss": self.loss.to_dict(), "negative_mix": self.negative_mix,
-                "negative_transforms": list(self.negative_transforms),
-                "val_every": self.val_every}
+        return {**vars(self), "loss": self.loss.to_dict(),
+                "negative_transforms": list(self.negative_transforms)}
 
     @classmethod
     def from_dict(cls, payload):
-        payload = dict(payload)
-        loss = LossSpec.from_dict(payload.pop("loss", {}))
-        payload["negative_transforms"] = tuple(payload.get("negative_transforms",
-                                                           ("normal", "uniform", "shuffle")))
-        return cls(loss=loss, **{k: v for k, v in payload.items()
-                                 if k in ("clip_len", "batch_size", "steps",
-                                          "learning_rate", "momentum", "seed",
-                                          "negative_mix", "negative_transforms",
-                                          "val_every")})
+        names = {f.name for f in fields(cls)} - {"loss"}
+        kwargs = {k: v for k, v in payload.items() if k in names}
+        if "negative_transforms" in kwargs:
+            kwargs["negative_transforms"] = tuple(kwargs["negative_transforms"])
+        return cls(loss=LossSpec.from_dict(payload.get("loss", {})), **kwargs)
 
 
-class _Pool:
-    """Precomputed traces and targets for one class of training samples."""
-
-    def __init__(self, samples, fps):
-        self.traces = [spatial_mean_trace(clip) for clip, _, _ in samples]
-        self.targets = [gt.samples if gt is not None else None for _, gt, _ in samples]
-        self.fps = fps
-
-    def __len__(self):
-        return len(self.traces)
-
-
-def _as_pools(corpus):
+def _split_corpus(corpus):
+    """Positives and negatives as lists of (trace, target samples or None),
+    plus the frame rate all clips share."""
     positives, negatives = [], []
     fps = None
     for clip, target, is_positive in corpus:
         fps = clip.fps if fps is None else fps
         if clip.fps != fps:
             raise InvalidTrainingSetError("all corpus clips must share one frame rate")
-        (positives if is_positive else negatives).append((clip, target, is_positive))
-    return (_Pool(positives, fps) if positives else None,
-            _Pool(negatives, fps) if negatives else None, fps)
+        (positives if is_positive else negatives).append(
+            (spatial_mean_trace(clip), target.samples if target is not None else None))
+    return positives, negatives, fps
 
 
 def _sample_loss(model, trace, target, is_positive, start, clip_len, fps, spec):
@@ -254,35 +236,24 @@ def _sample_loss(model, trace, target, is_positive, start, clip_len, fps, spec):
     return value, upstream, cache
 
 
-def _validation_metric(model, val_pos, val_neg, cfg):
-    """Positive loss on validation positives plus, when negatives are in play,
-    the negative loss on validation negatives.  Deterministic (first window)."""
+def _validation_metric(model, val_pos, val_neg, fps, cfg):
+    """Positive loss on validation positives plus, when negatives are in play
+    (`val_neg` non-empty), the negative loss on validation negatives.
+    Deterministic (first window)."""
     total = 0.0
     for trace, target in val_pos:
         value, _, _ = _sample_loss(model, trace, target, True, 0,
-                                   cfg.clip_len, val_pos.fps, cfg.loss)
+                                   cfg.clip_len, fps, cfg.loss)
         total += value
-    total /= max(len(val_pos), 1)
-    if val_neg is not None and cfg.negative_mix > 0 and cfg.loss.negative_loss != "none":
+    total /= len(val_pos)
+    if val_neg:
         neg_total = 0.0
         for trace, _ in val_neg:
             value, _, _ = _sample_loss(model, trace, None, False, 0,
-                                       cfg.clip_len, val_neg.fps, cfg.loss)
+                                       cfg.clip_len, fps, cfg.loss)
             neg_total += value
         total += neg_total / len(val_neg)
     return total
-
-
-class _ZipPool:
-    def __init__(self, pool):
-        self.pool = pool
-        self.fps = pool.fps
-
-    def __iter__(self):
-        return iter(zip(self.pool.traces, self.pool.targets))
-
-    def __len__(self):
-        return len(self.pool)
 
 
 def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None):
@@ -290,26 +261,29 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
 
     `corpus` and `val_corpus` are sequences of (VideoCube, Waveform | None,
     is_positive).  Clips longer than clip_len are randomly cropped each draw.
+    Negatives are drawn with probability `cfg.negative_mix`, or never when
+    `cfg.loss.negative_loss` is "none".
     Returns (model, loss_history); when a validation corpus is supplied the
     best-on-validation snapshot is returned instead of the final parameters.
     """
-    positives, negatives, fps = _as_pools(corpus)
-    if positives is None:
+    negative_mix = 0.0 if cfg.loss.negative_loss == "none" else cfg.negative_mix
+    positives, negatives, fps = _split_corpus(corpus)
+    if not positives:
         raise InvalidTrainingSetError("training corpus has no positive samples")
-    if cfg.negative_mix > 0 and negatives is None:
+    if negative_mix > 0 and not negatives:
         raise InvalidTrainingSetError("negative_mix > 0 but corpus has no negatives")
     if model is None:
         model = ToyEstimator.init(seed=cfg.seed)
     else:
         model = model.copy()
 
-    val_pos = val_neg = None
+    val_pos = None
     if val_corpus:
-        vp, vn, val_fps = _as_pools(val_corpus)
-        if vp is None:
+        val_pos, val_neg, val_fps = _split_corpus(val_corpus)
+        if not val_pos:
             raise InvalidTrainingSetError("validation corpus has no positive samples")
-        val_pos = _ZipPool(vp)
-        val_neg = _ZipPool(vn) if vn is not None else None
+        if negative_mix == 0:
+            val_neg = []
 
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(model.flat_params().size)
@@ -321,10 +295,9 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
         grad_acc = np.zeros_like(velocity)
         loss_acc = 0.0
         for _ in range(cfg.batch_size):
-            take_negative = rng.random() < cfg.negative_mix
+            take_negative = rng.random() < negative_mix
             pool = negatives if take_negative else positives
-            idx = int(rng.integers(len(pool)))
-            trace = pool.traces[idx]
+            trace, target = pool[int(rng.integers(len(pool)))]
             n_frames = trace.shape[0]
             if n_frames < cfg.clip_len:
                 raise InvalidTrainingSetError(
@@ -332,7 +305,7 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
             start = int(rng.integers(n_frames - cfg.clip_len + 1)) \
                 if n_frames > cfg.clip_len else 0
             value, upstream, cache = _sample_loss(
-                model, trace, pool.targets[idx], not take_negative,
+                model, trace, target, not take_negative,
                 start, cfg.clip_len, fps, cfg.loss)
             grad_acc += flatten_grads(_backward_cache(model, cache, upstream))
             loss_acc += value
@@ -345,13 +318,13 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
         model.set_flat_params(model.flat_params() - cfg.learning_rate * velocity)
 
         if val_pos is not None and (step + 1) % cfg.val_every == 0:
-            metric = _validation_metric(model, val_pos, val_neg, cfg)
+            metric = _validation_metric(model, val_pos, val_neg, val_fps, cfg)
             if metric < best_metric:
                 best_metric = metric
                 best_params = model.flat_params().copy()
 
     if val_pos is not None:
-        metric = _validation_metric(model, val_pos, val_neg, cfg)
+        metric = _validation_metric(model, val_pos, val_neg, val_fps, cfg)
         if metric < best_metric:
             best_params = model.flat_params().copy()
         if best_params is not None:
@@ -371,13 +344,13 @@ def stitch_overlap_add(segments, starts, total_len: int) -> np.ndarray:
     return acc / weight
 
 
-def infer_video(model: ToyEstimator, video: VideoCube, clip_len: int,
-                overlap: float = 0.5, standardize_clips: bool = True) -> Waveform:
-    """Whole-video inference by overlap-added clip predictions.
+def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
+                     overlap: float = 0.5):
+    """Run each overlapping clip of a video through the model once.
 
-    Each clip prediction is standardized before stitching (spectral training
-    losses are amplitude-invariant, so per-clip amplitudes carry no meaning);
-    pass standardize_clips=False to keep raw amplitudes.
+    Returns (outputs, starts): the raw clip predictions and their first
+    frames.  Stitch them with `stitch_overlap_add`, raw or standardized per
+    clip, and read amplitudes (per-clip std) from them directly.
     """
     n_frames = video.data.shape[0]
     if n_frames < clip_len:
@@ -387,27 +360,21 @@ def infer_video(model: ToyEstimator, video: VideoCube, clip_len: int,
     hop = max(int(round(clip_len * (1.0 - overlap))), 1)
     starts = window_starts(n_frames, clip_len, hop)
     trace = spatial_mean_trace(video)
-    segments = []
+    outputs = []
     for start in starts:
         x = standardize_trace(trace[start:start + clip_len]).T
         out, _ = _forward_cache(model, x)
-        if standardize_clips:
-            out, _ = standardize_samples(out)
-        segments.append(out)
-    return Waveform(stitch_overlap_add(segments, starts, n_frames), video.fps)
+        outputs.append(out)
+    return outputs, starts
 
 
-def clip_prediction_stds(model: ToyEstimator, video: VideoCube, clip_len: int,
-                         overlap: float = 0.5) -> np.ndarray:
-    """Raw (pre-standardization) prediction std per clip; amplitude diagnostic."""
-    n_frames = video.data.shape[0]
-    if n_frames < clip_len:
-        raise InsufficientDataError("video shorter than one clip")
-    hop = max(int(round(clip_len * (1.0 - overlap))), 1)
-    trace = spatial_mean_trace(video)
-    stds = []
-    for start in window_starts(n_frames, clip_len, hop):
-        x = standardize_trace(trace[start:start + clip_len]).T
-        out, _ = _forward_cache(model, x)
-        stds.append(float(out.std()))
-    return np.asarray(stds)
+def infer_video(model: ToyEstimator, video: VideoCube, clip_len: int,
+                overlap: float = 0.5) -> Waveform:
+    """Whole-video inference by overlap-added, per-clip standardized predictions.
+
+    Spectral training losses are amplitude-invariant, so per-clip amplitudes
+    carry no meaning here; `clip_predictions` keeps them.
+    """
+    outputs, starts = clip_predictions(model, video, clip_len, overlap)
+    segments = [standardize_samples(out)[0] for out in outputs]
+    return Waveform(stitch_overlap_add(segments, starts, video.data.shape[0]), video.fps)

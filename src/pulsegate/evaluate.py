@@ -12,7 +12,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .signal_core import DEFAULT_NFFT, Waveform
+from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask
 
 RATE_BAND_HZ = (0.66, 4.0)
 _CHUNK = 512
@@ -54,9 +54,9 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
             f"waveform of {len(w)} samples is shorter than one {window_s} s window")
     if nfft < window:
         raise InvalidArgumentError(f"nfft={nfft} shorter than window of {window} samples")
-    low_bpm, high_bpm = band_hz[0] * 60.0, band_hz[1] * 60.0
-    freqs_bpm = np.arange(nfft // 2 + 1) * (w.fps * 60.0 / nfft)
-    in_band = np.flatnonzero((freqs_bpm >= low_bpm - 1e-9) & (freqs_bpm <= high_bpm + 1e-9))
+    resolution_bpm = w.fps * 60.0 / nfft
+    in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, w.fps, nfft,
+                                           (band_hz[0] * 60.0, band_hz[1] * 60.0)))
     starts = np.arange(0, len(w) - window + 1, stride_frames)
     segments = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::stride_frames]
     bpm = np.empty(len(starts))
@@ -65,7 +65,7 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
         centered = chunk - chunk.mean(axis=1, keepdims=True)
         power = np.abs(np.fft.rfft(centered, nfft, axis=1)[:, in_band]) ** 2
         totals = power.sum(axis=1)
-        peaks = freqs_bpm[in_band[np.argmax(power, axis=1)]]
+        peaks = in_band[np.argmax(power, axis=1)] * resolution_bpm
         bpm[lo:lo + _CHUNK] = np.where(totals > 0.0, peaks, np.nan)
     centers = (starts + (window - 1) / 2.0) / w.fps
     return RateSeries(times_s=centers, bpm=bpm, window_s=window_s,

@@ -11,7 +11,7 @@ into the report manifest, so a rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .errors import InvalidArgumentError, PulsegateError
 from .estimator import (
     ToyEstimator,
     TrainConfig,
-    clip_prediction_stds,
-    infer_video,
+    clip_predictions,
+    stitch_overlap_add,
     train,
 )
 from .evaluate import error_metrics, pulse_rate
@@ -44,12 +44,31 @@ from .fileio import (
     write_waveform,
 )
 from .losses import LossSpec
-from .signal_core import Waveform, psd_normalized, resample_cubic
+from .signal_core import Waveform, psd_normalized, resample_cubic, standardize_samples
 from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_positive, make_negative
 
 VARIANT_ORDER = ("none", "std", "spectral_entropy", "spectral_flatness")
-BASELINE_ESTIMATORS = {"green": bl.estimate_green, "chrom": bl.estimate_chrom,
-                       "pos": bl.estimate_pos}
+
+
+# where each ExperimentConfig field sits in the experiment JSON: (section,
+# key), section None at the top level; a missing key keeps the field default
+_JSON_KEYS = {
+    **{name: (None, name) for name in ("seed", "fps", "dims", "variants", "baselines")},
+    **{name: ("scene", name) for name in (
+        "pulse_amplitude", "dicrotic_ratio", "hr_range_bpm", "hrv_step_bpm", "hrv_clamp_bpm",
+        "hrv_knot_spacing_s", "train_sensor_noise", "eval_sensor_noise")},
+    **{name: ("corpus", name) for name in (
+        "n_train_pos", "train_duration_s", "n_val_model", "n_val_svm_pos", "n_val_svm_neg",
+        "n_test_pos", "n_test_neg", "eval_duration_s")},
+    **{name: ("negatives", name) for name in ("normal_sigma", "uniform_bounds")},
+    **{name: ("estimator", name) for name in ("filters", "kernel_len", "init_scale")},
+    "negative_kinds": ("negatives", "kinds"),
+    "feature_window_s": ("features", "window_s"), "feature_stride_s": ("features", "stride_s"),
+    "svm_C": ("svm", "C"), "svm_nu": ("svm", "nu"), "svm_standardize": ("svm", "standardize"),
+    "rate_window_s": ("rate_eval", "window_s"),
+    "rate_stride_frames": ("rate_eval", "stride_frames"),
+    "rate_resample_fps": ("rate_eval", "resample_fps"),
+}
 
 
 @dataclass
@@ -96,58 +115,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        scene = payload.get("scene", {})
-        corpus = payload.get("corpus", {})
-        negatives = payload.get("negatives", {})
-        estimator = payload.get("estimator", {})
-        features = payload.get("features", {})
-        svm = payload.get("svm", {})
-        rates = payload.get("rate_eval", {})
         train_payload = dict(payload.get("train", {}))
-        train_payload.setdefault("seed", payload.get("seed", 7))
-        loss_defaults = {"nfft": train_payload.pop("nfft", 5400),
+        train_payload.setdefault("seed", payload.get("seed", cls.seed))
+        loss_defaults = {"nfft": train_payload.pop("nfft", cls.nfft),
                          "band_bpm": tuple(train_payload.pop("band_bpm", (40.0, 240.0)))}
         train_payload["loss"] = {"positive_loss": "neg_pearson",
                                  "negative_loss": "none", **loss_defaults}
-        cfg = cls(
-            seed=int(payload.get("seed", 7)),
-            fps=float(payload.get("fps", 20.0)),
-            dims=tuple(payload.get("dims", (12, 12))),
-            pulse_amplitude=float(scene.get("pulse_amplitude", 0.015)),
-            dicrotic_ratio=float(scene.get("dicrotic_ratio", 0.25)),
-            hr_range_bpm=tuple(scene.get("hr_range_bpm", (73.0, 77.0))),
-            hrv_step_bpm=float(scene.get("hrv_step_bpm", 4.0)),
-            hrv_clamp_bpm=float(scene.get("hrv_clamp_bpm", 8.0)),
-            hrv_knot_spacing_s=float(scene.get("hrv_knot_spacing_s", 2.0)),
-            train_sensor_noise=float(scene.get("train_sensor_noise", 32.0)),
-            eval_sensor_noise=float(scene.get("eval_sensor_noise", 6.0)),
-            n_train_pos=int(corpus.get("n_train_pos", 12)),
-            train_duration_s=float(corpus.get("train_duration_s", 20.0)),
-            n_val_model=int(corpus.get("n_val_model", 4)),
-            n_val_svm_pos=int(corpus.get("n_val_svm_pos", 16)),
-            n_val_svm_neg=int(corpus.get("n_val_svm_neg", 8)),
-            n_test_pos=int(corpus.get("n_test_pos", 12)),
-            n_test_neg=int(corpus.get("n_test_neg", 12)),
-            eval_duration_s=float(corpus.get("eval_duration_s", 30.0)),
-            negative_kinds=tuple(negatives.get("kinds", NEGATIVE_KINDS)),
-            normal_sigma=float(negatives.get("normal_sigma", 3.0)),
-            uniform_bounds=tuple(negatives.get("uniform_bounds", (-3.0, 3.0))),
-            filters=int(estimator.get("filters", 8)),
-            kernel_len=int(estimator.get("kernel_len", 91)),
-            init_scale=float(estimator.get("init_scale", 0.1)),
-            train_cfg=TrainConfig.from_dict(train_payload),
-            variants=tuple(payload.get("variants", VARIANT_ORDER)),
-            feature_window_s=float(features.get("window_s", 10.0)),
-            feature_stride_s=float(features.get("stride_s", 1.0)),
-            svm_C=float(svm.get("C", 1.0)),
-            svm_nu=float(svm.get("nu", 0.5)),
-            svm_standardize=bool(svm.get("standardize", True)),
-            rate_window_s=float(rates.get("window_s", 10.0)),
-            rate_stride_frames=int(rates.get("stride_frames", 1)),
-            rate_resample_fps=float(rates.get("resample_fps", 90.0)),
-            nfft=int(loss_defaults["nfft"]),
-            baselines=tuple(payload.get("baselines", ("green", "chrom", "pos"))),
-        )
+        values = {"train_cfg": TrainConfig.from_dict(train_payload),
+                  "nfft": int(loss_defaults["nfft"])}
+        for name, (section, key) in _JSON_KEYS.items():
+            source = payload.get(section, {}) if section else payload
+            if key in source:
+                # cast to the type of the field's default
+                values[name] = type(getattr(cls, name))(source[key])
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -159,7 +140,7 @@ class ExperimentConfig:
             if variant not in VARIANT_ORDER:
                 raise InvalidArgumentError(f"unknown estimator variant {variant!r}")
         for name in self.baselines:
-            if name not in BASELINE_ESTIMATORS:
+            if name not in bl.ESTIMATORS:
                 raise InvalidArgumentError(f"unknown baseline {name!r}")
         if "none" not in self.variants:
             raise InvalidArgumentError("the positives-only variant 'none' is required")
@@ -167,6 +148,14 @@ class ExperimentConfig:
             raise InvalidArgumentError("clip_len exceeds training scene length")
         if self.eval_duration_s < self.feature_window_s:
             raise InvalidArgumentError("evaluation scenes shorter than one feature window")
+        # feature windows start every stride: the last must end on the last frame
+        window = int(round(self.feature_window_s * self.fps))
+        stride = max(int(round(self.feature_stride_s * self.fps)), 1)
+        if (int(round(self.eval_duration_s * self.fps)) - window) % stride:
+            raise InvalidArgumentError(
+                f"eval_duration_s - feature_window_s ({self.eval_duration_s:g} - "
+                f"{self.feature_window_s:g} s) is not a whole number of "
+                f"feature_stride_s ({self.feature_stride_s:g} s) strides")
 
 
 class StageError(PulsegateError):
@@ -265,12 +254,7 @@ def _variant_train_config(cfg: ExperimentConfig, variant: str) -> TrainConfig:
     base = cfg.train_cfg
     loss = LossSpec(positive_loss="neg_pearson", negative_loss=variant,
                     nfft=base.loss.nfft, band_bpm=base.loss.band_bpm)
-    return TrainConfig(clip_len=base.clip_len, batch_size=base.batch_size,
-                       steps=base.steps, learning_rate=base.learning_rate,
-                       momentum=base.momentum, seed=base.seed, loss=loss,
-                       negative_mix=0.0 if variant == "none" else base.negative_mix,
-                       negative_transforms=cfg.negative_kinds,
-                       val_every=base.val_every)
+    return replace(base, loss=loss, negative_transforms=cfg.negative_kinds)
 
 
 def _median(values) -> float:
@@ -367,15 +351,17 @@ def _train_variant(cfg, variant, train_corpus, val_corpus, out_dir):
     return model
 
 
-def _infer_for_features(cfg, model, cube, clip_len):
-    # amplitude must survive into the feature stage: sigma and the Hilbert
-    # envelope measure distance from a flatline, which per-clip
-    # standardization would erase
-    return infer_video(model, cube, clip_len, overlap=0.5, standardize_clips=False)
+def _infer(model, cube, clip_len):
+    """One model pass over a video: raw clip outputs, their starts and their
+    raw stitch.  Amplitude must survive into the feature stage: sigma and the
+    Hilbert envelope measure distance from a flatline, which per-clip
+    standardization would erase."""
+    outputs, starts = clip_predictions(model, cube, clip_len, overlap=0.5)
+    wave = Waveform(stitch_overlap_add(outputs, starts, cube.data.shape[0]), cube.fps)
+    return outputs, starts, wave
 
 
-def _features_for(cfg, model, cube, clip_len):
-    wave = _infer_for_features(cfg, model, cube, clip_len)
+def _features_for(cfg, wave):
     windows = extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft)
     starts = np.array([t for t, _ in windows])
     return starts, feature_matrix(windows)
@@ -390,7 +376,8 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
 
     val_rows, val_labels = [], []
     for side, name, cube in val_videos:
-        _, matrix = _features_for(cfg, model, cube, clip_len)
+        _, _, wave = _infer(model, cube, clip_len)
+        _, matrix = _features_for(cfg, wave)
         val_rows.append(matrix)
         val_labels.append(np.full(len(matrix), LIVE if side == "pos" else ANOMALOUS))
     val_x = np.vstack(val_rows)
@@ -413,15 +400,14 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
 
     for side in ("pos", "neg"):
         for _, name, cube, truth in test_sets[side]:
-            wave = _infer_for_features(cfg, model, cube, clip_len)
+            outputs, clip_starts, wave = _infer(model, cube, clip_len)
             write_waveform(wave, wave_dir / f"{name}.csv")
-            starts, matrix = _features_for(cfg, model, cube, clip_len)
+            starts, matrix = _features_for(cfg, wave)
             test_rows.append(matrix)
             frame_label = LIVE if side == "pos" else ANOMALOUS
             test_labels.append(np.full(len(matrix), frame_label))
             snr_median[side].extend(matrix[:, 0])
-            clip_stds[side].extend(
-                clip_prediction_stds(model, cube, clip_len, overlap=0.5))
+            clip_stds[side].extend(float(out.std()) for out in outputs)
 
             centers = starts + cfg.feature_window_s / 2.0
             frames = np.full(cube.data.shape[0], frame_label)
@@ -434,8 +420,11 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
                 counts[kind_key][side][1] += total
 
             if side == "pos":
+                # the rate input is the standardized stitch, as `infer_video` gives
+                standardized = [standardize_samples(out)[0] for out in outputs]
                 wave_hi = resample_cubic(
-                    infer_video(model, cube, clip_len, overlap=0.5),
+                    Waveform(stitch_overlap_add(standardized, clip_starts, len(wave)),
+                             cube.fps),
                     cfg.rate_resample_fps)
                 rates = pulse_rate(wave_hi, cfg.rate_window_s,
                                    cfg.rate_stride_frames, cfg.nfft)
@@ -473,7 +462,7 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
 
 
 def _evaluate_baseline(cfg, name, test_pos, rate_truth, out_dir):
-    estimator = BASELINE_ESTIMATORS[name]
+    estimator = bl.ESTIMATORS[name]
     wave_dir = out_dir / "waves" / f"baseline_{name}"
     wave_dir.mkdir(parents=True, exist_ok=True)
     preds, truths = [], []

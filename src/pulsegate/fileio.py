@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
+from .features import FEATURE_NAMES
 from .signal_core import VideoCube, Waveform
 
-FEATURE_COLUMNS = ("t_start", "snr_db", "sigma", "env_mean", "ibi_mean",
-                   "ibi_std", "dibi_mean", "dibi_std", "rmssd")
+FEATURE_COLUMNS = ("t_start",) + FEATURE_NAMES
 
 
 def write_waveform(w: Waveform, path) -> None:

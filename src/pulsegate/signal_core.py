@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import hilbert as _analytic_signal
 
 from .errors import (
     InsufficientDataError,
@@ -172,10 +170,44 @@ def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
 
 
 def hilbert_envelope(w: Waveform) -> Waveform:
-    """Magnitude of the analytic signal (frequency-domain Hilbert transform)."""
-    if len(w) < 4:
+    """Magnitude of the analytic signal (frequency-domain Hilbert transform).
+
+    The analytic signal keeps DC (and Nyquist, for even lengths), doubles the
+    positive frequencies and zeroes the negative ones.
+    """
+    n = len(w)
+    if n < 4:
         raise InsufficientDataError("hilbert envelope needs at least 4 samples")
-    return Waveform(np.abs(_analytic_signal(w.samples)), w.fps)
+    gain = np.zeros(n)
+    gain[0] = 1.0
+    gain[1:(n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        gain[n // 2] = 1.0
+    return Waveform(np.abs(np.fft.ifft(np.fft.fft(w.samples) * gain)), w.fps)
+
+
+def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot derivatives of the not-a-knot cubic spline through n >= 4 knots.
+
+    Row i of the tridiagonal system reads sub[i] s[i-1] + diag[i] s[i] +
+    sup[i] s[i+1] = rhs[i]; the end rows keep the third derivative continuous
+    at the second and second-to-last knots.  Thomas algorithm, O(n).
+    """
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    sub = [0.0, *dx[1:].tolist(), d1]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    sup = [d0, *dx[:-1].tolist()]
+    rhs = [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+           *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+           (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    for i in range(1, len(diag)):
+        m = sub[i] / diag[i - 1]
+        diag[i] -= m * sup[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    s = [rhs[-1] / diag[-1]]
+    for i in range(len(diag) - 2, -1, -1):
+        s.append((rhs[i] - sup[i] * s[-1]) / diag[i])
+    return np.array(s[::-1])
 
 
 def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
@@ -190,11 +222,19 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
         raise InsufficientDataError("cubic resampling needs at least 4 samples")
     if target_fps == w.fps:
         return Waveform(w.samples.copy(), w.fps, w.degenerate)
-    times = w.times
-    spline = CubicSpline(times, w.samples)
+    times, y = w.times, w.samples
     n_out = int(np.floor(times[-1] * target_fps + _BAND_EPS)) + 1
     new_times = np.arange(n_out) / target_fps
-    return Waveform(spline(new_times), target_fps, w.degenerate)
+    # on each knot interval: y + s t + c2 t^2 + c3 t^3, t measured from the knot
+    dx = np.diff(times)
+    slope = np.diff(y) / dx
+    s = _not_a_knot_slopes(times, dx, slope)
+    curv = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c2, c3 = (slope - s[:-1]) / dx - curv, curv / dx
+    seg = np.clip(np.searchsorted(times, new_times, side="right") - 1, 0, times.size - 2)
+    t = new_times - times[seg]
+    values = y[seg] + s[seg] * t + c2[seg] * (t * t) + c3[seg] * (t * t * t)
+    return Waveform(values, target_fps, w.degenerate)
 
 
 def standardize_samples(x: np.ndarray) -> tuple[np.ndarray, bool]:

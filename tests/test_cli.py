@@ -185,6 +185,17 @@ class TestExperiment:
             for row in rows:
                 assert np.isfinite([float(cell) for cell in row.split(",")]).all()
 
+    def test_uncovered_eval_windows_rejected_at_dry_run(self, tmp_path, capsys):
+        # 17 s scenes leave 7 s after one 10 s window: not whole 2 s strides
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        payload["corpus"]["eval_duration_s"] = 17
+        bad = tmp_path / "uncovered.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        for key in ("eval_duration_s", "feature_window_s", "feature_stride_s"):
+            assert key in err
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"variants": ["nonsense"]}))

@@ -3,6 +3,7 @@ import pytest
 
 from pulsegate.errors import (
     InsufficientDataError,
+    InvalidArgumentError,
     InvalidInputError,
     InvalidTrainingSetError,
     NumericalDivergenceError,
@@ -13,7 +14,7 @@ from pulsegate.estimator import (
     _backward_cache,
     _forward_cache,
     backward,
-    clip_prediction_stds,
+    clip_predictions,
     flatten_grads,
     forward,
     infer_video,
@@ -180,6 +181,17 @@ class TestTrain:
         assert np.mean(history[-20:]) < np.mean(history[:20])
         assert np.mean(history[-20:]) < 0.35
 
+    def test_no_negative_loss_never_draws_negatives(self):
+        # default negative_mix (0.5) with the default negative_loss "none"
+        corpus = self.small_corpus()
+        positives_only = [s for s in corpus if s[2]]
+        cfg = TrainConfig(clip_len=150, batch_size=2, steps=10, seed=16)
+        assert cfg.negative_mix == 0.5 and cfg.loss.negative_loss == "none"
+        model_a, hist_a = train(cfg, positives_only, val_corpus=positives_only)
+        model_b, hist_b = train(cfg, corpus, val_corpus=corpus)
+        np.testing.assert_array_equal(model_a.flat_params(), model_b.flat_params())
+        assert hist_a == hist_b
+
     def test_missing_negatives_rejected(self):
         corpus = [s for s in self.small_corpus(n_neg=0)]
         cfg = TrainConfig(clip_len=150, steps=5, negative_mix=0.5,
@@ -252,12 +264,33 @@ class TestInference:
         with pytest.raises(InsufficientDataError):
             infer_video(model, cube, clip_len=10_000)
 
-    def test_clip_prediction_stds_shape(self):
+    def test_clip_predictions_shape(self):
         model = ToyEstimator.init(seed=19)
         cube, _ = tone_cube(duration_s=10.0)
-        stds = clip_prediction_stds(model, cube, clip_len=150, overlap=0.5)
-        assert stds.size == 3
-        assert np.all(stds >= 0)
+        outputs, starts = clip_predictions(model, cube, clip_len=150, overlap=0.5)
+        assert starts == [0, 75, 150]
+        assert [out.shape for out in outputs] == [(150,)] * 3
+        stds = np.array([out.std() for out in outputs])
+        assert np.all(stds > 0)
+
+    def test_clip_predictions_stitch_to_infer_video_and_forward(self):
+        model = ToyEstimator.init(seed=21)
+        cube, _ = tone_cube(duration_s=10.0)
+        n = cube.data.shape[0]
+        outputs, starts = clip_predictions(model, cube, clip_len=150, overlap=0.5)
+        standardized = [standardize_samples(out)[0] for out in outputs]
+        np.testing.assert_array_equal(stitch_overlap_add(standardized, starts, n),
+                                      infer_video(model, cube, 150, overlap=0.5).samples)
+        # one clip spanning the video: the raw stitch is the forward pass itself
+        outputs, starts = clip_predictions(model, cube, clip_len=n)
+        np.testing.assert_allclose(stitch_overlap_add(outputs, starts, n),
+                                   forward(model, cube).samples, rtol=1e-12, atol=1e-14)
+
+    def test_bad_overlap_rejected(self):
+        model = ToyEstimator.init(seed=22)
+        cube, _ = tone_cube(duration_s=10.0)
+        with pytest.raises(InvalidArgumentError):
+            clip_predictions(model, cube, clip_len=150, overlap=1.0)
 
 
 class TestSerialization:

@@ -214,3 +214,38 @@ def test_bandpass_brickwall_removes_out_of_band():
     freqs = psd.freqs_bpm
     assert psd.power[freqs > 300.0].sum() < 1e-12
     assert psd.peak_bpm == pytest.approx(90.0)
+
+
+class TestAgainstScipy:
+    """The numpy Hilbert envelope and not-a-knot spline against scipy."""
+
+    LENGTHS = (4, 5, 6, 7, 64, 201, 600)
+
+    def test_hilbert_envelope_matches(self):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(5)
+        for n in self.LENGTHS:
+            x = rng.standard_normal(n)
+            expect = np.abs(signal.hilbert(x))
+            got = hilbert_envelope(Waveform(x, 30.0)).samples
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
+
+    @pytest.mark.parametrize("target_fps", [7.0, 13.0, 90.0])
+    def test_resample_cubic_matches(self, target_fps):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(6)
+        for n in self.LENGTHS:
+            w = Waveform(rng.standard_normal(n), 20.0)
+            got = resample_cubic(w, target_fps)
+            assert got.times[-1] <= w.times[-1]
+            expect = interpolate.CubicSpline(w.times, w.samples)(got.times)
+            np.testing.assert_allclose(got.samples, expect, rtol=0,
+                                       atol=1e-12 * np.abs(expect).max())
+
+    def test_short_inputs_rejected(self):
+        for n in (2, 3):
+            w = Waveform(np.arange(float(n)), 10.0)
+            with pytest.raises(InsufficientDataError):
+                hilbert_envelope(w)
+            with pytest.raises(InsufficientDataError):
+                resample_cubic(w, 20.0)

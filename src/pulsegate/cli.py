@@ -20,8 +20,10 @@ from .classify import ANOMALOUS, LIVE, SvmModel, fit_one_class, fit_two_class, p
 from .errors import (
     DegenerateCorrelationError,
     DegenerateInputError,
+    InvalidArgumentError,
     NumericalDivergenceError,
     PulsegateError,
+    check_keys,
 )
 from .estimator import ToyEstimator, TrainConfig, infer_video, train
 from .evaluate import error_report, pulse_rate
@@ -48,10 +50,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# the keys of the synth scene config, its negative block and train's estimator block
+SCENE_KEYS = {"duration_s", "fps", "dims", "hr_trajectory", "pulse_amplitude",
+              "dicrotic_ratio", "sensor_noise_sigma", "seed", "negative"}
+NEGATIVE_KEYS = {"seed", "normal_sigma", "uniform_bounds"}
+ESTIMATOR_KEYS = {"filters", "kernel_len", "init_scale"}
+
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidArgumentError(f"{path} must hold a JSON object")
+    return payload
 
 
 def _seed_override(seed):
@@ -61,6 +72,8 @@ def _seed_override(seed):
 
 def cmd_synth(args):
     payload = _load_json(args.config)
+    check_keys(payload, SCENE_KEYS, "scene config")
+    check_keys(payload.get("negative", {}), NEGATIVE_KEYS, "section 'negative'")
     scene = SceneConfig(
         duration_s=float(payload["duration_s"]),
         fps=float(payload.get("fps", 90.0)),
@@ -121,6 +134,7 @@ def cmd_train(args):
     payload = _load_json(args.config)
     payload["seed"] = _seed_override(int(payload.get("seed", 0)))
     estimator_cfg = payload.pop("estimator", {})
+    check_keys(estimator_cfg, ESTIMATOR_KEYS, "section 'estimator'")
     cfg = TrainConfig.from_dict(payload)
     samples = _read_corpus_dir(args.corpus)
     init = ToyEstimator.init(filters=int(estimator_cfg.get("filters", 8)),

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all pulsegate modules."""
+"""Exception hierarchy shared by all pulsegate modules, and the config key check."""
 
 
 class PulsegateError(Exception):
@@ -39,3 +39,13 @@ class EmptyComparisonError(PulsegateError):
 
 class NumericalDivergenceError(PulsegateError):
     """An iterative procedure produced non-finite values."""
+
+
+def check_keys(payload, allowed, where: str) -> None:
+    """Reject a config object that is not a JSON object or holds a key outside `allowed`."""
+    if not isinstance(payload, dict):
+        raise InvalidArgumentError(f"{where} must be a JSON object")
+    for key in payload:
+        if key not in allowed:
+            raise InvalidArgumentError(
+                f"unknown key {key!r} in {where} (expected one of {', '.join(sorted(allowed))})")

@@ -13,6 +13,7 @@ import copy
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import positive_hann, window_starts
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     InvalidInputError,
     InvalidTrainingSetError,
     NumericalDivergenceError,
+    check_keys,
 )
 from .losses import LossSpec, combined_loss
 from .signal_core import VideoCube, Waveform, spatial_mean_trace, standardize_samples
@@ -95,35 +97,48 @@ class ToyEstimator:
                    activation=payload.get("activation", "tanh"))
 
 
-def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (pad, pad)), mode="edge")
+def _windows(padded: np.ndarray, kernel: int) -> np.ndarray:
+    """Length-`kernel` windows of a (C, L) array as a contiguous
+    (L - kernel + 1, C*kernel) matrix."""
+    windows = sliding_window_view(padded, kernel, axis=1)
+    return windows.transpose(1, 0, 2).reshape(windows.shape[1], -1)
 
 
-def _conv_same(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Temporal convolution with edge padding: (C, T) -> (F, T)."""
-    kernel = weights.shape[2]
-    padded = _edge_pad(x, kernel // 2)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)
-    return np.einsum("fck,ctk->ft", weights, windows) + bias[:, None]
+def _conv_same(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """Temporal convolution with edge padding: (C, T) -> (F, T).
 
-
-def _conv_same_backward(x: np.ndarray, weights: np.ndarray, upstream: np.ndarray):
-    """Gradients of _conv_same: returns (d_weights, d_bias, d_x)."""
+    Returns the output and the window matrix that `_conv_same_backward`
+    reuses.
+    """
     kernel = weights.shape[2]
     pad = kernel // 2
-    padded = _edge_pad(x, pad)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=1)
-    d_weights = np.einsum("ft,ctk->fck", upstream, windows)
-    d_bias = upstream.sum(axis=1)
-    d_padded = np.zeros_like(padded)
-    for out_ch in range(weights.shape[0]):
-        for in_ch in range(weights.shape[1]):
-            d_padded[in_ch] += np.convolve(upstream[out_ch], weights[out_ch, in_ch], "full")
+    padded = np.concatenate([np.repeat(x[:, :1], pad, axis=1), x,
+                             np.repeat(x[:, -1:], pad, axis=1)], axis=1)
+    cols = _windows(padded, kernel)
+    return weights.reshape(weights.shape[0], -1) @ cols.T + bias[:, None], cols
+
+
+def _conv_same_backward(cols: np.ndarray, weights: np.ndarray, upstream: np.ndarray):
+    """Parameter gradients of _conv_same from its window matrix: (d_weights, d_bias)."""
+    return (upstream @ cols).reshape(weights.shape), upstream.sum(axis=1)
+
+
+def _conv_same_input_grad(weights: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of _conv_same with respect to its (C, T) input."""
+    n_out, n_in, kernel = weights.shape
+    pad = kernel // 2
+    n_frames = upstream.shape[1]
+    # full convolution of upstream with each kernel, as windows of the
+    # zero-padded upstream times the flipped kernels: (C, T + 2 * pad)
+    zeros = np.zeros((n_out, kernel - 1))
+    cols = _windows(np.concatenate([zeros, upstream, zeros], axis=1), kernel)
+    flipped = weights[:, :, ::-1].transpose(0, 2, 1).reshape(n_out * kernel, n_in)
+    d_padded = (cols @ flipped).T
     # adjoint of edge padding: fold the replicated borders onto the end samples
-    d_x = d_padded[:, pad:-pad].copy()
+    d_x = d_padded[:, pad:pad + n_frames].copy()
     d_x[:, 0] += d_padded[:, :pad].sum(axis=1)
-    d_x[:, -1] += d_padded[:, -pad:].sum(axis=1)
-    return d_weights, d_bias, d_x
+    d_x[:, -1] += d_padded[:, pad + n_frames:].sum(axis=1)
+    return d_x
 
 
 def standardize_trace(trace: np.ndarray) -> np.ndarray:
@@ -136,20 +151,22 @@ def standardize_trace(trace: np.ndarray) -> np.ndarray:
 
 def _forward_cache(model: ToyEstimator, x: np.ndarray):
     """Forward pass on a standardized (C, T) input, keeping intermediates."""
-    pre = _conv_same(x, model.w1, model.b1)
+    pre, cols1 = _conv_same(x, model.w1, model.b1)
     hidden = np.tanh(pre) if model.activation == "tanh" else pre
-    out = _conv_same(hidden, model.w2, model.b2)[0]
-    return out, {"x": x, "pre": pre, "hidden": hidden}
+    out, cols2 = _conv_same(hidden, model.w2, model.b2)
+    return out[0], {"cols1": cols1, "hidden": hidden, "cols2": cols2}
 
 
 def _backward_cache(model: ToyEstimator, cache, upstream: np.ndarray):
-    d_w2, d_b2, d_hidden = _conv_same_backward(cache["hidden"], model.w2,
-                                               upstream[None, :])
+    upstream = upstream[None, :]
+    d_w2, d_b2 = _conv_same_backward(cache["cols2"], model.w2, upstream)
+    d_hidden = _conv_same_input_grad(model.w2, upstream)
     if model.activation == "tanh":
         d_pre = d_hidden * (1.0 - cache["hidden"] ** 2)
     else:
         d_pre = d_hidden
-    d_w1, d_b1, _ = _conv_same_backward(cache["x"], model.w1, d_pre)
+    # the first layer's input is data, so its input gradient is never needed
+    d_w1, d_b1 = _conv_same_backward(cache["cols1"], model.w1, d_pre)
     return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
@@ -203,8 +220,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        names = {f.name for f in fields(cls)} - {"loss"}
-        kwargs = {k: v for k, v in payload.items() if k in names}
+        check_keys(payload, {f.name for f in fields(cls)}, "train config")
+        kwargs = {k: v for k, v in payload.items() if k != "loss"}
         if "negative_transforms" in kwargs:
             kwargs["negative_transforms"] = tuple(kwargs["negative_transforms"])
         return cls(loss=LossSpec.from_dict(payload.get("loss", {})), **kwargs)

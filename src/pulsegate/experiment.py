@@ -11,7 +11,7 @@ into the report manifest, so a rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .classify import (
     frame_accuracy,
     predict,
 )
-from .errors import InvalidArgumentError, PulsegateError
+from .errors import InvalidArgumentError, PulsegateError, check_keys
 from .estimator import (
     ToyEstimator,
     TrainConfig,
@@ -69,6 +69,10 @@ _JSON_KEYS = {
     "rate_stride_frames": ("rate_eval", "stride_frames"),
     "rate_resample_fps": ("rate_eval", "resample_fps"),
 }
+# the keys of the "train" section: TrainConfig fields, less the two each
+# variant sets itself, plus the loss parameters shared by every variant
+_TRAIN_KEYS = ({f.name for f in fields(TrainConfig)} - {"loss", "negative_transforms"}
+               | {"nfft", "band_bpm"})
 
 
 @dataclass
@@ -115,6 +119,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        sections = {section for section, _ in _JSON_KEYS.values()} - {None}
+        check_keys(payload, {key for section, key in _JSON_KEYS.values() if section is None}
+                   | sections | {"train"}, "experiment config")
+        for name in sections:
+            check_keys(payload.get(name, {}),
+                       {key for section, key in _JSON_KEYS.values() if section == name},
+                       f"section {name!r}")
+        check_keys(payload.get("train", {}), _TRAIN_KEYS, "section 'train'")
         train_payload = dict(payload.get("train", {}))
         train_payload.setdefault("seed", payload.get("seed", cls.seed))
         loss_defaults = {"nfft": train_payload.pop("nfft", cls.nfft),

@@ -10,7 +10,7 @@ flat spectrum, 1 for a single-bin spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     DegenerateCorrelationError,
     DegenerateInputError,
     InvalidArgumentError,
+    check_keys,
 )
 from .signal_core import (
     DEFAULT_BAND_BPM,
@@ -52,6 +53,7 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, payload):
+        check_keys(payload, {f.name for f in fields(cls)}, "loss")
         return cls(positive_loss=payload.get("positive_loss", "neg_pearson"),
                    negative_loss=payload.get("negative_loss", "none"),
                    nfft=int(payload.get("nfft", DEFAULT_NFFT)),

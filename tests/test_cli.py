@@ -38,6 +38,16 @@ class TestSynth:
         b = sorted(frame.tobytes() for frame in neg.data)
         assert a == b
 
+    @pytest.mark.parametrize("key, block", [("duraton_s", None), ("sigma", "negative")])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, block):
+        payload = {**SCENE, "negative": {"seed": 1}}
+        (payload[block] if block else payload)[key] = 1
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(payload))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_env_seed_override(self, workdir, monkeypatch):
         scene_path = workdir / "scene.json"
         monkeypatch.setenv("PULSEGATE_SEED", "99")
@@ -154,6 +164,19 @@ class TestTrain:
                      "--clip-len", "150"]) == 0
         assert len(read_waveform(wave_out)) == 240
 
+    @pytest.mark.parametrize("key, block", [("stpes", None), ("filter", "estimator"),
+                                            ("negative_los", "loss")])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, block):
+        payload = {"clip_len": 150, "steps": 2, "estimator": {"filters": 2},
+                   "loss": {"negative_loss": "none"}}
+        (payload[block] if block else payload)[key] = 1
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps(payload))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestExperiment:
     def test_dry_run(self):
@@ -195,6 +218,22 @@ class TestExperiment:
         err = capsys.readouterr().err
         for key in ("eval_duration_s", "feature_window_s", "feature_stride_s"):
             assert key in err
+
+    @pytest.mark.parametrize("section, key", [(None, "trian"), ("train", "stpes"),
+                                              ("corpus", "n_test_poss"), ("svm", "c")])
+    def test_unknown_key_rejected_at_dry_run(self, tmp_path, capsys, section, key):
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        (payload[section] if section else payload)[key] = 1
+        bad = tmp_path / "misspelt.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1]")
+        assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -12,6 +12,8 @@ from pulsegate.estimator import (
     ToyEstimator,
     TrainConfig,
     _backward_cache,
+    _conv_same,
+    _conv_same_input_grad,
     _forward_cache,
     backward,
     clip_predictions,
@@ -52,6 +54,69 @@ def fd_param_grads(model, x, upstream, h=1e-5):
             grads[i] += sign * float(upstream @ out) / (2 * h)
     model.set_flat_params(flat)
     return grads
+
+
+def conv_same_reference(x, weights, bias):
+    """Edge-padded temporal convolution written as a direct double loop."""
+    n_out, n_in, kernel = weights.shape
+    n_frames = x.shape[1]
+    out = np.empty((n_out, n_frames))
+    for f in range(n_out):
+        for t in range(n_frames):
+            taps = np.clip(np.arange(t - kernel // 2, t + kernel // 2 + 1), 0, n_frames - 1)
+            out[f, t] = bias[f] + np.sum(weights[f] * x[:, taps])
+    return out
+
+
+KERNEL_LENS = [1, 3, 11, 91]  # 91 is longer than the 64-frame inputs
+FILTERS = [1, 8]
+
+
+class TestConvKernels:
+    @pytest.mark.parametrize("filters", FILTERS)
+    @pytest.mark.parametrize("kernel_len", KERNEL_LENS)
+    def test_conv_same_matches_double_loop(self, kernel_len, filters):
+        rng = np.random.default_rng(kernel_len + filters)
+        x = rng.standard_normal((3, 64))
+        weights = rng.standard_normal((filters, 3, kernel_len))
+        bias = rng.standard_normal(filters)
+        out, _ = _conv_same(x, weights, bias)
+        expected = conv_same_reference(x, weights, bias)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("filters", FILTERS)
+    @pytest.mark.parametrize("kernel_len", KERNEL_LENS)
+    def test_input_grad_matches_finite_differences(self, kernel_len, filters):
+        # L = sum(upstream * conv(x)) is linear in x, so central differences
+        # are exact up to rounding
+        rng = np.random.default_rng(100 + kernel_len + filters)
+        x = rng.standard_normal((3, 64))
+        weights = rng.standard_normal((filters, 3, kernel_len))
+        bias = rng.standard_normal(filters)
+        upstream = rng.standard_normal((filters, 64))
+        grad = _conv_same_input_grad(weights, upstream)
+        fd = np.zeros_like(x)
+        h = 1e-5
+        for idx in np.ndindex(x.shape):
+            for sign in (1.0, -1.0):
+                bumped = x.copy()
+                bumped[idx] += sign * h
+                fd[idx] += sign * np.sum(upstream * _conv_same(bumped, weights, bias)[0]) / (2 * h)
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    @pytest.mark.parametrize("filters", FILTERS)
+    @pytest.mark.parametrize("kernel_len", KERNEL_LENS)
+    def test_param_grads_match_finite_differences(self, kernel_len, filters, activation):
+        rng = np.random.default_rng(200 + kernel_len + filters)
+        model = ToyEstimator.init(filters=filters, kernel_len=kernel_len, seed=kernel_len,
+                                  activation=activation)
+        x = rng.standard_normal((3, 64))
+        upstream = rng.standard_normal(64)
+        _, cache = _forward_cache(model, x)
+        grads = flatten_grads(_backward_cache(model, cache, upstream))
+        fd = fd_param_grads(model, x, upstream)
+        assert np.linalg.norm(grads - fd) / np.linalg.norm(fd) < 1e-4
 
 
 class TestForward:
@@ -113,6 +178,15 @@ class TestBackward:
         grads = backward(model, cube, np.zeros(cube.data.shape[0]))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
+
+    def test_kernel_len_one(self):
+        # no padding: the edge-pad adjoint must not slice the gradient away
+        model = ToyEstimator.init(filters=2, kernel_len=1, seed=10)
+        cube = VideoCube(np.random.default_rng(10).uniform(0.2, 0.8, (50, 4, 4, 3)), 30.0)
+        grads = backward(model, cube, np.ones(50))
+        assert grads["w1"].shape == (2, 3, 1)
+        assert np.all(np.isfinite(flatten_grads(grads)))
+        assert np.any(grads["w1"] != 0.0)
 
     def test_linear_case_analytic_oracle(self):
         # with identity activation the network is linear, so layer gradients

@@ -18,7 +18,6 @@ import numpy as np
 from . import baselines as bl
 from .classify import ANOMALOUS, LIVE, SvmModel, fit_one_class, fit_two_class, predict
 from .errors import (
-    DegenerateCorrelationError,
     DegenerateInputError,
     InvalidArgumentError,
     NumericalDivergenceError,
@@ -210,17 +209,7 @@ def cmd_pulse_rate(args):
                            stride_frames=args.stride_frames, nfft=args.nfft)
         payload["truth"] = {"times_s": list(map(float, truth.times_s)),
                             "bpm": [None if np.isnan(v) else float(v) for v in truth.bpm]}
-        try:
-            payload["errors"] = error_report(pred, truth).to_dict()
-        except DegenerateCorrelationError:
-            # constant-rate series: correlation is undefined, the error
-            # magnitudes are still meaningful
-            valid = np.isfinite(pred.bpm) & np.isfinite(truth.bpm)
-            diff = pred.bpm[valid] - truth.bpm[valid]
-            payload["errors"] = {"me_bpm": float(diff.mean()),
-                                 "mae_bpm": float(np.abs(diff).mean()),
-                                 "rmse_bpm": float(np.sqrt(np.mean(diff ** 2))),
-                                 "pearson_r": None}
+        payload["errors"] = error_report(pred, truth).to_dict()
     dump_json(payload, args.report)
     if "errors" in payload:
         err = payload["errors"]

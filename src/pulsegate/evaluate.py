@@ -6,16 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCorrelationError,
-    EmptyComparisonError,
-    InsufficientDataError,
-    InvalidArgumentError,
-)
+from .errors import EmptyComparisonError, InsufficientDataError, InvalidArgumentError
 from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask
 
 RATE_BAND_HZ = (0.66, 4.0)
-_CHUNK = 512
+# in-band bins × windows per chunk: bounds the working memory of pulse_rate
+_CHUNK_CELLS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class ErrorReport:
     me_bpm: float
     mae_bpm: float
     rmse_bpm: float
-    pearson_r: float
+    pearson_r: float | None  # None when a rate series is constant
 
     def to_dict(self):
         return {"me_bpm": self.me_bpm, "mae_bpm": self.mae_bpm,
@@ -46,9 +42,23 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
 
     Windows slide one frame at a time by default, producing frame-wise
     estimates at the window centers; edge frames without a full window are
-    excluded.
+    excluded.  Each window's mean is removed and the window zero-padded to
+    `nfft`; a window whose samples are all equal has no peak and reads NaN.
+
+    Only the in-band bins are computed, as a sliding DFT (Jacobsen & Lyons,
+    "The Sliding DFT", 2003).  Within a chunk of windows, with P_k the prefix
+    sum of x[m]·e^{-2πi·km/nfft}, the window starting at s has, at bin k,
+    the spectral magnitude |P_k(s+W) - P_k(s) - μ_s·D_k·e^{-2πi·ks/nfft}|:
+    μ_s is the window mean and D_k = Σ_{n<W} e^{-2πi·kn/nfft} the Dirichlet
+    term.
     """
     window = int(round(window_s * w.fps))
+    if stride_frames < 1:
+        raise InvalidArgumentError(f"stride_frames={stride_frames} must be at least 1")
+    if window < 2:
+        raise InvalidArgumentError(
+            f"window_s={window_s} holds {window} samples at {w.fps} fps; "
+            "it must hold at least 2")
     if len(w) < window:
         raise InsufficientDataError(
             f"waveform of {len(w)} samples is shorter than one {window_s} s window")
@@ -58,22 +68,51 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, w.fps, nfft,
                                            (band_hz[0] * 60.0, band_hz[1] * 60.0)))
     starts = np.arange(0, len(w) - window + 1, stride_frames)
-    segments = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::stride_frames]
+    per_chunk = min(max(_CHUNK_CELLS // (len(in_band) * stride_frames), 1), len(starts))
+    span = (per_chunk - 1) * stride_frames + window
+    # the twiddle of bin k at sample m of a chunk is table[k·m mod nfft]
+    table = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
+    phases = np.outer(in_band, np.arange(span))
+    phases %= nfft
+    twiddles = table[phases]
+    # D_k·e^{-2πi·ks/nfft} at each window start s of a chunk: what a unit
+    # mean leaks into bin k
+    leaks = (twiddles[:, :window].sum(axis=1, keepdims=True)
+             * twiddles[:, :span - window + 1:stride_frames])
+    prefix = np.zeros((len(in_band), span + 1), dtype=complex)
+    # the signal's mean keeps the prefix sums small; each window's own mean
+    # comes off through the Dirichlet term
+    mean = w.samples.mean()
     bpm = np.empty(len(starts))
-    for lo in range(0, len(starts), _CHUNK):
-        chunk = segments[lo:lo + _CHUNK]
-        centered = chunk - chunk.mean(axis=1, keepdims=True)
-        power = np.abs(np.fft.rfft(centered, nfft, axis=1)[:, in_band]) ** 2
-        totals = power.sum(axis=1)
-        peaks = in_band[np.argmax(power, axis=1)] * resolution_bpm
-        bpm[lo:lo + _CHUNK] = np.where(totals > 0.0, peaks, np.nan)
+    for lo in range(0, len(starts), per_chunk):
+        count = min(per_chunk, len(starts) - lo)
+        # the first and one-past-last samples of each window, within the chunk
+        heads = slice(0, (count - 1) * stride_frames + 1, stride_frames)
+        tails = slice(window, heads.stop + window, stride_frames)
+        seg = w.samples[starts[lo]:starts[lo] + heads.stop - 1 + window]
+        centered = seg - mean
+        region = prefix[:, 1:len(seg) + 1]
+        np.multiply(twiddles[:, :len(seg)], centered, out=region)
+        np.cumsum(region, axis=1, out=region)
+        totals = np.concatenate(([0.0], np.cumsum(centered)))
+        spectra = prefix[:, tails] - prefix[:, heads]
+        spectra -= leaks[:, :count] * ((totals[tails] - totals[heads]) / window)
+        # a window across which no sample changes is constant
+        changes = np.concatenate(([0], np.cumsum(seg[1:] != seg[:-1])))
+        flat = changes[window - 1:heads.stop + window - 1:stride_frames] == changes[heads]
+        bpm[lo:lo + count] = np.where(
+            flat, np.nan, in_band[np.argmax(np.abs(spectra), axis=0)] * resolution_bpm)
     centers = (starts + (window - 1) / 2.0) / w.fps
     return RateSeries(times_s=centers, bpm=bpm, window_s=window_s,
                       band_hz=(float(band_hz[0]), float(band_hz[1])))
 
 
 def error_metrics(pred_bpm: np.ndarray, truth_bpm: np.ndarray) -> ErrorReport:
-    """ME/MAE/RMSE/Pearson over aligned rate pairs; NaN pairs are dropped."""
+    """ME/MAE/RMSE/Pearson over aligned rate pairs; NaN pairs are dropped.
+
+    Pearson's r is None when either series is constant, as a fixed-rate
+    ground truth is; the error magnitudes are still meaningful.
+    """
     pred_bpm = np.asarray(pred_bpm, dtype=float)
     truth_bpm = np.asarray(truth_bpm, dtype=float)
     if pred_bpm.shape != truth_bpm.shape:
@@ -89,9 +128,7 @@ def error_metrics(pred_bpm: np.ndarray, truth_bpm: np.ndarray) -> ErrorReport:
     pc = p - p.mean()
     tc = t - t.mean()
     denom = np.linalg.norm(pc) * np.linalg.norm(tc)
-    if denom == 0.0:
-        raise DegenerateCorrelationError("pearson undefined: a rate series is constant")
-    r = float(np.clip(pc @ tc / denom, -1.0, 1.0))
+    r = float(np.clip(pc @ tc / denom, -1.0, 1.0)) if denom > 0.0 else None
     return ErrorReport(me_bpm=me, mae_bpm=mae, rmse_bpm=rmse, pearson_r=r)
 
 

@@ -163,11 +163,24 @@ class ExperimentConfig:
         # feature windows start every stride: the last must end on the last frame
         window = int(round(self.feature_window_s * self.fps))
         stride = max(int(round(self.feature_stride_s * self.fps)), 1)
-        if (int(round(self.eval_duration_s * self.fps)) - window) % stride:
+        frames = int(round(self.eval_duration_s * self.fps))
+        if (frames - window) % stride:
             raise InvalidArgumentError(
                 f"eval_duration_s - feature_window_s ({self.eval_duration_s:g} - "
                 f"{self.feature_window_s:g} s) is not a whole number of "
                 f"feature_stride_s ({self.feature_stride_s:g} s) strides")
+        if self.rate_stride_frames < 1:
+            raise InvalidArgumentError(
+                f"rate_eval.stride_frames ({self.rate_stride_frames}) must be at least 1")
+        # rates come from scenes resampled over their span of (frames - 1) / fps
+        rate_window = int(round(self.rate_window_s * self.rate_resample_fps))
+        if not 2 <= rate_window <= self.nfft or \
+                self.rate_window_s > (frames - 1) / self.fps:
+            raise InvalidArgumentError(
+                f"rate_eval.window_s ({self.rate_window_s:g} s) must hold 2 to nfft "
+                f"({self.nfft}) samples at rate_eval.resample_fps "
+                f"({self.rate_resample_fps:g}) and fit in the "
+                f"{self.eval_duration_s:g} s evaluation scenes less one frame")
 
 
 class StageError(PulsegateError):
@@ -546,7 +559,8 @@ def _format_tables(cfg: ExperimentConfig, report: dict) -> str:
     rows = [(f"model[{v}]", report["variants"][v]["rates"]) for v in cfg.variants]
     rows += [(b, report["baselines"][b]["rates"]) for b in cfg.baselines]
     for name, rates in rows:
+        r_text = "n/a" if rates["pearson_r"] is None else f"{rates['pearson_r']:.3f}"
         lines.append(f"{name:20s}{rates['me_bpm']:9.3f}{rates['mae_bpm']:9.3f}"
-                     f"{rates['rmse_bpm']:9.3f}{rates['pearson_r']:9.3f}")
+                     f"{rates['rmse_bpm']:9.3f}{r_text:>9s}")
     lines.append("")
     return "\n".join(lines)

@@ -123,6 +123,34 @@ class TestPulseRate:
         payload = json.loads(report.read_text())
         assert payload["errors"]["mae_bpm"] < 2.0
 
+    def test_constant_rate_truth(self, workdir, tmp_path, capsys):
+        # the scene's heart rate is a constant 75 bpm: Pearson's r is undefined
+        wave, report = tmp_path / "green.csv", tmp_path / "rate.json"
+        assert main(["estimate", "--method", "green", "--in", str(workdir / "pos.bin"),
+                     "--out", str(wave)]) == 0
+        assert main(["pulse-rate", "--in", str(wave), "--truth", str(workdir / "gt.csv"),
+                     "--report", str(report)]) == 0
+        assert "r n/a" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        truth = np.array(payload["truth"]["bpm"], dtype=float)
+        pred = np.array(payload["pred"]["bpm"], dtype=float)
+        assert np.all(truth == 75.0) and np.ptp(pred) > 0.0
+        diff = pred - truth
+        errors = payload["errors"]
+        assert errors["pearson_r"] is None
+        assert errors["me_bpm"] == pytest.approx(diff.mean(), rel=1e-12)
+        assert errors["mae_bpm"] == pytest.approx(np.abs(diff).mean(), rel=1e-12)
+        assert errors["rmse_bpm"] == pytest.approx(np.sqrt((diff ** 2).mean()), rel=1e-12)
+
+    @pytest.mark.parametrize("key, value", [("stride_frames", "0"), ("stride_frames", "-5"),
+                                            ("window_s", "0.004")])
+    def test_bad_window_rejected(self, workdir, tmp_path, capsys, key, value):
+        code = main(["pulse-rate", "--in", str(workdir / "gt.csv"),
+                     "--report", str(tmp_path / "rate.json"),
+                     "--" + key.replace("_", "-"), value])
+        assert code == 2
+        assert f"{key}=" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_train_on_corpus_dir(self, workdir, tmp_path):
@@ -218,6 +246,20 @@ class TestExperiment:
         err = capsys.readouterr().err
         for key in ("eval_duration_s", "feature_window_s", "feature_stride_s"):
             assert key in err
+
+    # smoke scenes are 16 s at 20 fps, so their span ends at 15.95 s; a 61 s
+    # window at 90 fps is longer than nfft (5400 samples)
+    @pytest.mark.parametrize("key, value, eval_s", [
+        ("stride_frames", 0, 16.0), ("stride_frames", -5, 16.0),
+        ("window_s", 0.004, 16.0), ("window_s", 16.0, 16.0), ("window_s", 61.0, 70.0)])
+    def test_bad_rate_window_rejected_at_dry_run(self, tmp_path, capsys, key, value, eval_s):
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        payload["rate_eval"][key] = value
+        payload["corpus"]["eval_duration_s"] = eval_s
+        bad = tmp_path / "rate.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+        assert f"rate_eval.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [(None, "trian"), ("train", "stpes"),
                                               ("corpus", "n_test_poss"), ("svm", "c")])

@@ -1,20 +1,106 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pulsegate.errors import EmptyComparisonError, InvalidArgumentError
 from pulsegate.evaluate import (
+    RATE_BAND_HZ,
     ErrorReport,
     RateSeries,
     error_metrics,
     error_report,
     pulse_rate,
 )
-from pulsegate.signal_core import Waveform
+from pulsegate.signal_core import DEFAULT_NFFT, Waveform, band_bin_mask
 
 
 def sine(freq_hz, fps, duration_s, amplitude=1.0, offset=0.0):
     t = np.arange(int(round(duration_s * fps))) / fps
     return Waveform(offset + amplitude * np.sin(2 * np.pi * freq_hz * t), fps)
+
+
+def fft_pulse_rate(w, window_s=10.0, stride_frames=1, nfft=DEFAULT_NFFT,
+                   band_hz=RATE_BAND_HZ):
+    """Reference: one zero-padded rfft per mean-removed window, in chunks.
+
+    Returns the rates and, per window, the two largest in-band powers.
+    """
+    window = int(round(window_s * w.fps))
+    resolution_bpm = w.fps * 60.0 / nfft
+    in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, w.fps, nfft,
+                                           (band_hz[0] * 60.0, band_hz[1] * 60.0)))
+    segments = np.lib.stride_tricks.sliding_window_view(w.samples, window)[::stride_frames]
+    bpm = np.empty(len(segments))
+    top_two = np.empty((len(segments), 2))
+    chunk = 512
+    for lo in range(0, len(segments), chunk):
+        block = segments[lo:lo + chunk]
+        centered = block - block.mean(axis=1, keepdims=True)
+        power = np.abs(np.fft.rfft(centered, nfft, axis=1)[:, in_band]) ** 2
+        peaks = in_band[np.argmax(power, axis=1)] * resolution_bpm
+        bpm[lo:lo + chunk] = np.where(power.sum(axis=1) > 0.0, peaks, np.nan)
+        top_two[lo:lo + chunk] = np.sort(power, axis=1)[:, :-3:-1]
+    return bpm, top_two
+
+
+def assert_matches_fft(w, window_s=10.0, stride_frames=1, nfft=DEFAULT_NFFT):
+    """pulse_rate equals the reference in every window but near-ties, whose
+    two largest reference powers lie within 1e-9 relative; returns how many
+    windows differed at such a near-tie."""
+    rates = pulse_rate(w, window_s, stride_frames, nfft)
+    want, top_two = fft_pulse_rate(w, window_s, stride_frames, nfft)
+    np.testing.assert_array_equal(np.isnan(rates.bpm), np.isnan(want))
+    differ = (rates.bpm != want) & ~np.isnan(want)
+    near_tie = top_two[:, 0] - top_two[:, 1] <= 1e-9 * top_two[:, 0]
+    assert not np.any(differ & ~near_tie), np.flatnonzero(differ & ~near_tie)
+    return int(differ.sum())
+
+
+def noisy_pulse(rng, n, fps, offset, amplitude):
+    t = np.arange(n) / fps
+    bpm = rng.uniform(45.0, 200.0)
+    phase = 2 * np.pi * (bpm / 60.0 * t + 0.1 * np.sin(2 * np.pi * 0.05 * t))
+    return offset + amplitude * (np.sin(phase) + 0.2 * np.sin(2 * phase + 1.0)
+                                 + rng.normal(0.0, 0.5, n))
+
+
+class TestSlidingDftAgainstFft:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           fps=st.sampled_from([20.0, 30.0, 90.0]),
+           window_s=st.sampled_from([3.0, 10.0]),
+           extra_s=st.floats(0.0, 20.0),
+           stride=st.integers(1, 30),
+           offset=st.floats(-1e3, 1e3),
+           amplitude=st.sampled_from([1e-2, 1.0, 37.5, 1e2]))
+    def test_matches_fft_rates(self, seed, fps, window_s, extra_s, stride, offset, amplitude):
+        rng = np.random.default_rng(seed)
+        n = int(round((window_s + extra_s) * fps))
+        w = Waveform(noisy_pulse(rng, n, fps, offset, amplitude), fps)
+        # shown by pytest --hypothesis-show-statistics
+        event(f"near-tie windows that differ: {assert_matches_fft(w, window_s, stride)}")
+
+    @pytest.mark.parametrize("value", [2.0, 0.1, 1.0 / 3.0, None])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_constant_stretch_is_nan_exactly_inside(self, value, stride):
+        rng = np.random.default_rng(3)
+        fps, window = 90.0, 900
+        x = noisy_pulse(rng, 3600, fps, 0.0, 1.0)
+        x[1000:2300] = rng.uniform(-2.0, 2.0) if value is None else value
+        rates = pulse_rate(Waveform(x, fps), stride_frames=stride)
+        starts = np.arange(0, len(x) - window + 1, stride)
+        inside = (starts >= 1000) & (starts + window <= 2300)
+        assert inside.sum() > 0
+        np.testing.assert_array_equal(np.isnan(rates.bpm), inside)
+
+    def test_ten_minutes_at_90fps_equal(self):
+        # prefix sums restart every chunk, so precision does not drift with length
+        rng = np.random.default_rng(11)
+        fps = 90.0
+        x = noisy_pulse(rng, int(600 * fps), fps, -37.5, 1.0)
+        x += np.linspace(0.0, 50.0, len(x))
+        assert assert_matches_fft(Waveform(x, fps)) == 0
 
 
 class TestPulseRate:
@@ -52,6 +138,16 @@ class TestPulseRate:
         a = pulse_rate(w, stride_frames=45)
         b = pulse_rate(shifted, stride_frames=45)
         np.testing.assert_array_equal(a.bpm, b.bpm)
+
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(InvalidArgumentError, match="stride_frames"):
+            pulse_rate(sine(1.5, 90.0, 15.0), stride_frames=stride)
+
+    @pytest.mark.parametrize("window_s", [0.0, 0.004, 0.011])
+    def test_window_under_two_samples_rejected(self, window_s):
+        with pytest.raises(InvalidArgumentError, match="at least 2"):
+            pulse_rate(sine(1.5, 90.0, 15.0), window_s=window_s)
 
     def test_times_strictly_increasing_and_in_band(self):
         rates = pulse_rate(sine(2.0, 90.0, 13.0), stride_frames=7)
@@ -102,6 +198,16 @@ class TestErrorReport:
         truth = self.make_series([61.0, 70.0, np.nan, 89.0])
         report = error_report(pred, truth)
         assert report.mae_bpm == pytest.approx(1.0)
+
+    def test_constant_series_has_no_pearson(self):
+        pred = self.make_series([70.0, 74.0, 71.0, 73.0])
+        truth = self.make_series([72.0, 72.0, 72.0, 72.0])
+        report = error_report(pred, truth)
+        assert report.pearson_r is None
+        assert report.me_bpm == 0.0
+        assert report.mae_bpm == pytest.approx(1.5)
+        assert report.rmse_bpm == pytest.approx(np.sqrt(2.5))
+        assert report.to_dict()["pearson_r"] is None
 
     def test_no_valid_pairs_rejected(self):
         pred = self.make_series([np.nan, np.nan, 60.0])

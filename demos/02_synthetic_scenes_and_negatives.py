@@ -22,7 +22,7 @@ def trace_summary(name, cube):
     green = spatial_mean_trace(cube)[:, 1]
     wave = Waveform(green, cube.fps)
     psd = psd_normalized(wave, nfft=5400)
-    in_band = psd.in_band_power
+    in_band = psd.power[psd.in_band]
     peak_share = in_band.max() if in_band.size else 0.0
     print(f"{name:10s} trace std {green.std() * 255:6.3f} (8-bit)   "
           f"peak {psd.peak_bpm:6.1f} bpm carries {100 * peak_share:5.1f}% "

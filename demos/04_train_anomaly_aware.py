@@ -25,7 +25,7 @@ from pulsegate import (
     make_negative,
     train,
 )
-from pulsegate.estimator import stitch_overlap_add
+from pulsegate.signal_core import stitch_overlap_add
 
 FPS, DIMS, NFFT, CLIP = 20.0, (12, 12), 5400, 200
 

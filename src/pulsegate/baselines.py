@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .signal_core import VideoCube, Waveform, spatial_mean_trace, standardize_samples
+from .signal_core import (
+    VideoCube,
+    Waveform,
+    spatial_mean_trace,
+    standardize_samples,
+    stitch_overlap_add,
+    window_starts,
+)
 
 CHROM_POS_WINDOW_S = 1.6
 
@@ -44,19 +51,6 @@ def trace_from_cube(v: VideoCube) -> RgbTrace:
     return RgbTrace(spatial_mean_trace(v), v.fps)
 
 
-def positive_hann(length: int) -> np.ndarray:
-    """Hann taper with strictly positive endpoints, safe for weight division."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(length) + 1.0) / (length + 1.0))
-
-
-def window_starts(total: int, length: int, hop: int) -> list[int]:
-    """Window start indices covering [0, total); a final window is aligned to the end."""
-    starts = list(range(0, total - length + 1, max(hop, 1)))
-    if starts[-1] != total - length:
-        starts.append(total - length)
-    return starts
-
-
 def estimate_green(trace: RgbTrace) -> Waveform:
     """Green-channel estimator; darker green (more absorption) maps to positive pulse."""
     samples, degenerate = standardize_samples(-trace.values[:, 1])
@@ -71,31 +65,18 @@ def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
     non-positive channel means); degenerate windows contribute zeros.
     """
     total = len(trace)
-    length = int(round(window_s * trace.fps))
-    length = max(length, 2)
+    length = max(int(round(window_s * trace.fps)), 2)
     if total < length:
         raise InsufficientDataError(
             f"trace of {total} samples is shorter than one {window_s} s window")
-    taper = positive_hann(length)
-    acc = np.zeros(total)
-    weight = np.zeros(total)
-    n_degenerate = 0
-    for start in window_starts(total, length, length // 2):
+    starts = window_starts(total, length, length // 2)
+    chunks = []
+    for start in starts:
         seg = trace.values[start:start + length]
         mean = seg.mean(axis=0)
-        chunk = None
-        if np.all(mean > 0):
-            normed = seg / mean
-            chunk = project(normed[:, 0], normed[:, 1], normed[:, 2])
-        if chunk is None:
-            n_degenerate += 1
-            chunk = np.zeros(length)
-        else:
-            chunk = chunk - chunk.mean()
-        acc[start:start + length] += chunk * taper
-        weight[start:start + length] += taper
-    stitched = acc / weight
-    samples, flat = standardize_samples(stitched)
+        chunk = project(*(seg / mean).T) if np.all(mean > 0) else None
+        chunks.append(np.zeros(length) if chunk is None else chunk - chunk.mean())
+    samples, flat = standardize_samples(stitch_overlap_add(chunks, starts, total))
     return Waveform(samples, trace.fps, degenerate=flat)
 
 

@@ -7,11 +7,16 @@ fitted on the training data and stored inside the model; it can be disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidInputError, InvalidTrainingSetError
+from .errors import (
+    InvalidArgumentError,
+    InvalidInputError,
+    InvalidTrainingSetError,
+    NumericalDivergenceError,
+)
 
 LIVE = 1
 ANOMALOUS = -1
@@ -84,25 +89,29 @@ def _scale_gamma(x: np.ndarray) -> float:
     return 1.0 / (x.shape[1] * var)
 
 
-def smo_solve_two_class(kernel: np.ndarray, y: np.ndarray, C: float,
-                        tol: float = KKT_TOL, max_iter: int = 200_000,
-                        record_objective: bool = False):
-    """SMO on the C-SVM dual with maximal-violating-pair selection.
+def _smo(q, p, y, upper, alpha0, tol, max_iter, record_objective):
+    """SMO with maximal-violating-pair selection for both SVM duals.
 
-    Minimizes 0.5 a'Qa - e'a with Q = yy'K subject to 0 <= a <= C and y'a = 0.
-    Returns (alpha, bias, n_iter, kkt_gap, objective_history).
+    Minimizes 0.5 a'Qa + p'a subject to 0 <= a <= upper, with y'a (y = +-1)
+    held at its start value.  A pair step moves a_i by +y_i*s and a_j by
+    -y_j*s; s is the second-order step gap / (Q_ii + Q_jj - 2 y_i y_j Q_ij)
+    along that direction (Fan, Chen & Lin, JMLR 2005), clipped to the box.
+    The bias is the mean of -y*grad over the free variables.  Returns (alpha,
+    bias, n_iter, kkt_gap, objective_history); raises NumericalDivergenceError
+    when max_iter passes with the gap still above tol.
     """
-    n = y.size
-    alpha = np.zeros(n)
-    q_sign = y[:, None] * y[None, :]
-    grad = -np.ones(n)
+    alpha = alpha0.copy()
+    grad = q @ alpha + p
     history = []
+
+    def violators():
+        up = ((y > 0) & (alpha < upper - _SV_EPS)) | ((y < 0) & (alpha > _SV_EPS))
+        lo = ((y < 0) & (alpha < upper - _SV_EPS)) | ((y > 0) & (alpha > _SV_EPS))
+        return -y * grad, up, lo
+
     gap = np.inf
-    it = 0
     for it in range(1, max_iter + 1):
-        yg = -y * grad
-        up = ((y > 0) & (alpha < C - _SV_EPS)) | ((y < 0) & (alpha > _SV_EPS))
-        lo = ((y < 0) & (alpha < C - _SV_EPS)) | ((y > 0) & (alpha > _SV_EPS))
+        yg, up, lo = violators()
         if not up.any() or not lo.any():
             gap = 0.0
             break
@@ -111,30 +120,37 @@ def smo_solve_two_class(kernel: np.ndarray, y: np.ndarray, C: float,
         gap = yg[i] - yg[j]
         if gap <= tol:
             break
-        quad = max(kernel[i, i] + kernel[j, j] - 2.0 * q_sign[i, j] * kernel[i, j], 1e-12)
+        quad = max(q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j], 1e-12)
         step = gap / quad
-        # move alpha_i by +y_i*step and alpha_j by -y_j*step, clipped to the box
-        step = min(step, C - alpha[i] if y[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if y[j] > 0 else C - alpha[j])
+        step = min(step, upper - alpha[i] if y[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if y[j] > 0 else upper - alpha[j])
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
-        grad += (q_sign[:, i] * kernel[:, i]) * (y[i] * step) \
-            - (q_sign[:, j] * kernel[:, j]) * (y[j] * step)
+        grad += step * (q[:, i] * y[i] - q[:, j] * y[j])
         if record_objective:
-            history.append(0.5 * float(alpha @ grad) - 0.5 * float(alpha.sum()))
-    coef = alpha * y
-    decision = kernel @ coef
-    free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
-    if free.any():
-        bias = float(np.mean(y[free] - decision[free]))
+            history.append(0.5 * float(alpha @ (grad + p)))
     else:
-        yg = -y * grad
-        up = ((y > 0) & (alpha < C - _SV_EPS)) | ((y < 0) & (alpha > _SV_EPS))
-        lo = ((y < 0) & (alpha < C - _SV_EPS)) | ((y > 0) & (alpha > _SV_EPS))
-        hi_v = np.where(up, yg, -np.inf).max()
-        lo_v = np.where(lo, yg, np.inf).min()
-        bias = float((hi_v + lo_v) / 2.0)
+        raise NumericalDivergenceError(
+            f"SMO stopped at max_iter={max_iter} with KKT gap {gap:.3g} > tol {tol:.3g}")
+    yg, up, lo = violators()
+    free = (alpha > _SV_EPS) & (alpha < upper - _SV_EPS)
+    if free.any():
+        bias = float(np.mean(yg[free]))
+    else:
+        bias = float((np.where(up, yg, -np.inf).max() + np.where(lo, yg, np.inf).min()) / 2.0)
     return alpha, bias, it, float(gap), history
+
+
+def smo_solve_two_class(kernel: np.ndarray, y: np.ndarray, C: float,
+                        tol: float = KKT_TOL, max_iter: int = 200_000,
+                        record_objective: bool = False):
+    """SMO on the C-SVM dual: min 0.5 a'Qa - e'a, Q = yy'K, 0 <= a <= C, y'a = 0.
+
+    Returns (alpha, bias, n_iter, kkt_gap, objective_history).
+    """
+    q = y[:, None] * y[None, :] * kernel
+    return _smo(q, -np.ones(y.size), y, C, np.zeros(y.size), tol, max_iter,
+                record_objective)
 
 
 def smo_solve_one_class(kernel: np.ndarray, nu: float, tol: float = KKT_TOL,
@@ -145,40 +161,11 @@ def smo_solve_one_class(kernel: np.ndarray, nu: float, tol: float = KKT_TOL,
     function is k(sv, x) . alpha - rho.
     """
     n = kernel.shape[0]
-    budget = nu * n
-    n_full = int(budget)
-    alpha = np.zeros(n)
-    alpha[:n_full] = 1.0
-    if n_full < n:
-        alpha[n_full] = budget - n_full
-    grad = kernel @ alpha
-    history = []
-    gap = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        neg_grad = -grad
-        up = alpha < 1.0 - _SV_EPS
-        lo = alpha > _SV_EPS
-        i = int(np.argmax(np.where(up, neg_grad, -np.inf)))
-        j = int(np.argmin(np.where(lo, neg_grad, np.inf)))
-        gap = neg_grad[i] - neg_grad[j]
-        if gap <= tol:
-            break
-        quad = max(kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j], 1e-12)
-        step = min(gap / quad, 1.0 - alpha[i], alpha[j])
-        alpha[i] += step
-        alpha[j] -= step
-        grad += step * (kernel[:, i] - kernel[:, j])
-        if record_objective:
-            history.append(0.5 * float(alpha @ grad))
-    free = (alpha > _SV_EPS) & (alpha < 1.0 - _SV_EPS)
-    if free.any():
-        rho = float(np.mean(grad[free]))
-    else:
-        hi_v = np.where(alpha > _SV_EPS, grad, -np.inf).max()
-        lo_v = np.where(alpha < 1.0 - _SV_EPS, grad, np.inf).min()
-        rho = float((hi_v + lo_v) / 2.0)
-    return alpha, rho, it, float(gap), history
+    # the first floor(nu*n) alphas at 1, the remainder of the budget on the next
+    alpha0 = np.clip(nu * n - np.arange(n), 0.0, 1.0)
+    alpha, bias, it, gap, history = _smo(kernel, 0.0, np.ones(n), 1.0, alpha0, tol,
+                                         max_iter, record_objective)
+    return alpha, -bias, it, gap, history
 
 
 def _check_features(x: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from .signal_core import (
     bandpass_brickwall,
     resample_cubic,
 )
-from .synth import SceneConfig, generate_positive, make_transform, make_negative
+from .synth import NegativeTransform, SceneConfig, generate_positive, make_negative
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,8 +86,8 @@ def cmd_synth(args):
     cube, truth = generate_positive(scene)
     if args.negative:
         negative = payload.get("negative", {})
-        transform = make_transform(
-            args.negative,
+        transform = NegativeTransform(
+            kind=args.negative,
             seed=_seed_override(int(negative.get("seed", scene.seed))),
             normal_sigma=float(negative.get("normal_sigma", 3.0)),
             uniform_bounds=tuple(negative.get("uniform_bounds", (-3.0, 3.0))))

@@ -38,7 +38,7 @@ class EmptyComparisonError(PulsegateError):
 
 
 class NumericalDivergenceError(PulsegateError):
-    """An iterative procedure produced non-finite values."""
+    """An iterative procedure produced non-finite values or stopped unconverged."""
 
 
 def check_keys(payload, allowed, where: str) -> None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .baselines import positive_hann, window_starts
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -25,7 +24,14 @@ from .errors import (
     check_keys,
 )
 from .losses import LossSpec, combined_loss
-from .signal_core import VideoCube, Waveform, spatial_mean_trace, standardize_samples
+from .signal_core import (
+    VideoCube,
+    Waveform,
+    spatial_mean_trace,
+    standardize_samples,
+    stitch_overlap_add,
+    window_starts,
+)
 
 
 @dataclass
@@ -207,7 +213,6 @@ class TrainConfig:
     seed: int = 0
     loss: LossSpec = field(default_factory=LossSpec)
     negative_mix: float = 0.5
-    negative_transforms: tuple = ("normal", "uniform", "shuffle")
     val_every: int = 100
 
     def __post_init__(self):
@@ -215,15 +220,12 @@ class TrainConfig:
             raise InvalidArgumentError("negative_mix must be in [0, 1]")
 
     def to_dict(self):
-        return {**vars(self), "loss": self.loss.to_dict(),
-                "negative_transforms": list(self.negative_transforms)}
+        return {**vars(self), "loss": self.loss.to_dict()}
 
     @classmethod
     def from_dict(cls, payload):
         check_keys(payload, {f.name for f in fields(cls)}, "train config")
         kwargs = {k: v for k, v in payload.items() if k != "loss"}
-        if "negative_transforms" in kwargs:
-            kwargs["negative_transforms"] = tuple(kwargs["negative_transforms"])
         return cls(loss=LossSpec.from_dict(payload.get("loss", {})), **kwargs)
 
 
@@ -347,18 +349,6 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
         if best_params is not None:
             model.set_flat_params(best_params)
     return model, history
-
-
-def stitch_overlap_add(segments, starts, total_len: int) -> np.ndarray:
-    """Hann-weighted overlap-add of equal-length segments; weights renormalized."""
-    length = len(segments[0])
-    taper = positive_hann(length)
-    acc = np.zeros(total_len)
-    weight = np.zeros(total_len)
-    for seg, start in zip(segments, starts):
-        acc[start:start + length] += seg * taper
-        weight[start:start + length] += taper
-    return acc / weight
 
 
 def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,

@@ -26,15 +26,9 @@ from .classify import (
     predict,
 )
 from .errors import InvalidArgumentError, PulsegateError, check_keys
-from .estimator import (
-    ToyEstimator,
-    TrainConfig,
-    clip_predictions,
-    stitch_overlap_add,
-    train,
-)
+from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
-from .features import extract_features, feature_matrix
+from .features import extract_features, feature_matrix, feature_window_starts
 from .fileio import (
     dump_json,
     read_waveform,
@@ -44,7 +38,13 @@ from .fileio import (
     write_waveform,
 )
 from .losses import LossSpec
-from .signal_core import Waveform, psd_normalized, resample_cubic, standardize_samples
+from .signal_core import (
+    Waveform,
+    psd_normalized,
+    resample_cubic,
+    standardize_samples,
+    stitch_overlap_add,
+)
 from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_positive, make_negative
 
 VARIANT_ORDER = ("none", "std", "spectral_entropy", "spectral_flatness")
@@ -69,10 +69,9 @@ _JSON_KEYS = {
     "rate_stride_frames": ("rate_eval", "stride_frames"),
     "rate_resample_fps": ("rate_eval", "resample_fps"),
 }
-# the keys of the "train" section: TrainConfig fields, less the two each
+# the keys of the "train" section: TrainConfig fields, less the loss each
 # variant sets itself, plus the loss parameters shared by every variant
-_TRAIN_KEYS = ({f.name for f in fields(TrainConfig)} - {"loss", "negative_transforms"}
-               | {"nfft", "band_bpm"})
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"loss"} | {"nfft", "band_bpm"}
 
 
 @dataclass
@@ -279,7 +278,7 @@ def _variant_train_config(cfg: ExperimentConfig, variant: str) -> TrainConfig:
     base = cfg.train_cfg
     loss = LossSpec(positive_loss="neg_pearson", negative_loss=variant,
                     nfft=base.loss.nfft, band_bpm=base.loss.band_bpm)
-    return replace(base, loss=loss, negative_transforms=cfg.negative_kinds)
+    return replace(base, loss=loss)
 
 
 def _median(values) -> float:
@@ -510,18 +509,17 @@ def _dump_plot_data(cfg, report, out_dir, test_sets, clip_len):
     for variant in cfg.variants:
         for side, name in picks:
             wave = read_waveform(out_dir / "waves" / variant / f"{name}.csv")
-            windows = extract_features(wave, cfg.feature_window_s,
-                                       cfg.feature_stride_s, cfg.nfft)
+            window_len, starts = feature_window_starts(len(wave), wave.fps,
+                                                       cfg.feature_window_s,
+                                                       cfg.feature_stride_s)
             rows = []
-            window_len = int(round(cfg.feature_window_s * wave.fps))
-            for start_s, _ in windows:
-                start = int(round(start_s * wave.fps))
+            for start in starts:
                 seg = Waveform(wave.samples[start:start + window_len], wave.fps)
                 psd = psd_normalized(seg, cfg.nfft)
                 rows.append(psd.power[psd.in_band])
             matrix = np.vstack(rows)
             with open(plot_dir / f"periodogram_{variant}_{side}.csv", "w") as fh:
-                fh.write(",".join(repr(float(t)) for t, _ in windows) + "\n")
+                fh.write(",".join(repr(start / wave.fps) for start in starts) + "\n")
                 for row in matrix.T:
                     fh.write(",".join(repr(float(v)) for v in row) + "\n")
             seg_len = int(round(6.0 * wave.fps))

@@ -122,6 +122,15 @@ def _peak_interval_features(trough_indices: np.ndarray, fps: float):
             float(np.sqrt(np.mean(dibis ** 2))) if dibis.size else 0.0)
 
 
+def feature_window_starts(n_samples: int, fps: float, window_s: float, stride_s: float):
+    """Window length in samples and the start indices of the sliding feature windows."""
+    window = int(round(window_s * fps))
+    if n_samples < window:
+        raise InsufficientDataError(
+            f"waveform of {n_samples} samples is shorter than one {window_s} s window")
+    return window, range(0, n_samples - window + 1, max(int(round(stride_s * fps)), 1))
+
+
 def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
                      nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM):
     """Sliding-window feature extraction.
@@ -129,13 +138,9 @@ def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
     Returns a list of (window_start_s, PulseFeatureVector).  The number of
     windows is floor((duration - window_s)/stride_s) + 1.
     """
-    window = int(round(window_s * w.fps))
-    stride = max(int(round(stride_s * w.fps)), 1)
-    if len(w) < window:
-        raise InsufficientDataError(
-            f"waveform of {len(w)} samples is shorter than one {window_s} s window")
+    window, starts = feature_window_starts(len(w), w.fps, window_s, stride_s)
     out = []
-    for start in range(0, len(w) - window + 1, stride):
+    for start in starts:
         seg = w.samples[start:start + window]
         seg_wave = Waveform(seg, w.fps)
         snr = snr_db(seg_wave, nfft=nfft, band_bpm=band_bpm)

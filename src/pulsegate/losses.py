@@ -25,6 +25,7 @@ from .signal_core import (
     DEFAULT_NFFT,
     Waveform,
     band_bin_mask,
+    one_sided_spectrum,
 )
 
 POSITIVE_LOSSES = ("neg_pearson", "mse")
@@ -123,18 +124,9 @@ def _spectral_loss(pred: Waveform, nfft: int, band_bpm, kind: str):
     normalization -> entropy/flatness.  The rFFT adjoint of a gradient q on
     |X_k|^2 is nfft * irfft(q * X) restricted to the original samples.
     """
-    x = pred.samples
-    n = x.size
-    if nfft < n:
-        raise InvalidArgumentError(f"nfft={nfft} shorter than signal length {n}")
-    centered = x - x.mean()
-    spectrum = np.fft.rfft(centered, nfft)
-    raw_power = np.abs(spectrum) ** 2
-    scale = np.full(raw_power.size, 2.0)
-    scale[0] = 1.0
-    if nfft % 2 == 0:
-        scale[-1] = 1.0
-    power = raw_power * scale
+    n = len(pred)
+    spectrum, weights = one_sided_spectrum(pred.samples, nfft)
+    power = np.abs(spectrum) ** 2 * weights
     mask = band_bin_mask(power.size, pred.fps, nfft, band_bpm)
     band_power = power[mask]
     total = band_power.sum()
@@ -142,17 +134,15 @@ def _spectral_loss(pred: Waveform, nfft: int, band_bpm, kind: str):
         raise DegenerateInputError("no in-band spectral energy")
     dist = band_power / total
     k = dist.size
-    floored = np.maximum(dist, LOG_FLOOR)
-    log_dist = np.log(floored)
+    log_dist = np.log(np.maximum(dist, LOG_FLOOR))
 
     if kind == "entropy":
-        entropy = -float(np.sum(dist * log_dist))
-        value = 1.0 - entropy / np.log(k)
+        value = entropy_loss_value(dist)
         grad_dist = np.where(dist > LOG_FLOOR, (log_dist + 1.0), np.log(LOG_FLOOR)) / np.log(k)
     else:
+        value = flatness_loss_value(dist)
         geo = float(np.exp(log_dist.mean()))
         arith = float(dist.mean())
-        value = 1.0 - geo / arith
         d_geo = np.where(dist > LOG_FLOOR, geo / (k * dist), 0.0)
         grad_dist = -(d_geo * arith - geo / k) / arith ** 2
 
@@ -160,11 +150,9 @@ def _spectral_loss(pred: Waveform, nfft: int, band_bpm, kind: str):
     grad_band = (grad_dist - float(grad_dist @ dist)) / total
     grad_power = np.zeros(power.size)
     grad_power[mask] = grad_band
-    q = grad_power * scale
-    grad_full = nfft * np.fft.irfft(q * spectrum, nfft)
-    grad = grad_full[:n]
-    grad = grad - grad.mean()
-    return value, grad
+    q = grad_power * weights
+    grad = (nfft * np.fft.irfft(q * spectrum, nfft))[:n]
+    return value, grad - grad.mean()
 
 
 def loss_spectral_entropy(pred: Waveform, nfft: int = DEFAULT_NFFT,

@@ -1,4 +1,5 @@
-"""Core signal types and transforms: PSD, Hilbert envelope, resampling, standardization."""
+"""Core signal types and transforms: PSD, Hilbert envelope, resampling,
+standardization, and Hann-weighted overlap-add of windowed outputs."""
 
 from __future__ import annotations
 
@@ -106,14 +107,6 @@ class NormalizedPSD:
         return np.arange(self.power.size) * self.bin_resolution_bpm
 
     @property
-    def in_band_count(self) -> int:
-        return int(self.in_band.sum())
-
-    @property
-    def in_band_power(self) -> np.ndarray:
-        return self.power[self.in_band]
-
-    @property
     def peak_bpm(self) -> float:
         """Frequency of the strongest in-band bin."""
         idx = np.flatnonzero(self.in_band)
@@ -127,21 +120,30 @@ def band_bin_mask(n_bins: int, fps: float, nfft: int, band_bpm) -> np.ndarray:
     return (freqs >= low - _BAND_EPS) & (freqs <= high + _BAND_EPS)
 
 
-def power_spectrum(samples: np.ndarray, nfft: int) -> np.ndarray:
-    """One-sided power spectrum of the mean-removed, zero-padded signal.
+def one_sided_spectrum(samples: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """rFFT of the mean-removed signal zero-padded to nfft, and the one-sided weights.
 
-    Interior bins are doubled so the total satisfies Parseval's identity:
-    sum(power) == nfft * sum((x - mean(x))**2).
+    The weights are 2 on interior bins and 1 on DC and, for an even nfft, on
+    the Nyquist bin, so |X|^2 * weights is the one-sided power.
     """
     x = np.asarray(samples, dtype=float)
     if nfft < x.size:
         raise InvalidArgumentError(f"nfft={nfft} shorter than signal length {x.size}")
     spectrum = np.fft.rfft(x - x.mean(), nfft)
-    power = np.abs(spectrum) ** 2
-    power[1:] *= 2.0
+    weights = np.full(spectrum.size, 2.0)
+    weights[0] = 1.0
     if nfft % 2 == 0:
-        power[-1] /= 2.0
-    return power
+        weights[-1] = 1.0
+    return spectrum, weights
+
+
+def power_spectrum(samples: np.ndarray, nfft: int) -> np.ndarray:
+    """One-sided power spectrum of the mean-removed, zero-padded signal.
+
+    It satisfies Parseval's identity: sum(power) == nfft * sum((x - mean(x))**2).
+    """
+    spectrum, weights = one_sided_spectrum(samples, nfft)
+    return np.abs(spectrum) ** 2 * weights
 
 
 def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
@@ -265,3 +267,28 @@ def bandpass_brickwall(w: Waveform, band_bpm=DEFAULT_BAND_BPM) -> Waveform:
     mask = band_bin_mask(spectrum.size, w.fps, n, band_bpm)
     filtered = np.fft.irfft(np.where(mask, spectrum, 0.0), n)
     return Waveform(filtered, w.fps, w.degenerate)
+
+
+def positive_hann(length: int) -> np.ndarray:
+    """Hann taper with strictly positive endpoints, safe for weight division."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(length) + 1.0) / (length + 1.0))
+
+
+def window_starts(total: int, length: int, hop: int) -> list[int]:
+    """Window start indices covering [0, total); a final window is aligned to the end."""
+    starts = list(range(0, total - length + 1, max(hop, 1)))
+    if starts[-1] != total - length:
+        starts.append(total - length)
+    return starts
+
+
+def stitch_overlap_add(segments, starts, total_len: int) -> np.ndarray:
+    """Hann-weighted overlap-add of equal-length segments; weights renormalized."""
+    length = len(segments[0])
+    taper = positive_hann(length)
+    acc = np.zeros(total_len)
+    weight = np.zeros(total_len)
+    for seg, start in zip(segments, starts):
+        acc[start:start + length] += seg * taper
+        weight[start:start + length] += taper
+    return acc / weight

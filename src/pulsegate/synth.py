@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidInputError
+from .errors import InvalidArgumentError
 from .signal_core import VideoCube, Waveform
 
 NEGATIVE_KINDS = ("normal", "uniform", "shuffle")
@@ -127,11 +127,3 @@ def make_negative(v: VideoCube, transform: NegativeTransform) -> VideoCube:
         noise = rng.uniform(low, high, size=v.data.shape)
     stacked = np.clip(frame[None, :, :, :] + noise, 0.0, 255.0) / 255.0
     return VideoCube(stacked, v.fps)
-
-
-def make_transform(kind: str, seed: int, normal_sigma: float = 3.0,
-                   uniform_bounds=(-3.0, 3.0)) -> NegativeTransform:
-    if kind not in NEGATIVE_KINDS:
-        raise InvalidInputError(f"unknown negative kind {kind!r}")
-    return NegativeTransform(kind=kind, normal_sigma=normal_sigma,
-                             uniform_bounds=tuple(uniform_bounds), seed=seed)

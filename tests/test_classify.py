@@ -14,7 +14,12 @@ from pulsegate.classify import (
     smo_solve_one_class,
     smo_solve_two_class,
 )
-from pulsegate.errors import CoverageError, InvalidInputError, InvalidTrainingSetError
+from pulsegate.errors import (
+    CoverageError,
+    InvalidInputError,
+    InvalidTrainingSetError,
+    NumericalDivergenceError,
+)
 
 
 def gaussian_blobs(rng, n_per_class=200, dim=8, separation=4.0):
@@ -81,6 +86,24 @@ class TestTwoClass:
                                                   record_objective=True)
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-12)
+
+    def test_opposite_label_pair_takes_full_step(self):
+        # along the feasible direction (+1, +1) the dual's curvature is
+        # K_00 + K_11 - 2 K_01 = 2 - 2k, so one step lands on the optimum
+        x = np.array([[0.0], [1.0]])
+        y = np.array([1.0, -1.0])
+        k = np.exp(-0.5)
+        kernel = rbf_kernel(x, x, 0.5)
+        alpha, _, n_iter, gap, _ = smo_solve_two_class(kernel, y, 1e6, tol=1e-12)
+        np.testing.assert_allclose(alpha, 2.0 / (2.0 - 2.0 * k), rtol=0, atol=1e-12)
+        assert n_iter == 2 and gap <= 1e-12
+
+    def test_unconverged_solve_raises(self):
+        rng = np.random.default_rng(2)
+        x, y = gaussian_blobs(rng, n_per_class=80)
+        kernel = rbf_kernel(x, x, 0.1)
+        with pytest.raises(NumericalDivergenceError, match="max_iter=3"):
+            smo_solve_two_class(kernel, y.astype(float), 1.0, max_iter=3)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(4)

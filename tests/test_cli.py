@@ -115,9 +115,11 @@ class TestFeaturesAndClassify:
 
 
 class TestPulseRate:
-    def test_report_written(self, workdir):
-        report = workdir / "rate.json"
-        assert main(["pulse-rate", "--in", str(workdir / "wave_pos.csv"),
+    def test_report_written(self, workdir, tmp_path):
+        wave, report = tmp_path / "wave_pos.csv", tmp_path / "rate.json"
+        assert main(["estimate", "--method", "chrom", "--in", str(workdir / "pos.bin"),
+                     "--out", str(wave)]) == 0
+        assert main(["pulse-rate", "--in", str(wave),
                      "--truth", str(workdir / "gt.csv"),
                      "--report", str(report)]) == 0
         payload = json.loads(report.read_text())

@@ -20,7 +20,6 @@ from pulsegate.estimator import (
     flatten_grads,
     forward,
     infer_video,
-    stitch_overlap_add,
     train,
 )
 from pulsegate.losses import LossSpec
@@ -30,6 +29,7 @@ from pulsegate.signal_core import (
     band_bin_mask,
     power_spectrum,
     standardize_samples,
+    stitch_overlap_add,
 )
 from pulsegate.synth import NegativeTransform, SceneConfig, generate_positive, make_negative
 

@@ -73,9 +73,9 @@ def main():
                           learning_rate=0.01, momentum=0.9, seed=42,
                           loss=LossSpec(negative_loss=negative_loss, nfft=NFFT),
                           negative_mix=mix)
-        model, history = train(cfg, corpus,
-                               model=ToyEstimator.init(filters=8, kernel_len=91,
-                                                       seed=42))
+        model, history, _ = train(cfg, corpus,
+                                  model=ToyEstimator.init(filters=8, kernel_len=91,
+                                                          seed=42))
         print(f"  batch loss {np.mean(history[:50]):.3f} -> {np.mean(history[-50:]):.3f}")
         pos = median_snr(model, test_pos)
         neg = median_snr(model, test_neg)

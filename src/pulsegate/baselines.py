@@ -17,7 +17,7 @@ from .signal_core import (
     VideoCube,
     Waveform,
     spatial_mean_trace,
-    standardize_samples,
+    standardize,
     stitch_overlap_add,
     window_starts,
 )
@@ -53,8 +53,7 @@ def trace_from_cube(v: VideoCube) -> RgbTrace:
 
 def estimate_green(trace: RgbTrace) -> Waveform:
     """Green-channel estimator; darker green (more absorption) maps to positive pulse."""
-    samples, degenerate = standardize_samples(-trace.values[:, 1])
-    return Waveform(samples, trace.fps, degenerate)
+    return standardize(Waveform(-trace.values[:, 1], trace.fps))
 
 
 def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
@@ -76,8 +75,7 @@ def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
         mean = seg.mean(axis=0)
         chunk = project(*(seg / mean).T) if np.all(mean > 0) else None
         chunks.append(np.zeros(length) if chunk is None else chunk - chunk.mean())
-    samples, flat = standardize_samples(stitch_overlap_add(chunks, starts, total))
-    return Waveform(samples, trace.fps, degenerate=flat)
+    return standardize(Waveform(stitch_overlap_add(chunks, starts, total), trace.fps))
 
 
 def estimate_chrom(trace: RgbTrace, window_s: float = CHROM_POS_WINDOW_S) -> Waveform:

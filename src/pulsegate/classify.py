@@ -16,6 +16,7 @@ from .errors import (
     InvalidInputError,
     InvalidTrainingSetError,
     NumericalDivergenceError,
+    parsing,
 )
 
 LIVE = 1
@@ -72,13 +73,14 @@ class SvmModel:
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(kind=payload["kind"], gamma=float(payload["gamma"]),
-                   C=float(payload.get("C", 1.0)), nu=float(payload.get("nu", 0.5)),
-                   bias=float(payload["bias"]),
-                   support_vectors=np.asarray(payload["support_vectors"], dtype=float),
-                   dual_coef=np.asarray(payload["dual_coef"], dtype=float),
-                   scaler=FeatureScaler(np.asarray(payload["scaler_mean"], dtype=float),
-                                        np.asarray(payload["scaler_std"], dtype=float)))
+        with parsing("SVM model"):
+            return cls(kind=payload["kind"], gamma=float(payload["gamma"]),
+                       C=float(payload.get("C", 1.0)), nu=float(payload.get("nu", 0.5)),
+                       bias=float(payload["bias"]),
+                       support_vectors=np.asarray(payload["support_vectors"], dtype=float),
+                       dual_coef=np.asarray(payload["dual_coef"], dtype=float),
+                       scaler=FeatureScaler(np.asarray(payload["scaler_mean"], dtype=float),
+                                            np.asarray(payload["scaler_std"], dtype=float)))
 
 
 def _scale_gamma(x: np.ndarray) -> float:

@@ -23,10 +23,11 @@ from .errors import (
     NumericalDivergenceError,
     PulsegateError,
     check_keys,
+    parsing,
 )
 from .estimator import ToyEstimator, TrainConfig, infer_video, train
 from .evaluate import error_report, pulse_rate
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, StageError, run_experiment
 from .features import extract_features, feature_matrix
 from .fileio import (
     dump_json,
@@ -57,7 +58,7 @@ ESTIMATOR_KEYS = {"filters", "kernel_len", "init_scale"}
 
 
 def _load_json(path):
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise InvalidArgumentError(f"{path} must hold a JSON object")
@@ -73,24 +74,26 @@ def cmd_synth(args):
     payload = _load_json(args.config)
     check_keys(payload, SCENE_KEYS, "scene config")
     check_keys(payload.get("negative", {}), NEGATIVE_KEYS, "section 'negative'")
-    scene = SceneConfig(
-        duration_s=float(payload["duration_s"]),
-        fps=float(payload.get("fps", 90.0)),
-        dims=tuple(payload.get("dims", (32, 32))),
-        hr_trajectory=payload.get("hr_trajectory", 72.0),
-        pulse_amplitude=float(payload.get("pulse_amplitude", 0.02)),
-        dicrotic_ratio=float(payload.get("dicrotic_ratio", 0.0)),
-        sensor_noise_sigma=float(payload.get("sensor_noise_sigma", 0.0)),
-        seed=_seed_override(int(payload.get("seed", 0))),
-    )
+    with parsing(args.config):
+        scene = SceneConfig(
+            duration_s=float(payload["duration_s"]),
+            fps=float(payload.get("fps", 90.0)),
+            dims=tuple(payload.get("dims", (32, 32))),
+            hr_trajectory=payload.get("hr_trajectory", 72.0),
+            pulse_amplitude=float(payload.get("pulse_amplitude", 0.02)),
+            dicrotic_ratio=float(payload.get("dicrotic_ratio", 0.0)),
+            sensor_noise_sigma=float(payload.get("sensor_noise_sigma", 0.0)),
+            seed=_seed_override(int(payload.get("seed", 0))),
+        )
     cube, truth = generate_positive(scene)
     if args.negative:
         negative = payload.get("negative", {})
-        transform = NegativeTransform(
-            kind=args.negative,
-            seed=_seed_override(int(negative.get("seed", scene.seed))),
-            normal_sigma=float(negative.get("normal_sigma", 3.0)),
-            uniform_bounds=tuple(negative.get("uniform_bounds", (-3.0, 3.0))))
+        with parsing(args.config):
+            transform = NegativeTransform(
+                kind=args.negative,
+                seed=_seed_override(int(negative.get("seed", scene.seed))),
+                normal_sigma=float(negative.get("normal_sigma", 3.0)),
+                uniform_bounds=tuple(negative.get("uniform_bounds", (-3.0, 3.0))))
         cube = make_negative(cube, transform)
     write_cube(cube, args.out)
     if args.gt_out:
@@ -122,25 +125,27 @@ def _read_corpus_dir(corpus_dir):
     corpus_dir = Path(corpus_dir)
     manifest = _load_json(corpus_dir / "manifest.json")
     samples = []
-    for entry in manifest["samples"]:
-        cube = read_cube(corpus_dir / entry["cube"])
-        truth = read_waveform(corpus_dir / entry["gt"]) if entry.get("gt") else None
-        samples.append((cube, truth, bool(entry["positive"])))
+    with parsing(corpus_dir / "manifest.json"):
+        for entry in manifest["samples"]:
+            cube = read_cube(corpus_dir / entry["cube"])
+            truth = read_waveform(corpus_dir / entry["gt"]) if entry.get("gt") else None
+            samples.append((cube, truth, bool(entry["positive"])))
     return samples
 
 
 def cmd_train(args):
     payload = _load_json(args.config)
-    payload["seed"] = _seed_override(int(payload.get("seed", 0)))
     estimator_cfg = payload.pop("estimator", {})
     check_keys(estimator_cfg, ESTIMATOR_KEYS, "section 'estimator'")
-    cfg = TrainConfig.from_dict(payload)
+    with parsing(args.config):
+        payload["seed"] = _seed_override(int(payload.get("seed", 0)))
+        cfg = TrainConfig.from_dict(payload)
+        init = ToyEstimator.init(filters=int(estimator_cfg.get("filters", 8)),
+                                 kernel_len=int(estimator_cfg.get("kernel_len", 11)),
+                                 scale=float(estimator_cfg.get("init_scale", 0.1)),
+                                 seed=cfg.seed)
     samples = _read_corpus_dir(args.corpus)
-    init = ToyEstimator.init(filters=int(estimator_cfg.get("filters", 8)),
-                             kernel_len=int(estimator_cfg.get("kernel_len", 11)),
-                             scale=float(estimator_cfg.get("init_scale", 0.1)),
-                             seed=cfg.seed)
-    model, history = train(cfg, samples, model=init)
+    model, history, _ = train(cfg, samples, model=init)
     dump_json(model.to_dict(), args.out)
     print(f"wrote {args.out} (final batch loss {history[-1]:.4f} "
           f"after {len(history)} steps)")
@@ -224,7 +229,8 @@ def cmd_pulse_rate(args):
 
 def cmd_experiment(args):
     payload = _load_json(args.config)
-    payload["seed"] = _seed_override(int(payload.get("seed", 7)))
+    with parsing(args.config):
+        payload["seed"] = _seed_override(int(payload.get("seed", 7)))
     cfg = ExperimentConfig.from_dict(payload)
     if args.dry_run:
         run_experiment(cfg, args.out or ".", dry_run=True)
@@ -314,14 +320,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (NumericalDivergenceError, DegenerateInputError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except PulsegateError as exc:
+        # an experiment stage wraps the error that stopped it
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, (NumericalDivergenceError, DegenerateInputError)):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all pulsegate modules, and the config key check."""
+"""Exception hierarchy shared by all pulsegate modules, and the config parsing checks."""
+
+from contextlib import contextmanager
 
 
 class PulsegateError(Exception):
@@ -39,6 +41,15 @@ class EmptyComparisonError(PulsegateError):
 
 class NumericalDivergenceError(PulsegateError):
     """An iterative procedure produced non-finite values or stopped unconverged."""
+
+
+@contextmanager
+def parsing(where):
+    """Raise a missing key or malformed value met while parsing `where` as bad input."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot parse {where}: {exc!r}") from exc
 
 
 def check_keys(payload, allowed, where: str) -> None:

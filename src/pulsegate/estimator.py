@@ -3,17 +3,17 @@
 The model maps the spatial-mean RGB trace of a clip through two temporal
 convolutions (tanh between them) with edge-replication padding, so a
 temporally constant input produces a constant output with no boundary
-transients.  Whole videos are processed clip-by-clip and stitched with
-Hann-weighted overlap-add.
+transients.  Training steps, validation and inference each run one (B, C, T)
+stack of clips through FFT convolutions (Mathieu, Henaff & LeCun, ICLR 2014).
+Whole videos are processed clip-by-clip and stitched with Hann-weighted
+overlap-add.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InsufficientDataError,
@@ -22,33 +22,42 @@ from .errors import (
     InvalidTrainingSetError,
     NumericalDivergenceError,
     check_keys,
+    parsing,
 )
-from .losses import LossSpec, combined_loss
+from .losses import LossSpec, batch_loss
 from .signal_core import (
     VideoCube,
     Waveform,
     spatial_mean_trace,
-    standardize_samples,
+    standardize_rows,
     stitch_overlap_add,
     window_starts,
 )
 
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
 
 @dataclass
 class ToyEstimator:
-    """Two temporal convolutions: C_in -> filters (tanh) -> 1 (linear)."""
+    """Two temporal convolutions: C_in -> filters (tanh) -> 1 (linear).
+    The four parameter arrays are views into one flat vector, `flat`."""
 
     w1: np.ndarray  # (filters, in_channels, kernel_len)
     b1: np.ndarray  # (filters,)
     w2: np.ndarray  # (1, filters, kernel_len)
     b2: np.ndarray  # (1,)
     activation: str = "tanh"
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.w1.shape[2] % 2 == 0 or self.w2.shape[2] % 2 == 0:
+        if np.shape(self.w1)[2] % 2 == 0 or np.shape(self.w2)[2] % 2 == 0:
             raise InvalidArgumentError("kernel lengths must be odd")
         if self.activation not in ("tanh", "linear"):
             raise InvalidArgumentError(f"unknown activation {self.activation!r}")
+        self.flat = np.concatenate([np.ravel(getattr(self, name)) for name in PARAM_NAMES],
+                                   dtype=float)
+        for name, view in self.split(self.flat).items():
+            setattr(self, name, view)
 
     @classmethod
     def init(cls, filters: int = 8, kernel_len: int = 11, in_channels: int = 3,
@@ -68,20 +77,18 @@ class ToyEstimator:
     def receptive_field(self) -> int:
         return self.w1.shape[2] + self.w2.shape[2] - 1
 
-    def params(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params().values()])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.params().values():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+    def split(self, flat: np.ndarray) -> dict:
+        """Views of a parameter-sized flat vector, keyed and shaped like the parameters."""
+        views, offset = {}, 0
+        for name in PARAM_NAMES:
+            shape = np.shape(getattr(self, name))
+            size = int(np.prod(shape))
+            views[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        return views
 
     def copy(self) -> "ToyEstimator":
-        return copy.deepcopy(self)
+        return ToyEstimator(self.w1, self.b1, self.w2, self.b2, self.activation)
 
     def to_dict(self):
         return {"filters": self.w1.shape[0], "in_channels": self.in_channels,
@@ -94,113 +101,114 @@ class ToyEstimator:
 
     @classmethod
     def from_dict(cls, payload):
-        f, c = payload["filters"], payload["in_channels"]
-        k1, k2 = payload["kernel_len1"], payload["kernel_len2"]
-        return cls(w1=np.asarray(payload["w1"], dtype=float).reshape(f, c, k1),
-                   b1=np.asarray(payload["b1"], dtype=float),
-                   w2=np.asarray(payload["w2"], dtype=float).reshape(1, f, k2),
-                   b2=np.asarray(payload["b2"], dtype=float),
-                   activation=payload.get("activation", "tanh"))
+        with parsing("estimator model"):
+            f, c = payload["filters"], payload["in_channels"]
+            k1, k2 = payload["kernel_len1"], payload["kernel_len2"]
+            return cls(w1=np.asarray(payload["w1"], dtype=float).reshape(f, c, k1),
+                       b1=np.asarray(payload["b1"], dtype=float),
+                       w2=np.asarray(payload["w2"], dtype=float).reshape(1, f, k2),
+                       b2=np.asarray(payload["b2"], dtype=float),
+                       activation=payload.get("activation", "tanh"))
 
 
-def _windows(padded: np.ndarray, kernel: int) -> np.ndarray:
-    """Length-`kernel` windows of a (C, L) array as a contiguous
-    (L - kernel + 1, C*kernel) matrix."""
-    windows = sliding_window_view(padded, kernel, axis=1)
-    return windows.transpose(1, 0, 2).reshape(windows.shape[1], -1)
+def _fft_len(n_frames: int, kernel: int) -> int:
+    """Smallest 3^b 2^a (b <= 3) >= T + 2 (k - 1): the full convolution of the
+    edge-padded input with the kernel then fits without wrapping around."""
+    need = n_frames + 2 * (kernel - 1)
+    return min(m << (-(-need // m) - 1).bit_length() for m in (1, 3, 9, 27))
 
 
-def _conv_same(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
-    """Temporal convolution with edge padding: (C, T) -> (F, T).
+def _fft_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """Temporal convolution with edge padding of a (B, C, T) stack: (B, F, T).
 
-    Returns the output and the window matrix that `_conv_same_backward`
-    reuses.
+    y[b, f, t] = bias[f] + sum over c, j of weights[f, c, j] * x_pad[b, c, t + j],
+    a cross-correlation taken as conj(W) * X in the frequency domain.  Also
+    returns the padded input's spectrum, which the weight gradient reuses.
     """
-    kernel = weights.shape[2]
+    n_frames, kernel = x.shape[-1], weights.shape[-1]
     pad = kernel // 2
-    padded = np.concatenate([np.repeat(x[:, :1], pad, axis=1), x,
-                             np.repeat(x[:, -1:], pad, axis=1)], axis=1)
-    cols = _windows(padded, kernel)
-    return weights.reshape(weights.shape[0], -1) @ cols.T + bias[:, None], cols
+    n = _fft_len(n_frames, kernel)
+    padded = np.concatenate([np.repeat(x[..., :1], pad, axis=-1), x,
+                             np.repeat(x[..., -1:], pad, axis=-1)], axis=-1)
+    spectrum = np.fft.rfft(padded, n)
+    products = np.einsum("bcn,fcn->bfn", spectrum, np.fft.rfft(weights, n).conj())
+    return np.fft.irfft(products, n)[..., :n_frames] + bias[:, None], spectrum
 
 
-def _conv_same_backward(cols: np.ndarray, weights: np.ndarray, upstream: np.ndarray):
-    """Parameter gradients of _conv_same from its window matrix: (d_weights, d_bias)."""
-    return (upstream @ cols).reshape(weights.shape), upstream.sum(axis=1)
+def _fft_conv_weight_grad(spectrum: np.ndarray, upstream: np.ndarray, kernel: int):
+    """(d_weights, d_bias) of `_fft_conv`, summed over the batch, from its
+    padded-input spectrum: the cross-correlation of the (B, F, T) upstream
+    gradient with the padded input at lags 0..k-1."""
+    n = _fft_len(upstream.shape[-1], kernel)
+    products = np.einsum("bfn,bcn->fcn", np.fft.rfft(upstream, n).conj(), spectrum)
+    return np.fft.irfft(products, n)[..., :kernel], upstream.sum(axis=(0, 2))
 
 
-def _conv_same_input_grad(weights: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of _conv_same with respect to its (C, T) input."""
-    n_out, n_in, kernel = weights.shape
+def _fft_conv_input_grad(weights: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of `_fft_conv` with respect to its (B, C, T) input."""
+    n_frames, kernel = upstream.shape[-1], weights.shape[-1]
     pad = kernel // 2
-    n_frames = upstream.shape[1]
-    # full convolution of upstream with each kernel, as windows of the
-    # zero-padded upstream times the flipped kernels: (C, T + 2 * pad)
-    zeros = np.zeros((n_out, kernel - 1))
-    cols = _windows(np.concatenate([zeros, upstream, zeros], axis=1), kernel)
-    flipped = weights[:, :, ::-1].transpose(0, 2, 1).reshape(n_out * kernel, n_in)
-    d_padded = (cols @ flipped).T
+    n = _fft_len(n_frames, kernel)
+    # full convolution of upstream with each kernel: (B, C, T + 2 * pad)
+    products = np.einsum("bfn,fcn->bcn", np.fft.rfft(upstream, n), np.fft.rfft(weights, n))
+    d_padded = np.fft.irfft(products, n)[..., :n_frames + 2 * pad]
     # adjoint of edge padding: fold the replicated borders onto the end samples
-    d_x = d_padded[:, pad:pad + n_frames].copy()
-    d_x[:, 0] += d_padded[:, :pad].sum(axis=1)
-    d_x[:, -1] += d_padded[:, pad + n_frames:].sum(axis=1)
+    d_x = d_padded[..., pad:pad + n_frames].copy()
+    d_x[..., 0] += d_padded[..., :pad].sum(axis=-1)
+    d_x[..., -1] += d_padded[..., pad + n_frames:].sum(axis=-1)
     return d_x
 
 
-def standardize_trace(trace: np.ndarray) -> np.ndarray:
-    """Per-channel standardization of a (T, C) trace; constant channels zero out."""
-    out = np.empty_like(trace, dtype=float)
-    for ch in range(trace.shape[1]):
-        out[:, ch], _ = standardize_samples(trace[:, ch])
-    return out
-
-
-def _forward_cache(model: ToyEstimator, x: np.ndarray):
-    """Forward pass on a standardized (C, T) input, keeping intermediates."""
-    pre, cols1 = _conv_same(x, model.w1, model.b1)
+def _forward(model: ToyEstimator, x: np.ndarray):
+    """Forward pass on a standardized (B, C, T) stack: (B, T) outputs and the
+    intermediates `_backward` reads."""
+    pre, spectrum1 = _fft_conv(x, model.w1, model.b1)
     hidden = np.tanh(pre) if model.activation == "tanh" else pre
-    out, cols2 = _conv_same(hidden, model.w2, model.b2)
-    return out[0], {"cols1": cols1, "hidden": hidden, "cols2": cols2}
+    out, spectrum2 = _fft_conv(hidden, model.w2, model.b2)
+    return out[:, 0], (spectrum1, hidden, spectrum2)
 
 
-def _backward_cache(model: ToyEstimator, cache, upstream: np.ndarray):
-    upstream = upstream[None, :]
-    d_w2, d_b2 = _conv_same_backward(cache["cols2"], model.w2, upstream)
-    d_hidden = _conv_same_input_grad(model.w2, upstream)
-    if model.activation == "tanh":
-        d_pre = d_hidden * (1.0 - cache["hidden"] ** 2)
-    else:
-        d_pre = d_hidden
+def _backward(model: ToyEstimator, cache, upstream: np.ndarray) -> np.ndarray:
+    """Flat parameter gradient, summed over the batch, for a (B, T) upstream dL/dy."""
+    spectrum1, hidden, spectrum2 = cache
+    upstream = upstream[:, None, :]
+    d_w2, d_b2 = _fft_conv_weight_grad(spectrum2, upstream, model.w2.shape[2])
+    d_hidden = _fft_conv_input_grad(model.w2, upstream)
+    d_pre = d_hidden * (1.0 - hidden ** 2) if model.activation == "tanh" else d_hidden
     # the first layer's input is data, so its input gradient is never needed
-    d_w1, d_b1 = _conv_same_backward(cache["cols1"], model.w1, d_pre)
-    return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+    d_w1, d_b1 = _fft_conv_weight_grad(spectrum1, d_pre, model.w1.shape[2])
+    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
-def _clip_input(model: ToyEstimator, clip: VideoCube) -> np.ndarray:
-    trace = spatial_mean_trace(clip)
-    if trace.shape[1] != model.in_channels:
+def _trace(model: ToyEstimator, video: VideoCube) -> np.ndarray:
+    """The (C, T) spatial-mean trace of a video, checked against the model."""
+    trace = spatial_mean_trace(video).T
+    if trace.shape[0] != model.in_channels:
         raise InvalidInputError(
-            f"clip has {trace.shape[1]} channels, model expects {model.in_channels}")
-    if trace.shape[0] < model.receptive_field:
-        raise InsufficientDataError("clip shorter than the model's receptive field")
-    return standardize_trace(trace).T
+            f"clip has {trace.shape[0]} channels, model expects {model.in_channels}")
+    return trace
+
+
+def _crops(traces, starts, clip_len: int) -> np.ndarray:
+    """Standardized (B, C, clip_len) stack of crops of (C, T) traces."""
+    return standardize_rows(np.stack([trace[:, start:start + clip_len]
+                                      for trace, start in zip(traces, starts)]))
 
 
 def forward(model: ToyEstimator, clip: VideoCube) -> Waveform:
     """Predict a waveform for one clip (length equals the clip length)."""
-    out, _ = _forward_cache(model, _clip_input(model, clip))
-    return Waveform(out, clip.fps)
+    trace = _trace(model, clip)
+    if trace.shape[1] < model.receptive_field:
+        raise InsufficientDataError("clip shorter than the model's receptive field")
+    out, _ = _forward(model, standardize_rows(trace)[None])
+    return Waveform(out[0], clip.fps)
 
 
 def backward(model: ToyEstimator, clip: VideoCube, upstream: np.ndarray):
-    """Exact parameter gradients of the forward map for a given upstream dL/dy."""
-    x = _clip_input(model, clip)
-    _, cache = _forward_cache(model, x)
-    return _backward_cache(model, cache, np.asarray(upstream, dtype=float))
-
-
-def flatten_grads(grads) -> np.ndarray:
-    return np.concatenate([grads[key].ravel() for key in ("w1", "b1", "w2", "b2")])
+    """Exact parameter gradients of the forward map for a given upstream dL/dy,
+    keyed like the parameters."""
+    _, cache = _forward(model, standardize_rows(_trace(model, clip))[None])
+    return model.split(_backward(model, cache, np.asarray(upstream, dtype=float)[None]))
 
 
 @dataclass
@@ -229,50 +237,57 @@ class TrainConfig:
         return cls(loss=LossSpec.from_dict(payload.get("loss", {})), **kwargs)
 
 
-def _split_corpus(corpus):
-    """Positives and negatives as lists of (trace, target samples or None),
-    plus the frame rate all clips share."""
+def _split_corpus(corpus, clip_len: int):
+    """Positives and negatives as lists of ((C, T) trace, target samples or
+    None), plus the frame rate all clips share."""
     positives, negatives = [], []
     fps = None
     for clip, target, is_positive in corpus:
         fps = clip.fps if fps is None else fps
         if clip.fps != fps:
             raise InvalidTrainingSetError("all corpus clips must share one frame rate")
+        n_frames = clip.data.shape[0]
+        if n_frames < clip_len:
+            raise InvalidTrainingSetError(
+                f"corpus clip of {n_frames} frames shorter than clip_len={clip_len}")
+        if is_positive and (target is None or len(target) != n_frames):
+            raise InvalidTrainingSetError(
+                "positive corpus clips need a target waveform of their own length")
+        trace = np.ascontiguousarray(spatial_mean_trace(clip).T)
         (positives if is_positive else negatives).append(
-            (spatial_mean_trace(clip), target.samples if target is not None else None))
+            (trace, target.samples if is_positive else None))
     return positives, negatives, fps
 
 
-def _sample_loss(model, trace, target, is_positive, start, clip_len, fps, spec):
-    """Loss value, upstream gradient and cache for one cropped training sample."""
-    x = standardize_trace(trace[start:start + clip_len]).T
-    out, cache = _forward_cache(model, x)
-    pred = Waveform(out, fps)
-    target_wave = None
-    if is_positive:
-        target_wave = Waveform(target[start:start + clip_len], fps)
-    value, upstream = combined_loss(pred, target_wave, is_positive, spec)
-    return value, upstream, cache
+def _score(model, samples, starts, clip_len, fps, spec):
+    """One batched forward pass over crops of (trace, target or None) samples.
+
+    Returns the per-row loss values, the (B, T) upstream gradients and the
+    cache `_backward` reads.  A row with a target is a positive.
+    """
+    out, cache = _forward(model, _crops([trace for trace, _ in samples], starts, clip_len))
+    if not np.all(np.isfinite(out)):
+        raise NumericalDivergenceError("non-finite estimator output")
+    positive = np.array([target is not None for _, target in samples])
+    targets = np.zeros_like(out)
+    for row, ((_, target), start) in enumerate(zip(samples, starts)):
+        if target is not None:
+            targets[row] = target[start:start + clip_len]
+    values, upstream = batch_loss(out, targets, positive, fps, spec)
+    return values, upstream, cache
 
 
-def _validation_metric(model, val_pos, val_neg, fps, cfg):
-    """Positive loss on validation positives plus, when negatives are in play
-    (`val_neg` non-empty), the negative loss on validation negatives.
-    Deterministic (first window)."""
-    total = 0.0
-    for trace, target in val_pos:
-        value, _, _ = _sample_loss(model, trace, target, True, 0,
-                                   cfg.clip_len, fps, cfg.loss)
-        total += value
-    total /= len(val_pos)
-    if val_neg:
-        neg_total = 0.0
-        for trace, _ in val_neg:
-            value, _, _ = _sample_loss(model, trace, None, False, 0,
-                                       cfg.clip_len, fps, cfg.loss)
-            neg_total += value
-        total += neg_total / len(val_neg)
-    return total
+def _validation_metric(model, val_samples, fps, cfg):
+    """Mean positive loss on the validation positives plus, when negatives are
+    in play (`val_samples` holds some), the mean negative loss on them.
+    Deterministic: the first window of every clip, in one batch."""
+    values, _, _ = _score(model, val_samples, [0] * len(val_samples),
+                          cfg.clip_len, fps, cfg.loss)
+    positive = np.array([target is not None for _, target in val_samples])
+    metric = float(values[positive].mean())
+    if not positive.all():
+        metric += float(values[~positive].mean())
+    return metric
 
 
 def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None):
@@ -282,82 +297,77 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
     is_positive).  Clips longer than clip_len are randomly cropped each draw.
     Negatives are drawn with probability `cfg.negative_mix`, or never when
     `cfg.loss.negative_loss` is "none".
-    Returns (model, loss_history); when a validation corpus is supplied the
-    best-on-validation snapshot is returned instead of the final parameters.
+
+    Returns (model, loss_history, validation).  With a validation corpus the
+    metric is taken every `cfg.val_every` steps and after the last step, the
+    best-on-validation snapshot is returned instead of the final parameters,
+    and `validation` is {"steps", "metric", "checkpoint_step"}: the curve and
+    the step of the returned parameters.  Without one, `validation` is None.
     """
     negative_mix = 0.0 if cfg.loss.negative_loss == "none" else cfg.negative_mix
-    positives, negatives, fps = _split_corpus(corpus)
+    positives, negatives, fps = _split_corpus(corpus, cfg.clip_len)
     if not positives:
         raise InvalidTrainingSetError("training corpus has no positive samples")
     if negative_mix > 0 and not negatives:
         raise InvalidTrainingSetError("negative_mix > 0 but corpus has no negatives")
-    if model is None:
-        model = ToyEstimator.init(seed=cfg.seed)
-    else:
-        model = model.copy()
+    model = ToyEstimator.init(seed=cfg.seed) if model is None else model.copy()
 
-    val_pos = None
+    validation = None
     if val_corpus:
-        val_pos, val_neg, val_fps = _split_corpus(val_corpus)
+        val_pos, val_neg, val_fps = _split_corpus(val_corpus, cfg.clip_len)
         if not val_pos:
             raise InvalidTrainingSetError("validation corpus has no positive samples")
-        if negative_mix == 0:
-            val_neg = []
+        val_samples = val_pos + (val_neg if negative_mix > 0 else [])
+        validation = {"steps": [], "metric": [], "checkpoint_step": cfg.steps}
 
     rng = np.random.default_rng(cfg.seed)
-    velocity = np.zeros(model.flat_params().size)
+    velocity = np.zeros(model.flat.size)
     history = []
     best_metric = np.inf
     best_params = None
 
     for step in range(cfg.steps):
-        grad_acc = np.zeros_like(velocity)
-        loss_acc = 0.0
+        samples, starts = [], []
         for _ in range(cfg.batch_size):
             take_negative = rng.random() < negative_mix
             pool = negatives if take_negative else positives
-            trace, target = pool[int(rng.integers(len(pool)))]
-            n_frames = trace.shape[0]
-            if n_frames < cfg.clip_len:
-                raise InvalidTrainingSetError(
-                    f"corpus clip of {n_frames} frames shorter than clip_len={cfg.clip_len}")
-            start = int(rng.integers(n_frames - cfg.clip_len + 1)) \
-                if n_frames > cfg.clip_len else 0
-            value, upstream, cache = _sample_loss(
-                model, trace, target, not take_negative,
-                start, cfg.clip_len, fps, cfg.loss)
-            grad_acc += flatten_grads(_backward_cache(model, cache, upstream))
-            loss_acc += value
-        batch_loss = loss_acc / cfg.batch_size
-        if not np.isfinite(batch_loss):
+            sample = pool[int(rng.integers(len(pool)))]
+            n_frames = sample[0].shape[1]
+            starts.append(int(rng.integers(n_frames - cfg.clip_len + 1))
+                          if n_frames > cfg.clip_len else 0)
+            samples.append(sample)
+        values, upstream, cache = _score(model, samples, starts, cfg.clip_len, fps, cfg.loss)
+        batch_loss_value = float(values.mean())
+        if not np.isfinite(batch_loss_value):
             raise NumericalDivergenceError(
-                f"non-finite training loss {batch_loss} at step {step}")
-        history.append(batch_loss)
-        velocity = cfg.momentum * velocity + grad_acc / cfg.batch_size
-        model.set_flat_params(model.flat_params() - cfg.learning_rate * velocity)
+                f"non-finite training loss {batch_loss_value} at step {step}")
+        history.append(batch_loss_value)
+        velocity = cfg.momentum * velocity + _backward(model, cache, upstream) / cfg.batch_size
+        model.flat -= cfg.learning_rate * velocity
 
-        if val_pos is not None and (step + 1) % cfg.val_every == 0:
-            metric = _validation_metric(model, val_pos, val_neg, val_fps, cfg)
+        if validation is not None and ((step + 1) % cfg.val_every == 0
+                                       or step + 1 == cfg.steps):
+            metric = _validation_metric(model, val_samples, val_fps, cfg)
+            validation["steps"].append(step + 1)
+            validation["metric"].append(metric)
             if metric < best_metric:
                 best_metric = metric
-                best_params = model.flat_params().copy()
+                best_params = model.flat.copy()
+                validation["checkpoint_step"] = step + 1
 
-    if val_pos is not None:
-        metric = _validation_metric(model, val_pos, val_neg, val_fps, cfg)
-        if metric < best_metric:
-            best_params = model.flat_params().copy()
-        if best_params is not None:
-            model.set_flat_params(best_params)
-    return model, history
+    if best_params is not None:
+        model.flat[...] = best_params
+    return model, history, validation
 
 
 def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
                      overlap: float = 0.5):
-    """Run each overlapping clip of a video through the model once.
+    """Run each overlapping clip of a video through the model, as one batch.
 
-    Returns (outputs, starts): the raw clip predictions and their first
-    frames.  Stitch them with `stitch_overlap_add`, raw or standardized per
-    clip, and read amplitudes (per-clip std) from them directly.
+    Returns (outputs, starts): the raw (n_clips, clip_len) clip predictions
+    and their first frames.  Stitch them with `stitch_overlap_add`, raw or
+    standardized per clip, and read amplitudes (per-clip std) from them
+    directly.
     """
     n_frames = video.data.shape[0]
     if n_frames < clip_len:
@@ -366,12 +376,8 @@ def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
         raise InvalidArgumentError("overlap must be in [0, 1)")
     hop = max(int(round(clip_len * (1.0 - overlap))), 1)
     starts = window_starts(n_frames, clip_len, hop)
-    trace = spatial_mean_trace(video)
-    outputs = []
-    for start in starts:
-        x = standardize_trace(trace[start:start + clip_len]).T
-        out, _ = _forward_cache(model, x)
-        outputs.append(out)
+    trace = _trace(model, video)
+    outputs, _ = _forward(model, _crops([trace] * len(starts), starts, clip_len))
     return outputs, starts
 
 
@@ -383,5 +389,5 @@ def infer_video(model: ToyEstimator, video: VideoCube, clip_len: int,
     carry no meaning here; `clip_predictions` keeps them.
     """
     outputs, starts = clip_predictions(model, video, clip_len, overlap)
-    segments = [standardize_samples(out)[0] for out in outputs]
-    return Waveform(stitch_overlap_add(segments, starts, video.data.shape[0]), video.fps)
+    return Waveform(stitch_overlap_add(standardize_rows(outputs), starts,
+                                       video.data.shape[0]), video.fps)

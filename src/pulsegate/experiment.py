@@ -25,7 +25,7 @@ from .classify import (
     frame_accuracy,
     predict,
 )
-from .errors import InvalidArgumentError, PulsegateError, check_keys
+from .errors import InvalidArgumentError, PulsegateError, check_keys, parsing
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
 from .features import extract_features, feature_matrix, feature_window_starts
@@ -42,7 +42,7 @@ from .signal_core import (
     Waveform,
     psd_normalized,
     resample_cubic,
-    standardize_samples,
+    standardize_rows,
     stitch_overlap_add,
 )
 from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_positive, make_negative
@@ -126,20 +126,21 @@ class ExperimentConfig:
                        {key for section, key in _JSON_KEYS.values() if section == name},
                        f"section {name!r}")
         check_keys(payload.get("train", {}), _TRAIN_KEYS, "section 'train'")
-        train_payload = dict(payload.get("train", {}))
-        train_payload.setdefault("seed", payload.get("seed", cls.seed))
-        loss_defaults = {"nfft": train_payload.pop("nfft", cls.nfft),
-                         "band_bpm": tuple(train_payload.pop("band_bpm", (40.0, 240.0)))}
-        train_payload["loss"] = {"positive_loss": "neg_pearson",
-                                 "negative_loss": "none", **loss_defaults}
-        values = {"train_cfg": TrainConfig.from_dict(train_payload),
-                  "nfft": int(loss_defaults["nfft"])}
-        for name, (section, key) in _JSON_KEYS.items():
-            source = payload.get(section, {}) if section else payload
-            if key in source:
-                # cast to the type of the field's default
-                values[name] = type(getattr(cls, name))(source[key])
-        cfg = cls(**values)
+        with parsing("experiment config"):
+            train_payload = dict(payload.get("train", {}))
+            train_payload.setdefault("seed", payload.get("seed", cls.seed))
+            loss_defaults = {"nfft": train_payload.pop("nfft", cls.nfft),
+                             "band_bpm": tuple(train_payload.pop("band_bpm", (40.0, 240.0)))}
+            train_payload["loss"] = {"positive_loss": "neg_pearson",
+                                     "negative_loss": "none", **loss_defaults}
+            values = {"train_cfg": TrainConfig.from_dict(train_payload),
+                      "nfft": int(loss_defaults["nfft"])}
+            for name, (section, key) in _JSON_KEYS.items():
+                source = payload.get(section, {}) if section else payload
+                if key in source:
+                    # cast to the type of the field's default
+                    values[name] = type(getattr(cls, name))(source[key])
+            cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -327,11 +328,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dry_run: bool = False) -> dic
                                       cfg.rate_stride_frames, cfg.nfft).bpm
 
     for variant in cfg.variants:
-        model = stage(f"train-{variant}", _train_variant, cfg, variant,
-                      train_corpus, val_corpus, out_dir)
+        model, validation = stage(f"train-{variant}", _train_variant, cfg, variant,
+                                  train_corpus, val_corpus, out_dir)
         metrics = stage(f"evaluate-{variant}", _evaluate_variant, cfg, variant,
                         model, test_sets, val_videos, rate_truth, out_dir, clip_len)
-        report["variants"][variant] = metrics
+        report["variants"][variant] = {**metrics, "validation": validation}
 
     for name in cfg.baselines:
         report["baselines"][name] = stage(f"baseline-{name}", _evaluate_baseline,
@@ -366,13 +367,14 @@ def _train_variant(cfg, variant, train_corpus, val_corpus, out_dir):
     train_cfg = _variant_train_config(cfg, variant)
     init = ToyEstimator.init(filters=cfg.filters, kernel_len=cfg.kernel_len,
                              scale=cfg.init_scale, seed=train_cfg.seed)
-    model, history = train(train_cfg, train_corpus, val_corpus=val_corpus, model=init)
+    model, history, validation = train(train_cfg, train_corpus, val_corpus=val_corpus,
+                                       model=init)
     dump_json(model.to_dict(), out_dir / "models" / f"model_{variant}.json")
     with open(out_dir / "models" / f"history_{variant}.csv", "w") as fh:
         fh.write("step,loss\n")
         for i, value in enumerate(history):
             fh.write(f"{i},{float(value)!r}\n")
-    return model
+    return model, validation
 
 
 def _infer(model, cube, clip_len):
@@ -445,10 +447,9 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
 
             if side == "pos":
                 # the rate input is the standardized stitch, as `infer_video` gives
-                standardized = [standardize_samples(out)[0] for out in outputs]
                 wave_hi = resample_cubic(
-                    Waveform(stitch_overlap_add(standardized, clip_starts, len(wave)),
-                             cube.fps),
+                    Waveform(stitch_overlap_add(standardize_rows(outputs), clip_starts,
+                                                len(wave)), cube.fps),
                     cfg.rate_resample_fps)
                 rates = pulse_rate(wave_hi, cfg.rate_window_s,
                                    cfg.rate_stride_frames, cfg.nfft)

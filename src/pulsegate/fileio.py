@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, parsing
 from .features import FEATURE_NAMES
 from .signal_core import VideoCube, Waveform
 
@@ -33,12 +33,13 @@ def read_waveform(path) -> Waveform:
     """Read a waveform from `t,value` CSV or `{"fps":..,"samples":[..]}` JSON."""
     path = Path(path)
     if path.suffix == ".json":
-        with open(path) as fh:
+        with open(path) as fh, parsing(path):
             payload = json.load(fh)
-        return Waveform(np.asarray(payload["samples"], dtype=float), float(payload["fps"]))
-    with open(path, newline="") as fh:
+            return Waveform(np.asarray(payload["samples"], dtype=float),
+                            float(payload["fps"]))
+    with open(path, newline="") as fh, parsing(path):
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header[:2]] != ["t", "value"]:
             raise InvalidInputError(f"{path}: expected 't,value' header")
         rows = [(float(r[0]), float(r[1])) for r in reader if r]
@@ -68,15 +69,16 @@ def write_cube(v: VideoCube, path) -> None:
 
 def read_cube(path) -> VideoCube:
     path = Path(path)
-    with open(_sidecar_path(path)) as fh:
+    with open(_sidecar_path(path)) as fh, parsing(_sidecar_path(path)):
         meta = json.load(fh)
-    if meta.get("dtype") != "f32" or meta.get("order") != "THWC":
-        raise InvalidInputError(f"{path}: unsupported cube encoding {meta}")
-    shape = (meta["t"], meta["h"], meta["w"], meta["c"])
+        if meta["dtype"] != "f32" or meta["order"] != "THWC":
+            raise InvalidInputError(f"{path}: unsupported cube encoding {meta}")
+        shape = tuple(int(meta[key]) for key in ("t", "h", "w", "c"))
+        fps = float(meta["fps"])
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != np.prod(shape):
         raise InvalidInputError(f"{path}: payload size does not match sidecar shape")
-    return VideoCube(raw.reshape(shape).astype(float), float(meta["fps"]))
+    return VideoCube(raw.reshape(shape).astype(float), fps)
 
 
 def write_features(path, t_starts, matrix, labels=None) -> None:
@@ -95,9 +97,9 @@ def write_features(path, t_starts, matrix, labels=None) -> None:
 
 def read_features(path):
     """Read a feature table; returns (t_starts, matrix, labels_or_None)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, parsing(path):
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [""])
         has_label = header[-1].strip() == "label"
         t_starts, rows, labels = [], [], []
         for r in reader:
@@ -107,7 +109,7 @@ def read_features(path):
             rows.append([float(x) for x in r[1:9]])
             if has_label:
                 labels.append(int(r[9]))
-    matrix = np.asarray(rows, dtype=float).reshape(len(rows), 8)
+        matrix = np.asarray(rows, dtype=float).reshape(len(rows), 8)
     return np.asarray(t_starts), matrix, (np.asarray(labels) if has_label else None)
 
 

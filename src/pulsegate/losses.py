@@ -19,6 +19,7 @@ from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
     check_keys,
+    parsing,
 )
 from .signal_core import (
     DEFAULT_BAND_BPM,
@@ -55,134 +56,155 @@ class LossSpec:
     @classmethod
     def from_dict(cls, payload):
         check_keys(payload, {f.name for f in fields(cls)}, "loss")
-        return cls(positive_loss=payload.get("positive_loss", "neg_pearson"),
-                   negative_loss=payload.get("negative_loss", "none"),
-                   nfft=int(payload.get("nfft", DEFAULT_NFFT)),
-                   band_bpm=tuple(payload.get("band_bpm", DEFAULT_BAND_BPM)))
+        with parsing("loss config"):
+            return cls(positive_loss=payload.get("positive_loss", "neg_pearson"),
+                       negative_loss=payload.get("negative_loss", "none"),
+                       nfft=int(payload.get("nfft", DEFAULT_NFFT)),
+                       band_bpm=tuple(payload.get("band_bpm", DEFAULT_BAND_BPM)))
 
 
-def loss_neg_pearson(pred: Waveform, target: Waveform):
-    """1 - Pearson correlation, in [0, 2]; gradient with respect to pred."""
-    if len(pred) != len(target):
-        raise InvalidArgumentError("pred and target must have equal lengths")
-    p = pred.samples - pred.samples.mean()
-    t = target.samples - target.samples.mean()
-    p_norm = np.linalg.norm(p)
-    t_norm = np.linalg.norm(t)
-    if p_norm == 0.0 or t_norm == 0.0:
+def _pearson_rows(pred: np.ndarray, target: np.ndarray):
+    """1 - Pearson correlation of each prediction row with its target row, in
+    [0, 2], and the gradient with respect to the predictions."""
+    p = pred - pred.mean(axis=1, keepdims=True)
+    t = target - target.mean(axis=1, keepdims=True)
+    p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
+    t_norm = np.sqrt(np.einsum("ij,ij->i", t, t))
+    if np.any(p_norm == 0.0) or np.any(t_norm == 0.0):
         raise DegenerateCorrelationError("correlation undefined for constant signals")
-    r = float(p @ t) / (p_norm * t_norm)
-    grad = -(t / (p_norm * t_norm) - r * p / p_norm ** 2)
+    r = np.einsum("ij,ij->i", p, t) / (p_norm * t_norm)
+    grad = -(t / (p_norm * t_norm)[:, None] - r[:, None] * p / (p_norm ** 2)[:, None])
     return 1.0 - r, grad
 
 
-def loss_mse(pred: Waveform, target: Waveform):
-    """Mean squared error against a target waveform."""
-    if len(pred) != len(target):
-        raise InvalidArgumentError("pred and target must have equal lengths")
-    diff = pred.samples - target.samples
-    n = diff.size
-    return float(np.mean(diff ** 2)), 2.0 * diff / n
+def _mse_rows(pred: np.ndarray, target: np.ndarray):
+    """Mean squared error of each row against its target row."""
+    diff = pred - target
+    return np.mean(diff ** 2, axis=1), 2.0 * diff / diff.shape[1]
 
 
-def loss_std(pred: Waveform):
-    """Population standard deviation of the prediction."""
-    x = pred.samples
-    n = x.size
-    centered = x - x.mean()
-    value = float(np.sqrt(np.mean(centered ** 2)))
-    if value == 0.0:
-        return 0.0, np.zeros(n)
-    return value, centered / (n * value)
+def _std_rows(pred: np.ndarray):
+    """Population standard deviation of each row; constant rows get zero gradient."""
+    centered = pred - pred.mean(axis=1, keepdims=True)
+    value = np.sqrt(np.mean(centered ** 2, axis=1))
+    scale = (pred.shape[1] * value)[:, None]
+    return value, np.divide(centered, scale, out=np.zeros_like(centered), where=scale != 0.0)
 
 
-def loss_mse_flatline(pred: Waveform):
-    """MSE against the all-zero flatline target."""
-    x = pred.samples
-    return float(np.mean(x ** 2)), 2.0 * x / x.size
-
-
-def entropy_loss_value(dist: np.ndarray) -> float:
-    """1 - H(dist)/log(K) for a unit-sum distribution over K bins."""
+def entropy_loss_value(dist: np.ndarray):
+    """1 - H(dist)/log(K) for unit-sum distributions over the K bins of the last axis."""
     dist = np.asarray(dist, dtype=float)
-    k = dist.size
-    entropy = -float(np.sum(dist * np.log(np.maximum(dist, LOG_FLOOR))))
-    return 1.0 - entropy / np.log(k)
+    entropy = -np.sum(dist * np.log(np.maximum(dist, LOG_FLOOR)), axis=-1)
+    return 1.0 - entropy / np.log(dist.shape[-1])
 
 
-def flatness_loss_value(dist: np.ndarray) -> float:
-    """1 - geometric/arithmetic mean ratio for a unit-sum distribution."""
+def flatness_loss_value(dist: np.ndarray):
+    """1 - geometric/arithmetic mean ratio for unit-sum distributions over the last axis."""
     dist = np.asarray(dist, dtype=float)
-    geo = float(np.exp(np.mean(np.log(np.maximum(dist, LOG_FLOOR)))))
-    return 1.0 - geo / float(dist.mean())
+    geo = np.exp(np.mean(np.log(np.maximum(dist, LOG_FLOOR)), axis=-1))
+    return 1.0 - geo / dist.mean(axis=-1)
 
 
-def _spectral_loss(pred: Waveform, nfft: int, band_bpm, kind: str):
-    """Value and adjoint gradient of a spectral penalty on the in-band PSD.
+def _spectral_rows(pred: np.ndarray, fps: float, nfft: int, band_bpm, kind: str):
+    """Value and adjoint gradient of a spectral penalty on each row's in-band PSD.
 
     Chain: mean removal -> zero-padded rFFT -> one-sided power -> band mask ->
     normalization -> entropy/flatness.  The rFFT adjoint of a gradient q on
     |X_k|^2 is nfft * irfft(q * X) restricted to the original samples.
     """
-    n = len(pred)
-    spectrum, weights = one_sided_spectrum(pred.samples, nfft)
-    power = np.abs(spectrum) ** 2 * weights
-    mask = band_bin_mask(power.size, pred.fps, nfft, band_bpm)
-    band_power = power[mask]
-    total = band_power.sum()
-    if total <= 0.0:
+    n = pred.shape[1]
+    spectrum, weights = one_sided_spectrum(pred, nfft)
+    mask = band_bin_mask(weights.size, fps, nfft, band_bpm)
+    band_power = np.abs(spectrum[:, mask]) ** 2 * weights[mask]
+    total = band_power.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
         raise DegenerateInputError("no in-band spectral energy")
     dist = band_power / total
-    k = dist.size
+    k = dist.shape[1]
     log_dist = np.log(np.maximum(dist, LOG_FLOOR))
 
-    if kind == "entropy":
+    if kind == "spectral_entropy":
         value = entropy_loss_value(dist)
         grad_dist = np.where(dist > LOG_FLOOR, (log_dist + 1.0), np.log(LOG_FLOOR)) / np.log(k)
     else:
         value = flatness_loss_value(dist)
-        geo = float(np.exp(log_dist.mean()))
-        arith = float(dist.mean())
+        geo = np.exp(log_dist.mean(axis=1, keepdims=True))
+        arith = dist.mean(axis=1, keepdims=True)
         d_geo = np.where(dist > LOG_FLOOR, geo / (k * dist), 0.0)
         grad_dist = -(d_geo * arith - geo / k) / arith ** 2
 
     # adjoint of the unit-sum normalization
-    grad_band = (grad_dist - float(grad_dist @ dist)) / total
-    grad_power = np.zeros(power.size)
-    grad_power[mask] = grad_band
-    q = grad_power * weights
-    grad = (nfft * np.fft.irfft(q * spectrum, nfft))[:n]
-    return value, grad - grad.mean()
+    grad_band = (grad_dist - np.einsum("ij,ij->i", grad_dist, dist)[:, None]) / total
+    q = np.zeros(spectrum.shape)
+    q[:, mask] = grad_band * weights[mask]
+    grad = (nfft * np.fft.irfft(q * spectrum, nfft))[:, :n]
+    return value, grad - grad.mean(axis=1, keepdims=True)
+
+
+def batch_loss(pred: np.ndarray, targets: np.ndarray, positive: np.ndarray,
+               fps: float, spec: LossSpec):
+    """Per-row values and gradients of the combined loss over a (B, T) batch.
+
+    Rows where `positive` is set are scored against their `targets` row by the
+    positive loss, the others by the negative loss (their targets are not read).
+    """
+    values, grads = np.zeros(len(pred)), np.zeros(pred.shape)
+    if positive.any():
+        rows = _pearson_rows if spec.positive_loss == "neg_pearson" else _mse_rows
+        values[positive], grads[positive] = rows(pred[positive], targets[positive])
+    negative, kind = ~positive, spec.negative_loss
+    if negative.any() and kind != "none":
+        if kind == "std":
+            result = _std_rows(pred[negative])
+        elif kind == "mse_flatline":
+            result = _mse_rows(pred[negative], 0.0)
+        else:
+            result = _spectral_rows(pred[negative], fps, spec.nfft, spec.band_bpm, kind)
+        values[negative], grads[negative] = result
+    return values, grads
+
+
+def combined_loss(pred: Waveform, target, is_positive: bool, spec: LossSpec):
+    """Value and gradient of the objective for one sample: a one-row `batch_loss`."""
+    if is_positive != (target is not None):
+        raise InvalidArgumentError("positive samples need a target waveform, negatives none")
+    if is_positive and len(target) != len(pred):
+        raise InvalidArgumentError("pred and target must have equal lengths")
+    targets = (target if is_positive else pred).samples[None]
+    values, grads = batch_loss(pred.samples[None], targets, np.array([is_positive]),
+                               pred.fps, spec)
+    return float(values[0]), grads[0]
+
+
+def loss_neg_pearson(pred: Waveform, target: Waveform):
+    """1 - Pearson correlation, in [0, 2]; gradient with respect to pred."""
+    return combined_loss(pred, target, True, LossSpec(positive_loss="neg_pearson"))
+
+
+def loss_mse(pred: Waveform, target: Waveform):
+    """Mean squared error against a target waveform."""
+    return combined_loss(pred, target, True, LossSpec(positive_loss="mse"))
+
+
+def loss_std(pred: Waveform):
+    """Population standard deviation of the prediction."""
+    return combined_loss(pred, None, False, LossSpec(negative_loss="std"))
+
+
+def loss_mse_flatline(pred: Waveform):
+    """MSE against the all-zero flatline target."""
+    return combined_loss(pred, None, False, LossSpec(negative_loss="mse_flatline"))
 
 
 def loss_spectral_entropy(pred: Waveform, nfft: int = DEFAULT_NFFT,
                           band_bpm=DEFAULT_BAND_BPM):
     """1 - normalized Shannon entropy of the in-band PSD; 0 for flat spectra."""
-    return _spectral_loss(pred, nfft, band_bpm, "entropy")
+    return combined_loss(pred, None, False, LossSpec(negative_loss="spectral_entropy",
+                                                     nfft=nfft, band_bpm=band_bpm))
 
 
 def loss_spectral_flatness(pred: Waveform, nfft: int = DEFAULT_NFFT,
                            band_bpm=DEFAULT_BAND_BPM):
     """1 - spectral flatness (GM/AM) of the in-band PSD; 0 for flat spectra."""
-    return _spectral_loss(pred, nfft, band_bpm, "flatness")
-
-
-def combined_loss(pred: Waveform, target, is_positive: bool, spec: LossSpec):
-    """Dispatch to the positive or negative objective for one training sample."""
-    if is_positive:
-        if target is None:
-            raise InvalidArgumentError("positive samples need a target waveform")
-        if spec.positive_loss == "neg_pearson":
-            return loss_neg_pearson(pred, target)
-        return loss_mse(pred, target)
-    if target is not None:
-        raise InvalidArgumentError("negative samples must not carry a target")
-    if spec.negative_loss == "std":
-        return loss_std(pred)
-    if spec.negative_loss == "spectral_entropy":
-        return loss_spectral_entropy(pred, spec.nfft, spec.band_bpm)
-    if spec.negative_loss == "spectral_flatness":
-        return loss_spectral_flatness(pred, spec.nfft, spec.band_bpm)
-    if spec.negative_loss == "mse_flatline":
-        return loss_mse_flatline(pred)
-    return 0.0, np.zeros(len(pred))
+    return combined_loss(pred, None, False, LossSpec(negative_loss="spectral_flatness",
+                                                     nfft=nfft, band_bpm=band_bpm))

@@ -121,16 +121,17 @@ def band_bin_mask(n_bins: int, fps: float, nfft: int, band_bpm) -> np.ndarray:
 
 
 def one_sided_spectrum(samples: np.ndarray, nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """rFFT of the mean-removed signal zero-padded to nfft, and the one-sided weights.
+    """rFFT of the mean-removed signal (each row of the last axis) zero-padded to
+    nfft, and the one-sided weights.
 
     The weights are 2 on interior bins and 1 on DC and, for an even nfft, on
     the Nyquist bin, so |X|^2 * weights is the one-sided power.
     """
     x = np.asarray(samples, dtype=float)
-    if nfft < x.size:
-        raise InvalidArgumentError(f"nfft={nfft} shorter than signal length {x.size}")
-    spectrum = np.fft.rfft(x - x.mean(), nfft)
-    weights = np.full(spectrum.size, 2.0)
+    if nfft < x.shape[-1]:
+        raise InvalidArgumentError(f"nfft={nfft} shorter than signal length {x.shape[-1]}")
+    spectrum = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), nfft)
+    weights = np.full(spectrum.shape[-1], 2.0)
     weights[0] = 1.0
     if nfft % 2 == 0:
         weights[-1] = 1.0
@@ -239,20 +240,19 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     return Waveform(values, target_fps, w.degenerate)
 
 
-def standardize_samples(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Zero-mean unit-variance copy of `x`; constants map to zeros (degenerate)."""
+def standardize_rows(x: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance copy of each row (last axis); constant rows map to zeros."""
     x = np.asarray(x, dtype=float)
-    centered = x - x.mean()
-    sd = np.sqrt(np.mean(centered ** 2))
-    if sd == 0.0:
-        return np.zeros_like(x), True
-    return centered / sd, False
+    centered = x - x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt(np.mean(centered ** 2, axis=-1, keepdims=True))
+    return np.divide(centered, sd, out=np.zeros_like(centered), where=sd != 0.0)
 
 
 def standardize(w: Waveform) -> Waveform:
-    """Waveform standardized to mean 0, population std 1."""
-    samples, degenerate = standardize_samples(w.samples)
-    return Waveform(samples, w.fps, degenerate)
+    """Waveform standardized to mean 0, population std 1; a constant maps to
+    zeros, flagged degenerate."""
+    samples = standardize_rows(w.samples)
+    return Waveform(samples, w.fps, not samples.any())
 
 
 def spatial_mean_trace(v: VideoCube) -> np.ndarray:

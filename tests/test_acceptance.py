@@ -22,13 +22,7 @@ from pulsegate.classify import (
     smo_solve_one_class,
     smo_solve_two_class,
 )
-from pulsegate.estimator import (
-    ToyEstimator,
-    _backward_cache,
-    _forward_cache,
-    flatten_grads,
-    forward,
-)
+from pulsegate.estimator import ToyEstimator, _backward, _forward, forward
 from pulsegate.evaluate import pulse_rate
 from pulsegate.experiment import ExperimentConfig, run_experiment
 from pulsegate.features import ampd_peaks, extract_features, feature_matrix
@@ -112,17 +106,17 @@ def test_criterion_01_gradient_suite():
         seed_rng = np.random.default_rng(1000 + seed)
         x = seed_rng.standard_normal((3, n))
         upstream = seed_rng.standard_normal(n)
-        _, cache = _forward_cache(model, x)
-        grads = flatten_grads(_backward_cache(model, cache, upstream))
-        flat = model.flat_params()
+        _, cache = _forward(model, x[None])
+        grads = _backward(model, cache, upstream[None])
+        flat = model.flat.copy()
 
         def scalar_loss(theta):
-            model.set_flat_params(theta)
-            out, _ = _forward_cache(model, x)
-            return float(upstream @ out)
+            model.flat[...] = theta
+            out, _ = _forward(model, x[None])
+            return float(upstream @ out[0])
 
         fd = finite_difference(scalar_loss, flat, h=1e-5)
-        model.set_flat_params(flat)
+        model.flat[...] = flat
         err = rel_error(grads, fd)
         assert err < 1e-4, f"estimator seed {seed}: rel grad error {err}"
 

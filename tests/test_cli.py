@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pulsegate import experiment
 from pulsegate.cli import main
+from pulsegate.errors import DegenerateInputError, NumericalDivergenceError
 from pulsegate.fileio import read_cube, read_features, read_waveform
 
 SCENE = {"duration_s": 16.0, "fps": 30.0, "dims": [8, 8], "hr_trajectory": 75.0,
@@ -153,6 +155,13 @@ class TestPulseRate:
         assert code == 2
         assert f"{key}=" in capsys.readouterr().err
 
+    def test_malformed_waveform_rejected(self, tmp_path, capsys):
+        wave = tmp_path / "wave.csv"
+        wave.write_text("t,value\n0.0,1.0\n0.05,oops\n0.1,0.5\n")
+        assert main(["pulse-rate", "--in", str(wave),
+                     "--report", str(tmp_path / "rate.json")]) == 2
+        assert "oops" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_train_on_corpus_dir(self, workdir, tmp_path):
@@ -222,6 +231,9 @@ class TestExperiment:
         report = json.loads((out1 / "report.json").read_text())
         assert set(report["variants"]) == {"none", "std"}
         for variant in report["variants"].values():
+            assert variant["validation"]["steps"] == [20, 40]
+            assert variant["validation"]["checkpoint_step"] in (20, 40)
+        for variant in report["variants"].values():
             assert 0.0 <= variant["two_class"]["combined_frame_accuracy"] <= 1.0
         assert report["manifest"]
         # artifact hashes hold
@@ -283,3 +295,31 @@ class TestExperiment:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"variants": ["nonsense"]}))
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+
+    def test_malformed_value_is_config_error(self, tmp_path, capsys):
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        payload["corpus"]["n_test_pos"] = "two"
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+        assert "experiment config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [NumericalDivergenceError, DegenerateInputError])
+    def test_numerical_failure_in_stage_exits_3(self, tmp_path, capsys, monkeypatch, error):
+        def diverge(*args, **kwargs):
+            raise error("loss went non-finite")
+
+        monkeypatch.setattr(experiment, "train", diverge)
+        assert main(["experiment", "--config", "configs/smoke.json",
+                     "--out", str(tmp_path / "run")]) == 3
+        assert "stage 'train-none' failed" in capsys.readouterr().err
+
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # a bug inside the library must surface, not be reported as bad input
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(experiment, "train", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["experiment", "--config", "configs/smoke.json",
+                  "--out", str(tmp_path / "run")])

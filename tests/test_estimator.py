@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pulsegate.errors import (
+    DegenerateInputError,
     InsufficientDataError,
     InvalidArgumentError,
     InvalidInputError,
@@ -11,24 +12,24 @@ from pulsegate.errors import (
 from pulsegate.estimator import (
     ToyEstimator,
     TrainConfig,
-    _backward_cache,
-    _conv_same,
-    _conv_same_input_grad,
-    _forward_cache,
+    _backward,
+    _fft_conv,
+    _fft_conv_input_grad,
+    _forward,
+    _score,
     backward,
     clip_predictions,
-    flatten_grads,
     forward,
     infer_video,
     train,
 )
-from pulsegate.losses import LossSpec
+from pulsegate.losses import LossSpec, combined_loss
 from pulsegate.signal_core import (
     VideoCube,
     Waveform,
     band_bin_mask,
     power_spectrum,
-    standardize_samples,
+    standardize_rows,
     stitch_overlap_add,
 )
 from pulsegate.synth import NegativeTransform, SceneConfig, generate_positive, make_negative
@@ -41,18 +42,34 @@ def tone_cube(fps=30.0, duration_s=10.0, hr_bpm=72.0, seed=0, noise=0.0):
     return generate_positive(cfg)
 
 
+def forward_one(model, x):
+    """Model output for one standardized (C, T) input, and the cache."""
+    out, cache = _forward(model, x[None])
+    return out[0], cache
+
+
+def backward_one(model, cache, upstream):
+    """Flat parameter gradient for one sample's upstream dL/dy."""
+    return _backward(model, cache, upstream[None])
+
+
+def conv_same(x, weights, bias):
+    """The batched FFT convolution applied to one (C, T) input."""
+    return _fft_conv(x[None], weights, bias)[0][0]
+
+
 def fd_param_grads(model, x, upstream, h=1e-5):
     """Finite differences of L = upstream . y through the flat parameters."""
-    flat = model.flat_params()
+    flat = model.flat.copy()
     grads = np.zeros_like(flat)
     for i in range(flat.size):
         for sign in (1.0, -1.0):
             bumped = flat.copy()
             bumped[i] += sign * h
-            model.set_flat_params(bumped)
-            out, _ = _forward_cache(model, x)
+            model.flat[...] = bumped
+            out, _ = forward_one(model, x)
             grads[i] += sign * float(upstream @ out) / (2 * h)
-    model.set_flat_params(flat)
+    model.flat[...] = flat
     return grads
 
 
@@ -80,7 +97,7 @@ class TestConvKernels:
         x = rng.standard_normal((3, 64))
         weights = rng.standard_normal((filters, 3, kernel_len))
         bias = rng.standard_normal(filters)
-        out, _ = _conv_same(x, weights, bias)
+        out = conv_same(x, weights, bias)
         expected = conv_same_reference(x, weights, bias)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
@@ -94,14 +111,14 @@ class TestConvKernels:
         weights = rng.standard_normal((filters, 3, kernel_len))
         bias = rng.standard_normal(filters)
         upstream = rng.standard_normal((filters, 64))
-        grad = _conv_same_input_grad(weights, upstream)
+        grad = _fft_conv_input_grad(weights, upstream[None])[0]
         fd = np.zeros_like(x)
         h = 1e-5
         for idx in np.ndindex(x.shape):
             for sign in (1.0, -1.0):
                 bumped = x.copy()
                 bumped[idx] += sign * h
-                fd[idx] += sign * np.sum(upstream * _conv_same(bumped, weights, bias)[0]) / (2 * h)
+                fd[idx] += sign * np.sum(upstream * conv_same(bumped, weights, bias)) / (2 * h)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
 
     @pytest.mark.parametrize("activation", ["tanh", "linear"])
@@ -113,8 +130,8 @@ class TestConvKernels:
                                   activation=activation)
         x = rng.standard_normal((3, 64))
         upstream = rng.standard_normal(64)
-        _, cache = _forward_cache(model, x)
-        grads = flatten_grads(_backward_cache(model, cache, upstream))
+        _, cache = forward_one(model, x)
+        grads = backward_one(model, cache, upstream)
         fd = fd_param_grads(model, x, upstream)
         assert np.linalg.norm(grads - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -167,8 +184,8 @@ class TestBackward:
         model = ToyEstimator.init(seed=6)
         x = rng.standard_normal((3, 64))
         upstream = rng.standard_normal(64)
-        out, cache = _forward_cache(model, x)
-        grads = flatten_grads(_backward_cache(model, cache, upstream))
+        out, cache = forward_one(model, x)
+        grads = backward_one(model, cache, upstream)
         fd = fd_param_grads(model, x, upstream)
         assert np.linalg.norm(grads - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -185,7 +202,7 @@ class TestBackward:
         cube = VideoCube(np.random.default_rng(10).uniform(0.2, 0.8, (50, 4, 4, 3)), 30.0)
         grads = backward(model, cube, np.ones(50))
         assert grads["w1"].shape == (2, 3, 1)
-        assert np.all(np.isfinite(flatten_grads(grads)))
+        assert np.all(np.isfinite(np.concatenate([g.ravel() for g in grads.values()])))
         assert np.any(grads["w1"] != 0.0)
 
     def test_linear_case_analytic_oracle(self):
@@ -197,11 +214,11 @@ class TestBackward:
                                   kernel_len=5)
         x = rng.standard_normal((3, 48))
         upstream = rng.standard_normal(48)
-        out, cache = _forward_cache(model, x)
-        grads = _backward_cache(model, cache, upstream)
+        out, cache = forward_one(model, x)
+        grads = model.split(backward_one(model, cache, upstream))
         assert grads["b2"][0] == pytest.approx(upstream.sum(), rel=1e-12)
         pad = 2
-        hidden = np.pad(cache["hidden"], ((0, 0), (pad, pad)), mode="edge")
+        hidden = np.pad(cache[1][0], ((0, 0), (pad, pad)), mode="edge")
         expected_w2 = np.zeros_like(model.w2)
         for f in range(4):
             for k in range(5):
@@ -209,8 +226,8 @@ class TestBackward:
         np.testing.assert_allclose(grads["w2"], expected_w2, rtol=1e-10)
         # and b2's gradient is untouched by the first layer's values
         model.w1[...] = rng.standard_normal(model.w1.shape)
-        _, cache2 = _forward_cache(model, x)
-        grads2 = _backward_cache(model, cache2, upstream)
+        _, cache2 = forward_one(model, x)
+        grads2 = model.split(backward_one(model, cache2, upstream))
         assert grads2["b2"][0] == grads["b2"][0]
 
 
@@ -232,9 +249,9 @@ class TestTrain:
         corpus = self.small_corpus()
         cfg = TrainConfig(clip_len=150, batch_size=2, steps=20, seed=11,
                           loss=LossSpec(negative_loss="std"), negative_mix=0.5)
-        model_a, hist_a = train(cfg, corpus)
-        model_b, hist_b = train(cfg, corpus)
-        np.testing.assert_array_equal(model_a.flat_params(), model_b.flat_params())
+        model_a, hist_a, _ = train(cfg, corpus)
+        model_b, hist_b, _ = train(cfg, corpus)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
         assert hist_a == hist_b
 
     def test_mix_zero_ignores_negatives_bitwise(self):
@@ -242,16 +259,16 @@ class TestTrain:
         positives_only = [s for s in corpus if s[2]]
         cfg = TrainConfig(clip_len=150, batch_size=2, steps=20, seed=12,
                           loss=LossSpec(negative_loss="std"), negative_mix=0.0)
-        model_a, _ = train(cfg, corpus)
-        model_b, _ = train(cfg, positives_only)
-        np.testing.assert_array_equal(model_a.flat_params(), model_b.flat_params())
+        model_a, _, _ = train(cfg, corpus)
+        model_b, _, _ = train(cfg, positives_only)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
 
     def test_positives_only_learns_tone(self):
         corpus = [s for s in self.small_corpus(n_pos=4, n_neg=0, duration=15.0)]
         cfg = TrainConfig(clip_len=300, batch_size=4, steps=250,
                           learning_rate=0.05, seed=13,
                           loss=LossSpec(negative_loss="none"), negative_mix=0.0)
-        model, history = train(cfg, corpus)
+        model, history, _ = train(cfg, corpus)
         assert np.mean(history[-20:]) < np.mean(history[:20])
         assert np.mean(history[-20:]) < 0.35
 
@@ -261,9 +278,9 @@ class TestTrain:
         positives_only = [s for s in corpus if s[2]]
         cfg = TrainConfig(clip_len=150, batch_size=2, steps=10, seed=16)
         assert cfg.negative_mix == 0.5 and cfg.loss.negative_loss == "none"
-        model_a, hist_a = train(cfg, positives_only, val_corpus=positives_only)
-        model_b, hist_b = train(cfg, corpus, val_corpus=corpus)
-        np.testing.assert_array_equal(model_a.flat_params(), model_b.flat_params())
+        model_a, hist_a, _ = train(cfg, positives_only, val_corpus=positives_only)
+        model_b, hist_b, _ = train(cfg, corpus, val_corpus=corpus)
+        np.testing.assert_array_equal(model_a.flat, model_b.flat)
         assert hist_a == hist_b
 
     def test_missing_negatives_rejected(self):
@@ -290,9 +307,81 @@ class TestTrain:
                           loss=LossSpec(negative_loss="spectral_flatness",
                                         nfft=512),
                           negative_mix=0.5, val_every=10)
-        model, history = train(cfg, corpus, val_corpus=val)
+        model, history, validation = train(cfg, corpus, val_corpus=val)
         assert len(history) == 30
-        assert np.all(np.isfinite(model.flat_params()))
+        assert np.all(np.isfinite(model.flat))
+        assert validation["steps"] == [10, 20, 30]
+        assert len(validation["metric"]) == 3
+        best = int(np.argmin(validation["metric"]))
+        assert validation["checkpoint_step"] == validation["steps"][best]
+
+    def test_validation_after_last_step(self):
+        # a last step off the val_every grid is still scored
+        corpus = self.small_corpus(n_pos=2, n_neg=0)
+        cfg = TrainConfig(clip_len=150, batch_size=2, steps=25, seed=17, val_every=10)
+        _, _, validation = train(cfg, corpus, val_corpus=corpus)
+        assert validation["steps"] == [10, 20, 25]
+        assert train(cfg, corpus)[2] is None
+
+    def test_none_variant_history_pinned(self):
+        # recorded from the per-sample training loop: a change to the draw
+        # order (one random and up to two integers per sample) moves these
+        # values far beyond the 1e-12 that float reassociation explains
+        recorded = [1.926620121889132, 1.6498529854018138, 0.5296072856831127,
+                    0.06714309468163973, 0.00953773035656269, 0.043146762495904295,
+                    0.08700033289108791, 0.11074136669969609, 0.11375000272503613,
+                    0.09696248060114185, 0.07806618261223333, 0.057008757183991926]
+        cfg = TrainConfig(clip_len=150, batch_size=4, steps=12, learning_rate=0.05,
+                          seed=21, loss=LossSpec(negative_loss="none"))
+        _, history, _ = train(cfg, self.small_corpus())
+        np.testing.assert_allclose(history, recorded, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("negative_loss", ["std", "spectral_entropy",
+                                               "spectral_flatness", "mse_flatline"])
+    def test_batched_gradient_is_sum_of_per_sample_gradients(self, negative_loss):
+        # per sample: dL/dy from the Waveform loss API, chained through finite
+        # differences of the network output
+        rng = np.random.default_rng(30)
+        fps, clip_len = 30.0, 64
+        model = ToyEstimator.init(filters=2, kernel_len=5, seed=31)
+        spec = LossSpec(negative_loss=negative_loss, nfft=256)
+        t = np.arange(100) / fps
+        samples = [(rng.standard_normal((3, 100)), np.sin(2 * np.pi * 1.3 * t)),
+                   (rng.standard_normal((3, 100)), None),
+                   (rng.standard_normal((3, 100)), np.sin(2 * np.pi * 1.1 * t + 1.0)),
+                   (rng.standard_normal((3, 100)), None),
+                   (rng.standard_normal((3, 100)), None)]
+        starts = [0, 12, 36, 5, 20]
+        values, upstream, cache = _score(model, samples, starts, clip_len, fps, spec)
+        batched = _backward(model, cache, upstream)
+        expected = np.zeros_like(batched)
+        for (trace, target), start, value in zip(samples, starts, values):
+            x = standardize_rows(trace[:, start:start + clip_len])
+            pred = Waveform(forward_one(model, x)[0], fps)
+            target_wave = None if target is None else Waveform(target[start:start + clip_len], fps)
+            one_value, d_pred = combined_loss(pred, target_wave, target is not None, spec)
+            assert value == pytest.approx(one_value, rel=1e-12, abs=1e-15)
+            expected += fd_param_grads(model, x, d_pred)
+        assert np.linalg.norm(batched - expected) / np.linalg.norm(expected) < 1e-6
+
+    def test_negative_without_inband_energy_raises(self):
+        # a constant negative clip standardizes to zeros, so its prediction is
+        # the constant bias: the spectral loss has no in-band energy to score
+        corpus = [s for s in self.small_corpus(n_neg=0)]
+        corpus.append((VideoCube(np.full((360, 6, 6, 3), 0.5), 30.0), None, False))
+        cfg = TrainConfig(clip_len=150, batch_size=4, steps=5, seed=18,
+                          loss=LossSpec(negative_loss="spectral_entropy", nfft=512),
+                          negative_mix=0.5)
+        with pytest.raises(DegenerateInputError, match="no in-band"):
+            train(cfg, corpus)
+
+    def test_non_finite_prediction_raises(self):
+        corpus = self.small_corpus(n_pos=2, n_neg=0)
+        model = ToyEstimator.init(seed=19)
+        model.b2[...] = np.nan
+        cfg = TrainConfig(clip_len=150, batch_size=2, steps=3, seed=19)
+        with pytest.raises(NumericalDivergenceError):
+            train(cfg, corpus, model=model)
 
 
 class TestInference:
@@ -301,7 +390,7 @@ class TestInference:
         cube, _ = tone_cube(duration_s=10.0)
         n = cube.data.shape[0]
         stitched = infer_video(model, cube, clip_len=n, overlap=0.5)
-        direct, _ = standardize_samples(forward(model, cube).samples)
+        direct = standardize_rows(forward(model, cube).samples)
         np.testing.assert_allclose(stitched.samples, direct, atol=1e-12)
 
     def test_zero_overlap_concatenates(self):
@@ -314,8 +403,8 @@ class TestInference:
         first = VideoCube(cube.data[:half], cube.fps)
         second = VideoCube(cube.data[half:], cube.fps)
         expected = np.concatenate([
-            standardize_samples(forward(model, first).samples)[0],
-            standardize_samples(forward(model, second).samples)[0]])
+            standardize_rows(forward(model, first).samples),
+            standardize_rows(forward(model, second).samples)])
         np.testing.assert_allclose(stitched.samples, expected, atol=1e-12)
 
     def test_tone_segments_stitch_without_seams(self):
@@ -325,7 +414,7 @@ class TestInference:
         t = np.arange(total) / fps
         tone = np.sin(2 * np.pi * 1.2 * t)
         starts = list(range(0, total - clip + 1, clip // 2))
-        segments = [standardize_samples(tone[s:s + clip])[0] for s in starts]
+        segments = [standardize_rows(tone[s:s + clip]) for s in starts]
         stitched = stitch_overlap_add(segments, starts, total)
         scale = stitched.std() / tone.std()
         jumps = np.abs(np.diff(stitched))
@@ -352,7 +441,7 @@ class TestInference:
         cube, _ = tone_cube(duration_s=10.0)
         n = cube.data.shape[0]
         outputs, starts = clip_predictions(model, cube, clip_len=150, overlap=0.5)
-        standardized = [standardize_samples(out)[0] for out in outputs]
+        standardized = standardize_rows(outputs)
         np.testing.assert_array_equal(stitch_overlap_add(standardized, starts, n),
                                       infer_video(model, cube, 150, overlap=0.5).samples)
         # one clip spanning the video: the raw stitch is the forward pass itself
@@ -371,7 +460,7 @@ class TestSerialization:
     def test_round_trip(self):
         model = ToyEstimator.init(seed=20, filters=6, kernel_len=7)
         restored = ToyEstimator.from_dict(model.to_dict())
-        np.testing.assert_array_equal(model.flat_params(), restored.flat_params())
+        np.testing.assert_array_equal(model.flat, restored.flat)
         cube, _ = tone_cube()
         np.testing.assert_array_equal(forward(model, cube).samples,
                                       forward(restored, cube).samples)

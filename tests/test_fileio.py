@@ -65,6 +65,33 @@ def test_cube_payload_size_checked(tmp_path):
         read_cube(path)
 
 
+@pytest.mark.parametrize("sidecar", ["[1]", '{"dtype": "f32", "order": "THWC", "t": 4}',
+                                     '{"dtype": "f32", "order": "THWC", "t": "four", '
+                                     '"h": 2, "w": 2, "c": 1, "fps": 10}', "{"])
+def test_malformed_sidecar_rejected(tmp_path, sidecar):
+    cube = VideoCube(np.zeros((4, 2, 2, 1)), 10.0)
+    path = tmp_path / "cube.bin"
+    write_cube(cube, path)
+    (tmp_path / "cube.json").write_text(sidecar)
+    with pytest.raises(InvalidInputError):
+        read_cube(path)
+
+
+@pytest.mark.parametrize("text", ["", "t,value\n0.0,1.0\n0.1,x\n", "t,value\n0.0\n0.1,1\n"])
+def test_malformed_waveform_csv_rejected(tmp_path, text):
+    path = tmp_path / "wave.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError):
+        read_waveform(path)
+
+
+def test_malformed_feature_table_rejected(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_text("t_start,snr_db\n0.0,nope\n")
+    with pytest.raises(InvalidInputError):
+        read_features(path)
+
+
 def test_features_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     t_starts = np.arange(5.0)

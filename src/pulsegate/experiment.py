@@ -28,7 +28,7 @@ from .classify import (
 from .errors import InvalidArgumentError, PulsegateError, check_keys, parsing
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
-from .features import extract_features, feature_matrix, feature_window_starts
+from .features import extract_features, feature_matrix, feature_windows
 from .fileio import (
     dump_json,
     read_waveform,
@@ -40,7 +40,7 @@ from .fileio import (
 from .losses import LossSpec
 from .signal_core import (
     Waveform,
-    psd_normalized,
+    psd_rows,
     resample_cubic,
     standardize_rows,
     stitch_overlap_add,
@@ -390,7 +390,7 @@ def _infer(model, cube, clip_len):
 def _features_for(cfg, wave):
     windows = extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft)
     starts = np.array([t for t, _ in windows])
-    return starts, feature_matrix(windows)
+    return starts, feature_matrix(windows), sum(v.degenerate_peaks for _, v in windows)
 
 
 def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
@@ -401,9 +401,11 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
     feat_dir.mkdir(parents=True, exist_ok=True)
 
     val_rows, val_labels = [], []
+    degenerate = {"pos": 0, "neg": 0}
     for side, name, cube in val_videos:
         _, _, wave = _infer(model, cube, clip_len)
-        _, matrix = _features_for(cfg, wave)
+        _, matrix, n_degenerate = _features_for(cfg, wave)
+        degenerate[side] += n_degenerate
         val_rows.append(matrix)
         val_labels.append(np.full(len(matrix), LIVE if side == "pos" else ANOMALOUS))
     val_x = np.vstack(val_rows)
@@ -428,7 +430,8 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
         for _, name, cube, truth in test_sets[side]:
             outputs, clip_starts, wave = _infer(model, cube, clip_len)
             write_waveform(wave, wave_dir / f"{name}.csv")
-            starts, matrix = _features_for(cfg, wave)
+            starts, matrix, n_degenerate = _features_for(cfg, wave)
+            degenerate[side] += n_degenerate
             test_rows.append(matrix)
             frame_label = LIVE if side == "pos" else ANOMALOUS
             test_labels.append(np.full(len(matrix), frame_label))
@@ -483,6 +486,7 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
         "two_class": acc("two_class"),
         "one_class": acc("one_class"),
         "rates": rates_report.to_dict(),
+        "features": {"degenerate_windows": degenerate},
     }
 
 
@@ -510,19 +514,14 @@ def _dump_plot_data(cfg, report, out_dir, test_sets, clip_len):
     for variant in cfg.variants:
         for side, name in picks:
             wave = read_waveform(out_dir / "waves" / variant / f"{name}.csv")
-            window_len, starts = feature_window_starts(len(wave), wave.fps,
-                                                       cfg.feature_window_s,
-                                                       cfg.feature_stride_s)
-            rows = []
-            for start in starts:
-                seg = Waveform(wave.samples[start:start + window_len], wave.fps)
-                psd = psd_normalized(seg, cfg.nfft)
-                rows.append(psd.power[psd.in_band])
-            matrix = np.vstack(rows)
+            starts, stack = feature_windows(wave.samples, wave.fps, cfg.feature_window_s,
+                                            cfg.feature_stride_s)
+            power, in_band = psd_rows(stack, wave.fps, cfg.nfft)
+            matrix = power[:, in_band]
             with open(plot_dir / f"periodogram_{variant}_{side}.csv", "w") as fh:
                 fh.write(",".join(repr(start / wave.fps) for start in starts) + "\n")
-                for row in matrix.T:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+                for row in matrix.T.tolist():
+                    fh.write(",".join(map(repr, row)) + "\n")
             seg_len = int(round(6.0 * wave.fps))
             with open(plot_dir / f"waveform_{variant}_{side}.csv", "w") as fh:
                 fh.write("t,value\n")

@@ -1,19 +1,19 @@
-"""AMPD peak detection and the 8-feature vector per 10-second window."""
+"""AMPD peak detection and the 8-feature vector of every 10-second window at once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError
 from .signal_core import (
     DEFAULT_BAND_BPM,
     DEFAULT_NFFT,
     Waveform,
-    band_bin_mask,
-    hilbert_envelope,
-    power_spectrum,
+    band_power_rows,
+    hilbert_envelope_rows,
 )
 
 FEATURE_NAMES = ("snr_db", "sigma", "env_mean", "ibi_mean",
@@ -22,6 +22,8 @@ FEATURE_NAMES = ("snr_db", "sigma", "env_mean", "ibi_mean",
 SNR_FLOOR_DB = -60.0
 PEAK_HALFWIDTH_BPM = 6.0
 HARMONIC_HALFWIDTH_BPM = 12.0
+# cells of the (windows, scales, W) AMPD tensor per chunk: ten 10 s windows at 90 fps
+_AMPD_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -49,114 +51,109 @@ class PulseFeatureVector:
                          self.dibi_std, self.rmssd])
 
 
-def _local_max_rows(x: np.ndarray, scales) -> np.ndarray:
-    """For each scale k, the boolean row `x[i] > x[i-k] and x[i] > x[i+k]`."""
-    n = x.size
-    rows = np.zeros((len(scales), n), dtype=bool)
-    for row, k in enumerate(scales):
-        rows[row, k:n - k] = (x[k:n - k] > x[:n - 2 * k]) & (x[k:n - k] > x[2 * k:])
-    return rows
+def _ampd_rows(x: np.ndarray) -> np.ndarray:
+    """Peak masks of the rows of x: automatic multiscale-based peak detection,
+    deterministic variant.
 
-
-def ampd_peaks(w: Waveform) -> np.ndarray:
-    """Automatic multiscale-based peak detection, deterministic variant.
-
-    After linear detrending, a scale-k "local maximum" at index i means
-    x[i] > x[i-k] and x[i] > x[i+k].  The operating scale is the one with the
-    most scale-k maxima (argmin of the miss count, smallest scale on ties);
-    peaks are the indices that are maxima at every scale up to it.
+    After linear detrending (one polyfit per row), a scale-k "local maximum"
+    at index i means x[i] > x[i-k] and x[i] > x[i+k].  The operating scale is
+    the one with the most scale-k maxima (argmin of the miss count, smallest
+    scale on ties); peaks are the indices that are maxima at every scale up to
+    it.  Rows are taken in chunks that bound the (rows, scales, n) tensor.
     """
-    x = np.asarray(w.samples, dtype=float)
-    n = x.size
+    rows, n = x.shape
     if n < 8:
         raise InsufficientDataError("AMPD needs at least 8 samples")
     t = np.arange(n)
-    slope, intercept = np.polyfit(t, x, 1)
-    detrended = x - (slope * t + intercept)
-    # an exactly (affine-)flat signal leaves only rounding noise behind
-    scale = np.max(np.abs(x)) if np.max(np.abs(x)) > 0 else 1.0
-    if np.max(np.abs(detrended)) <= 1e-10 * scale:
-        return np.empty(0, dtype=int)
-    x = detrended
+    fits = np.array([np.polyfit(t, row, 1) for row in x])
+    detrended = x - (fits[:, :1] * t + fits[:, 1:])
+    # an exactly (affine-)flat row leaves only rounding noise behind
+    flat = np.abs(detrended).max(axis=1) <= 1e-10 * np.abs(x).max(axis=1)
     max_scale = int(np.ceil(n / 2)) - 1
-    scales = range(1, max_scale + 1)
-    rows = _local_max_rows(x, scales)
-    misses = n - rows.sum(axis=1)
-    best = int(np.argmin(misses))  # smallest scale wins ties
-    keep = rows[:best + 1].all(axis=0)
-    return np.flatnonzero(keep)
+    # +inf padding fails every comparison that reaches past either end
+    padded = np.pad(detrended, ((0, 0), (max_scale, max_scale)), constant_values=np.inf)
+    keep = np.zeros((rows, n), dtype=bool)
+    chunk = max(_AMPD_CHUNK_CELLS // (max_scale * n), 1)
+    for lo in range(0, rows, chunk):
+        d = detrended[lo:lo + chunk, None, :]
+        shifted = sliding_window_view(padded[lo:lo + chunk], n, axis=1)
+        maxima = d > shifted[:, max_scale - 1::-1]  # (rows, scales, n), scale k = 1..
+        maxima &= d > shifted[:, max_scale + 1:]
+        best = np.argmax(maxima.sum(axis=2), axis=1)  # fewest misses, smallest scale
+        np.logical_and.accumulate(maxima, axis=1, out=maxima)
+        keep[lo:lo + chunk] = maxima[np.arange(best.size), best]
+    keep[flat] = False
+    return keep
 
 
-def snr_db(w: Waveform, nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM,
-           peak_halfwidth_bpm: float = PEAK_HALFWIDTH_BPM,
-           harmonic_halfwidth_bpm: float = HARMONIC_HALFWIDTH_BPM) -> float:
-    """In-band signal-to-noise ratio in dB.
+def ampd_peaks(w: Waveform) -> np.ndarray:
+    """AMPD peak indices of one waveform (see `_ampd_rows`)."""
+    return np.flatnonzero(_ampd_rows(w.samples[None, :])[0])
+
+
+def _snr_rows(x: np.ndarray, fps: float, nfft: int, band_bpm) -> np.ndarray:
+    """In-band signal-to-noise ratio in dB of each row of x.
 
     Signal power is the in-band power within +-6 bpm of the spectral peak
     plus +-12 bpm of its second harmonic (clipped to the band); noise is the
     remaining in-band power.  Degenerate spectra report the -60 dB floor.
     """
-    power = power_spectrum(w.samples, nfft)
-    freqs = np.arange(power.size) * (w.fps * 60.0 / nfft)
-    in_band = band_bin_mask(power.size, w.fps, nfft, band_bpm)
-    band_power = np.where(in_band, power, 0.0)
-    total = band_power.sum()
-    if total <= 0.0:
-        return SNR_FLOOR_DB
-    peak_bpm = freqs[int(np.argmax(band_power))]
-    template = in_band & (np.abs(freqs - peak_bpm) <= peak_halfwidth_bpm)
-    template |= in_band & (np.abs(freqs - 2.0 * peak_bpm) <= harmonic_halfwidth_bpm)
-    signal = band_power[template].sum()
-    noise = total - signal
-    noise = max(noise, 1e-12 * total)  # keep the ratio finite for pure tones
-    return max(10.0 * np.log10(signal / noise), SNR_FLOOR_DB)
+    band_power, in_band = band_power_rows(x, fps, nfft, band_bpm)
+    freqs = np.arange(in_band.size) * (fps * 60.0 / nfft)
+    total = band_power.sum(axis=-1)
+    peak_bpm = freqs[np.argmax(band_power, axis=-1)][:, None]
+    template = in_band & ((np.abs(freqs - peak_bpm) <= PEAK_HALFWIDTH_BPM)
+                          | (np.abs(freqs - 2.0 * peak_bpm) <= HARMONIC_HALFWIDTH_BPM))
+    out = np.full(len(x), SNR_FLOOR_DB)
+    for i in np.flatnonzero(total > 0.0):
+        signal = band_power[i][template[i]].sum()
+        noise = max(total[i] - signal, 1e-12 * total[i])  # finite for pure tones
+        out[i] = max(10.0 * np.log10(signal / noise), SNR_FLOOR_DB)
+    return out
+
+
+def snr_db(w: Waveform, nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM) -> float:
+    """In-band SNR in dB of one waveform (see `_snr_rows`)."""
+    return float(_snr_rows(w.samples[None, :], w.fps, nfft, band_bpm)[0])
 
 
 def _peak_interval_features(trough_indices: np.ndarray, fps: float):
-    """ibi/dibi statistics (seconds) from trough sample indices."""
+    """ibi/dibi statistics (seconds) from three or more trough sample indices."""
     ibis = np.diff(trough_indices) / fps
     dibis = np.diff(ibis)
-    return (float(ibis.mean()), float(ibis.std()),
-            float(dibis.mean()) if dibis.size else 0.0,
-            float(dibis.std()) if dibis.size else 0.0,
-            float(np.sqrt(np.mean(dibis ** 2))) if dibis.size else 0.0)
+    return (float(ibis.mean()), float(ibis.std()), float(dibis.mean()),
+            float(dibis.std()), float(np.sqrt(np.mean(dibis ** 2))))
 
 
-def feature_window_starts(n_samples: int, fps: float, window_s: float, stride_s: float):
-    """Window length in samples and the start indices of the sliding feature windows."""
+def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: float):
+    """Start indices and the read-only (windows, W) stack of the sliding feature windows."""
     window = int(round(window_s * fps))
-    if n_samples < window:
+    if samples.size < window:
         raise InsufficientDataError(
-            f"waveform of {n_samples} samples is shorter than one {window_s} s window")
-    return window, range(0, n_samples - window + 1, max(int(round(stride_s * fps)), 1))
+            f"waveform of {samples.size} samples is shorter than one {window_s} s window")
+    hop = max(int(round(stride_s * fps)), 1)
+    return (range(0, samples.size - window + 1, hop),
+            sliding_window_view(samples, window)[::hop])
 
 
 def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
                      nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM):
-    """Sliding-window feature extraction.
+    """Sliding-window feature extraction, every window in one pass.
 
     Returns a list of (window_start_s, PulseFeatureVector).  The number of
     windows is floor((duration - window_s)/stride_s) + 1.
     """
-    window, starts = feature_window_starts(len(w), w.fps, window_s, stride_s)
-    out = []
-    for start in starts:
-        seg = w.samples[start:start + window]
-        seg_wave = Waveform(seg, w.fps)
-        snr = snr_db(seg_wave, nfft=nfft, band_bpm=band_bpm)
-        sigma = float(seg.std())
-        env_mean = float(hilbert_envelope(seg_wave).samples.mean())
-        troughs = ampd_peaks(Waveform(-seg, w.fps))
-        if troughs.size < 3:
-            vec = PulseFeatureVector(snr, sigma, env_mean, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                     degenerate_peaks=True)
-        else:
-            ibi_mean, ibi_std, dibi_mean, dibi_std, rmssd = \
-                _peak_interval_features(troughs, w.fps)
-            vec = PulseFeatureVector(snr, sigma, env_mean, ibi_mean, ibi_std,
-                                     dibi_mean, dibi_std, rmssd)
-        out.append((start / w.fps, vec))
-    return out
+    starts, stack = feature_windows(w.samples, w.fps, window_s, stride_s)
+    table = np.zeros((len(stack), len(FEATURE_NAMES)))
+    table[:, 0] = _snr_rows(stack, w.fps, nfft, band_bpm)
+    table[:, 1] = stack.std(axis=-1)
+    table[:, 2] = hilbert_envelope_rows(stack).mean(axis=-1)
+    troughs = _ampd_rows(-stack)
+    degenerate = troughs.sum(axis=1) < 3
+    for i in np.flatnonzero(~degenerate):
+        table[i, 3:] = _peak_interval_features(np.flatnonzero(troughs[i]), w.fps)
+    return [(start / w.fps, PulseFeatureVector(*row, degenerate_peaks=bool(flag)))
+            for start, row, flag in zip(starts, table.tolist(), degenerate)]
 
 
 def feature_matrix(windows) -> np.ndarray:

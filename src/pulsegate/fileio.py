@@ -25,8 +25,8 @@ def write_waveform(w: Waveform, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "value"])
-        for i, v in enumerate(w.samples):
-            writer.writerow([repr(i / w.fps), repr(float(v))])
+        # csv writes a float as its repr
+        writer.writerows(zip([i / w.fps for i in range(len(w))], w.samples.tolist()))
 
 
 def read_waveform(path) -> Waveform:
@@ -86,13 +86,11 @@ def write_features(path, t_starts, matrix, labels=None) -> None:
     matrix = np.asarray(matrix, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(FEATURE_COLUMNS) + (["label"] if labels is not None else [])
-        writer.writerow(header)
-        for i, t0 in enumerate(t_starts):
-            row = [repr(float(t0))] + [repr(float(x)) for x in matrix[i]]
-            if labels is not None:
-                row.append(str(labels[i]))
-            writer.writerow(row)
+        writer.writerow(list(FEATURE_COLUMNS) + (["label"] if labels is not None else []))
+        rows = np.column_stack([np.asarray(t_starts, dtype=float), matrix]).tolist()
+        if labels is not None:
+            rows = [row + [int(label)] for row, label in zip(rows, labels)]
+        writer.writerows(rows)
 
 
 def read_features(path):

@@ -48,10 +48,6 @@ class Waveform:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return (self.samples.size - 1) / self.fps
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) / self.fps
 
@@ -147,6 +143,22 @@ def power_spectrum(samples: np.ndarray, nfft: int) -> np.ndarray:
     return np.abs(spectrum) ** 2 * weights
 
 
+def band_power_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM):
+    """One-sided power of each row with the bins outside the band zeroed, and the band mask."""
+    power = power_spectrum(x, nfft)
+    in_band = band_bin_mask(power.shape[-1], fps, nfft, band_bpm)
+    return np.where(in_band, power, 0.0), in_band
+
+
+def psd_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM):
+    """Band-limited power of each row normalized to unit sum, and the band mask;
+    a row with no in-band energy stays all-zero."""
+    power, in_band = band_power_rows(x, fps, nfft, band_bpm)
+    total = power.sum(axis=-1, keepdims=True)
+    np.divide(power, total, out=power, where=total > 0.0)
+    return power, in_band
+
+
 def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
                    band_bpm=DEFAULT_BAND_BPM) -> NormalizedPSD:
     """Band-limited, unit-sum power spectral density of a waveform.
@@ -158,27 +170,16 @@ def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
     low, high = band_bpm
     if not low < high:
         raise InvalidArgumentError("band low must be below band high")
-    power = power_spectrum(w.samples, nfft)
-    mask = band_bin_mask(power.size, w.fps, nfft, band_bpm)
-    masked = np.where(mask, power, 0.0)
-    total = masked.sum()
-    if total > 0.0:
-        masked /= total
-        degenerate = False
-    else:
-        degenerate = True
-    return NormalizedPSD(power=masked, fps=w.fps, nfft=nfft,
-                         band_bpm=(float(low), float(high)),
-                         degenerate=degenerate, in_band=mask)
+    power, in_band = psd_rows(w.samples, w.fps, nfft, band_bpm)
+    return NormalizedPSD(power, w.fps, nfft, (float(low), float(high)),
+                         degenerate=not power.any(), in_band=in_band)
 
 
-def hilbert_envelope(w: Waveform) -> Waveform:
-    """Magnitude of the analytic signal (frequency-domain Hilbert transform).
-
-    The analytic signal keeps DC (and Nyquist, for even lengths), doubles the
-    positive frequencies and zeroes the negative ones.
-    """
-    n = len(w)
+def hilbert_envelope_rows(x: np.ndarray) -> np.ndarray:
+    """Magnitude of the analytic signal of each row (frequency-domain Hilbert
+    transform), which keeps DC (and Nyquist, for even lengths), doubles the
+    positive frequencies and zeroes the negative ones."""
+    n = x.shape[-1]
     if n < 4:
         raise InsufficientDataError("hilbert envelope needs at least 4 samples")
     gain = np.zeros(n)
@@ -186,7 +187,12 @@ def hilbert_envelope(w: Waveform) -> Waveform:
     gain[1:(n + 1) // 2] = 2.0
     if n % 2 == 0:
         gain[n // 2] = 1.0
-    return Waveform(np.abs(np.fft.ifft(np.fft.fft(w.samples) * gain)), w.fps)
+    return np.abs(np.fft.ifft(np.fft.fft(x) * gain))
+
+
+def hilbert_envelope(w: Waveform) -> Waveform:
+    """Hilbert envelope of one waveform (see `hilbert_envelope_rows`)."""
+    return Waveform(hilbert_envelope_rows(w.samples), w.fps)
 
 
 def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:

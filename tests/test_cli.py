@@ -235,6 +235,15 @@ class TestExperiment:
             assert variant["validation"]["checkpoint_step"] in (20, 40)
         for variant in report["variants"].values():
             assert 0.0 <= variant["two_class"]["combined_frame_accuracy"] <= 1.0
+        # degenerate windows are the val and test rows with zeroed trough features
+        from pulsegate.fileio import read_features
+        for name, variant in report["variants"].items():
+            zeroed = {"pos": 0, "neg": 0}
+            for split in ("val", "test"):
+                _, matrix, labels = read_features(out1 / "features" / name / f"{split}.csv")
+                zeroed["pos"] += int(np.sum((matrix[:, 3] == 0.0) & (labels == 1)))
+                zeroed["neg"] += int(np.sum((matrix[:, 3] == 0.0) & (labels == -1)))
+            assert variant["features"] == {"degenerate_windows": zeroed}
         assert report["manifest"]
         # artifact hashes hold
         from pulsegate.fileio import sha256_file

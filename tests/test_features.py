@@ -3,6 +3,7 @@ import pytest
 
 from pulsegate.errors import InsufficientDataError
 from pulsegate.features import (
+    _AMPD_CHUNK_CELLS,
     FEATURE_NAMES,
     SNR_FLOOR_DB,
     ampd_peaks,
@@ -10,7 +11,7 @@ from pulsegate.features import (
     feature_matrix,
     snr_db,
 )
-from pulsegate.signal_core import Waveform
+from pulsegate.signal_core import Waveform, band_bin_mask, power_spectrum
 
 
 def sine_with_interior_peaks(freq_hz, fps, n_cycles, phase_frac=0.6):
@@ -188,3 +189,99 @@ class TestExtractFeatures:
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
             extract_features(Waveform(np.zeros(100), 30.0), window_s=10.0)
+
+
+def reference_ampd(x):
+    """AMPD one window at a time, one boolean row per scale."""
+    n = x.size
+    t = np.arange(n)
+    slope, intercept = np.polyfit(t, x, 1)
+    detrended = x - (slope * t + intercept)
+    scale = np.max(np.abs(x)) if np.max(np.abs(x)) > 0 else 1.0
+    if np.max(np.abs(detrended)) <= 1e-10 * scale:
+        return np.empty(0, dtype=int)
+    rows = np.zeros((int(np.ceil(n / 2)) - 1, n), dtype=bool)
+    for k in range(1, rows.shape[0] + 1):
+        mid = detrended[k:n - k]
+        rows[k - 1, k:n - k] = (mid > detrended[:n - 2 * k]) & (mid > detrended[2 * k:])
+    best = int(np.argmin(n - rows.sum(axis=1)))
+    return np.flatnonzero(rows[:best + 1].all(axis=0))
+
+
+def reference_features(w, window_s=10.0, stride_s=1.0, nfft=5400, band_bpm=(40.0, 240.0)):
+    """The per-window extractor: one spectrum, FFT pair and AMPD per window."""
+    window = int(round(window_s * w.fps))
+    rows, flags = [], []
+    for start in range(0, len(w) - window + 1, max(int(round(stride_s * w.fps)), 1)):
+        seg = w.samples[start:start + window]
+        power = power_spectrum(seg, nfft)
+        freqs = np.arange(power.size) * (w.fps * 60.0 / nfft)
+        in_band = band_bin_mask(power.size, w.fps, nfft, band_bpm)
+        band_power = np.where(in_band, power, 0.0)
+        total = band_power.sum()
+        snr = SNR_FLOOR_DB
+        if total > 0.0:
+            peak = freqs[int(np.argmax(band_power))]
+            template = in_band & ((np.abs(freqs - peak) <= 6.0)
+                                  | (np.abs(freqs - 2.0 * peak) <= 12.0))
+            signal = band_power[template].sum()
+            noise = max(total - signal, 1e-12 * total)
+            snr = max(10.0 * np.log10(signal / noise), SNR_FLOOR_DB)
+        gain = np.zeros(window)
+        gain[0] = 1.0
+        gain[1:(window + 1) // 2] = 2.0
+        if window % 2 == 0:
+            gain[window // 2] = 1.0
+        env_mean = float(np.abs(np.fft.ifft(np.fft.fft(seg) * gain)).mean())
+        troughs = reference_ampd(-seg)
+        flags.append(troughs.size < 3)
+        intervals = [0.0] * 5
+        if troughs.size >= 3:
+            ibis = np.diff(troughs) / w.fps
+            dibis = np.diff(ibis)
+            intervals = [float(ibis.mean()), float(ibis.std()),
+                         float(dibis.mean()) if dibis.size else 0.0,
+                         float(dibis.std()) if dibis.size else 0.0,
+                         float(np.sqrt(np.mean(dibis ** 2))) if dibis.size else 0.0]
+        rows.append([snr, float(seg.std()), env_mean, *intervals])
+    return np.array(rows), flags
+
+
+def reference_wave(kind, fps, duration_s=16.0):
+    rng = np.random.default_rng(int(fps))
+    t = np.arange(int(round(duration_s * fps))) / fps
+    if kind == "pulse":
+        phase = 2 * np.pi * (1.2 * t + 0.1 * np.sin(2 * np.pi * 0.07 * t))
+        x = np.sin(phase) + 0.3 * np.sin(2 * phase + 1.0) + 0.05 * rng.standard_normal(t.size)
+    elif kind == "noise":
+        x = rng.standard_normal(t.size)
+    elif kind == "flat":
+        x = np.full(t.size, 2.5)
+    elif kind == "zero":
+        x = np.zeros(t.size)
+    elif kind == "ramp":
+        x = 0.3 - 0.7 * t
+    else:  # "few_troughs": at most two troughs in a 10 s window
+        x = np.sin(2 * np.pi * 0.15 * t) + 1e-3 * rng.standard_normal(t.size)
+    return Waveform(x, fps)
+
+
+class TestBatchedMatchesPerWindow:
+    @pytest.mark.parametrize("fps", [20.0, 30.0, 90.0])
+    @pytest.mark.parametrize("kind", ["pulse", "noise", "flat", "zero", "ramp", "few_troughs"])
+    def test_bit_identical(self, kind, fps):
+        w = reference_wave(kind, fps)
+        windows = extract_features(w)
+        expected, flags = reference_features(w)
+        assert np.array_equal(feature_matrix(windows), expected)
+        assert [vec.degenerate_peaks for _, vec in windows] == flags
+        assert all(flags) == (kind in ("flat", "zero", "ramp", "few_troughs"))
+
+    def test_bit_identical_across_chunks(self):
+        w = reference_wave("pulse", 90.0, duration_s=30.0)
+        windows = extract_features(w)
+        per_chunk = _AMPD_CHUNK_CELLS // (449 * 900)  # 449 scales of 900-sample windows
+        assert len(windows) > 2 * per_chunk
+        expected, flags = reference_features(w)
+        assert np.array_equal(feature_matrix(windows), expected)
+        assert [vec.degenerate_peaks for _, vec in windows] == flags

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsegate.errors import InvalidInputError
 from pulsegate.fileio import (
@@ -114,3 +118,60 @@ def test_deterministic_bytes(tmp_path):
     write_waveform(w, a)
     write_waveform(w, b)
     assert sha256_file(a) == sha256_file(b)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+samples = st.lists(finite, min_size=2, max_size=40)
+fps_values = st.floats(0.5, 500.0)
+round_trip = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@round_trip
+@given(values=samples, fps=fps_values)
+def test_waveform_csv_round_trip_any_values(values, fps):
+    w = Waveform(np.array(values), fps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wave.csv"
+        write_waveform(w, path)
+        expected = "t,value\r\n" + "".join(
+            f"{i / w.fps!r},{v!r}\r\n" for i, v in enumerate(values))
+        assert path.read_bytes() == expected.encode()
+        back = read_waveform(path)
+    np.testing.assert_array_equal(back.samples, w.samples)
+    assert back.fps == pytest.approx(w.fps, rel=1e-12)
+
+
+@round_trip
+@given(values=samples, fps=fps_values)
+def test_waveform_json_round_trip_any_values(values, fps):
+    w = Waveform(np.array(values), fps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wave.json"
+        write_waveform(w, path)
+        back = read_waveform(path)
+    np.testing.assert_array_equal(back.samples, w.samples)
+    assert back.fps == w.fps
+
+
+@round_trip
+@given(data=st.data(), n=st.integers(1, 12), labelled=st.booleans())
+def test_features_round_trip_any_values(data, n, labelled):
+    t_starts = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    matrix = np.array(data.draw(st.lists(st.lists(finite, min_size=8, max_size=8),
+                                         min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feats.csv"
+        write_features(path, t_starts, matrix, labels if labelled else None)
+        header = "t_start,snr_db,sigma,env_mean,ibi_mean,ibi_std,dibi_mean,dibi_std,rmssd"
+        rows = [",".join(map(repr, [t, *row])) + (f",{label}" if labelled else "")
+                for t, row, label in zip(t_starts.tolist(), matrix.tolist(), labels.tolist())]
+        expected = header + (",label" if labelled else "") + "\r\n"
+        assert path.read_bytes() == (expected + "".join(r + "\r\n" for r in rows)).encode()
+        t_back, m_back, l_back = read_features(path)
+    np.testing.assert_array_equal(t_back, t_starts)
+    np.testing.assert_array_equal(m_back, matrix)
+    if labelled:
+        np.testing.assert_array_equal(l_back, labels)
+    else:
+        assert l_back is None

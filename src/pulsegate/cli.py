@@ -206,14 +206,17 @@ def cmd_pulse_rate(args):
     wave = read_waveform(args.infile)
     pred = pulse_rate(wave, window_s=args.window_s, stride_frames=args.stride_frames,
                       nfft=args.nfft)
-    payload = {"pred": {"times_s": list(map(float, pred.times_s)),
-                        "bpm": [None if np.isnan(v) else float(v) for v in pred.bpm]}}
+
+    def series(rates):
+        return {"times_s": list(map(float, rates.times_s)),
+                "bpm": [None if np.isnan(v) else float(v) for v in rates.bpm]}
+
+    payload = {"pred": series(pred)}
     if args.truth:
         truth_wave = read_waveform(args.truth)
         truth = pulse_rate(truth_wave, window_s=args.window_s,
                            stride_frames=args.stride_frames, nfft=args.nfft)
-        payload["truth"] = {"times_s": list(map(float, truth.times_s)),
-                            "bpm": [None if np.isnan(v) else float(v) for v in truth.bpm]}
+        payload["truth"] = series(truth)
         payload["errors"] = error_report(pred, truth).to_dict()
     dump_json(payload, args.report)
     if "errors" in payload:
@@ -233,12 +236,11 @@ def cmd_experiment(args):
         payload["seed"] = _seed_override(int(payload.get("seed", 7)))
     cfg = ExperimentConfig.from_dict(payload)
     if args.dry_run:
-        run_experiment(cfg, args.out or ".", dry_run=True)
         print("config ok")
         return EXIT_OK
     if not args.out:
         raise PulsegateError("--out directory is required (unless --dry-run)")
-    report = run_experiment(cfg, args.out)
+    run_experiment(cfg, args.out)
     print((Path(args.out) / "report.txt").read_text())
     print(f"report written to {args.out}/report.json")
     return EXIT_OK

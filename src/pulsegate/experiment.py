@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .evaluate import error_metrics, pulse_rate
 from .features import extract_features, feature_matrix, feature_windows
 from .fileio import (
     dump_json,
-    read_waveform,
     sha256_file,
     write_cube,
     write_features,
@@ -39,6 +39,7 @@ from .fileio import (
 )
 from .losses import LossSpec
 from .signal_core import (
+    VideoCube,
     Waveform,
     psd_rows,
     resample_cubic,
@@ -224,55 +225,52 @@ def _scene(cfg: ExperimentConfig, seeds: _SeedStream, duration, noise):
     return generate_positive(scene_cfg)
 
 
-def _negative(cfg: ExperimentConfig, seeds: _SeedStream, source_cube, index):
-    kind = cfg.negative_kinds[index % len(cfg.negative_kinds)]
-    transform = NegativeTransform(kind=kind, normal_sigma=cfg.normal_sigma,
-                                  uniform_bounds=cfg.uniform_bounds, seed=seeds.child())
-    return kind, make_negative(source_cube, transform)
+class Video(NamedTuple):
+    """One labeled scene of a corpus; `truth` is None for a pulseless negative."""
+
+    name: str
+    cube: VideoCube
+    truth: Waveform | None
 
 
-def build_corpora(cfg: ExperimentConfig):
-    """All scene sets, generated in one fixed seed order."""
+def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Video]]:
+    """The train, val_model (checkpoint), val (SVM) and test sets, generated in
+    one fixed seed order: per set, its positive scenes, its negatives' source
+    scenes (its own positives for train and val_model), then the negatives."""
     seeds = _SeedStream(cfg.seed)
+    train = (cfg.train_duration_s, cfg.train_sensor_noise)
+    evaluation = (cfg.eval_duration_s, cfg.eval_sensor_noise)
+    layout = {"train": (cfg.n_train_pos, None, train),
+              "val_model": (cfg.n_val_model, None, train),
+              "val": (cfg.n_val_svm_pos, cfg.n_val_svm_neg, evaluation),
+              "test": (cfg.n_test_pos, cfg.n_test_neg, evaluation)}
     sets = {}
-    sets["train_pos"] = [_scene(cfg, seeds, cfg.train_duration_s, cfg.train_sensor_noise)
-                         for _ in range(cfg.n_train_pos)]
-    sets["train_neg"] = [_negative(cfg, seeds, cube, i)
-                         for i, (cube, _) in enumerate(sets["train_pos"])]
-    sets["val_model_pos"] = [_scene(cfg, seeds, cfg.train_duration_s, cfg.train_sensor_noise)
-                             for _ in range(cfg.n_val_model)]
-    sets["val_model_neg"] = [_negative(cfg, seeds, cube, i)
-                             for i, (cube, _) in enumerate(sets["val_model_pos"])]
-    sets["val_svm_pos"] = [_scene(cfg, seeds, cfg.eval_duration_s, cfg.eval_sensor_noise)
-                           for _ in range(cfg.n_val_svm_pos)]
-    neg_sources = [_scene(cfg, seeds, cfg.eval_duration_s, cfg.eval_sensor_noise)
-                   for _ in range(cfg.n_val_svm_neg)]
-    sets["val_svm_neg"] = [_negative(cfg, seeds, cube, i)
-                           for i, (cube, _) in enumerate(neg_sources)]
-    sets["test_pos"] = [_scene(cfg, seeds, cfg.eval_duration_s, cfg.eval_sensor_noise)
-                        for _ in range(cfg.n_test_pos)]
-    neg_sources = [_scene(cfg, seeds, cfg.eval_duration_s, cfg.eval_sensor_noise)
-                   for _ in range(cfg.n_test_neg)]
-    sets["test_neg"] = [_negative(cfg, seeds, cube, i)
-                        for i, (cube, _) in enumerate(neg_sources)]
+    for name, (n_pos, n_neg, scene) in layout.items():
+        positives = [_scene(cfg, seeds, *scene) for _ in range(n_pos)]
+        sources = positives if n_neg is None else [_scene(cfg, seeds, *scene)
+                                                    for _ in range(n_neg)]
+        videos = [Video(f"{name}_pos_{i:02d}", cube, truth)
+                  for i, (cube, truth) in enumerate(positives)]
+        for i, (cube, _) in enumerate(sources):
+            kind = cfg.negative_kinds[i % len(cfg.negative_kinds)]
+            transform = NegativeTransform(kind=kind, normal_sigma=cfg.normal_sigma,
+                                          uniform_bounds=cfg.uniform_bounds, seed=seeds.child())
+            videos.append(Video(f"{name}_neg_{i:02d}_{kind}", make_negative(cube, transform), None))
+        sets[name] = videos
     return sets
 
 
-def _write_corpus(out_dir: Path, sets) -> dict:
+def _write_corpus(out_dir: Path, train: list[Video]):
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for i, (cube, truth) in enumerate(sets["train_pos"]):
-        stem = f"train_pos_{i:02d}"
-        write_cube(cube, corpus_dir / f"{stem}.bin")
-        write_waveform(truth, corpus_dir / f"{stem}_gt.csv")
-        manifest.append({"cube": f"{stem}.bin", "gt": f"{stem}_gt.csv", "positive": True})
-    for i, (kind, cube) in enumerate(sets["train_neg"]):
-        stem = f"train_neg_{i:02d}_{kind}"
-        write_cube(cube, corpus_dir / f"{stem}.bin")
-        manifest.append({"cube": f"{stem}.bin", "gt": None, "positive": False})
+    for video in train:
+        gt = None if video.truth is None else f"{video.name}_gt.csv"
+        write_cube(video.cube, corpus_dir / f"{video.name}.bin")
+        if gt:
+            write_waveform(video.truth, corpus_dir / gt)
+        manifest.append({"cube": f"{video.name}.bin", "gt": gt, "positive": gt is not None})
     dump_json({"samples": manifest}, corpus_dir / "manifest.json")
-    return {"dir": corpus_dir}
 
 
 def _variant_train_config(cfg: ExperimentConfig, variant: str) -> TrainConfig:
@@ -286,11 +284,15 @@ def _median(values) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, dry_run: bool = False) -> dict:
+def _rates(cfg: ExperimentConfig, wave: Waveform) -> np.ndarray:
+    """Windowed pulse rates (bpm) of a waveform resampled to the rate-evaluation fps."""
+    return pulse_rate(resample_cubic(wave, cfg.rate_resample_fps), cfg.rate_window_s,
+                      cfg.rate_stride_frames, cfg.nfft).bpm
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute the full pipeline; returns the report dict (also written as JSON)."""
     out_dir = Path(out_dir)
-    if dry_run:
-        return {"config_ok": True, "variants": list(cfg.variants)}
     out_dir.mkdir(parents=True, exist_ok=True)
     for sub in ("models", "waves", "features", "svm", "plots"):
         (out_dir / sub).mkdir(exist_ok=True)
@@ -304,42 +306,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dry_run: bool = False) -> dic
             raise StageError(name, exc) from exc
 
     sets = stage("synth", build_corpora, cfg)
-    stage("write-corpus", _write_corpus, out_dir, sets)
-
-    train_corpus = [(cube, truth, True) for cube, truth in sets["train_pos"]] + \
-                   [(cube, None, False) for _, cube in sets["train_neg"]]
-    val_corpus = [(cube, truth, True) for cube, truth in sets["val_model_pos"]] + \
-                 [(cube, None, False) for _, cube in sets["val_model_neg"]]
-
-    clip_len = cfg.train_cfg.clip_len
-    test_sets = {"pos": [("pos", f"test_pos_{i:02d}", cube, truth)
-                         for i, (cube, truth) in enumerate(sets["test_pos"])],
-                 "neg": [("neg", f"test_neg_{i:02d}_{kind}", cube, None)
-                         for i, (kind, cube) in enumerate(sets["test_neg"])]}
-    val_videos = [("pos", f"val_pos_{i:02d}", cube)
-                  for i, (cube, _) in enumerate(sets["val_svm_pos"])] + \
-                 [("neg", f"val_neg_{i:02d}_{kind}", cube)
-                  for i, (kind, cube) in enumerate(sets["val_svm_neg"])]
-
-    rate_truth = {}
-    for _, name, cube, truth in test_sets["pos"]:
-        truth_hi = resample_cubic(truth, cfg.rate_resample_fps)
-        rate_truth[name] = pulse_rate(truth_hi, cfg.rate_window_s,
-                                      cfg.rate_stride_frames, cfg.nfft).bpm
+    stage("write-corpus", _write_corpus, out_dir, sets["train"])
+    test_pos = [video for video in sets["test"] if video.truth is not None]
+    rate_truth = {video.name: _rates(cfg, video.truth) for video in test_pos}
 
     for variant in cfg.variants:
         model, validation = stage(f"train-{variant}", _train_variant, cfg, variant,
-                                  train_corpus, val_corpus, out_dir)
+                                  sets["train"], sets["val_model"], out_dir)
         metrics = stage(f"evaluate-{variant}", _evaluate_variant, cfg, variant,
-                        model, test_sets, val_videos, rate_truth, out_dir, clip_len)
+                        model, sets["val"], sets["test"], rate_truth, out_dir)
         report["variants"][variant] = {**metrics, "validation": validation}
 
     for name in cfg.baselines:
         report["baselines"][name] = stage(f"baseline-{name}", _evaluate_baseline,
-                                          cfg, name, test_sets["pos"], rate_truth,
-                                          out_dir)
-
-    stage("plots", _dump_plot_data, cfg, report, out_dir, test_sets, clip_len)
+                                          cfg, name, test_pos, rate_truth, out_dir)
 
     manifest = {}
     for path in sorted(out_dir.rglob("*")):
@@ -363,12 +343,13 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _train_variant(cfg, variant, train_corpus, val_corpus, out_dir):
+def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
     train_cfg = _variant_train_config(cfg, variant)
     init = ToyEstimator.init(filters=cfg.filters, kernel_len=cfg.kernel_len,
                              scale=cfg.init_scale, seed=train_cfg.seed)
-    model, history, validation = train(train_cfg, train_corpus, val_corpus=val_corpus,
-                                       model=init)
+    corpus, val_corpus = ([(v.cube, v.truth, v.truth is not None) for v in videos]
+                          for videos in (train_videos, val_videos))
+    model, history, validation = train(train_cfg, corpus, val_corpus=val_corpus, model=init)
     dump_json(model.to_dict(), out_dir / "models" / f"model_{variant}.json")
     with open(out_dir / "models" / f"history_{variant}.csv", "w") as fh:
         fh.write("step,loss\n")
@@ -377,41 +358,37 @@ def _train_variant(cfg, variant, train_corpus, val_corpus, out_dir):
     return model, validation
 
 
-def _infer(model, cube, clip_len):
-    """One model pass over a video: raw clip outputs, their starts and their
-    raw stitch.  Amplitude must survive into the feature stage: sigma and the
-    Hilbert envelope measure distance from a flatline, which per-clip
-    standardization would erase."""
-    outputs, starts = clip_predictions(model, cube, clip_len, overlap=0.5)
-    wave = Waveform(stitch_overlap_add(outputs, starts, cube.data.shape[0]), cube.fps)
-    return outputs, starts, wave
-
-
-def _features_for(cfg, wave):
-    windows = extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft)
-    starts = np.array([t for t, _ in windows])
-    return starts, feature_matrix(windows), sum(v.degenerate_peaks for _, v in windows)
-
-
-def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
-                      out_dir, clip_len):
+def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
     wave_dir = out_dir / "waves" / variant
     feat_dir = out_dir / "features" / variant
     wave_dir.mkdir(parents=True, exist_ok=True)
     feat_dir.mkdir(parents=True, exist_ok=True)
 
-    val_rows, val_labels = [], []
+    # one model pass per video, raw stitch, feature windows.  Amplitude must
+    # survive into the feature stage: sigma and the Hilbert envelope measure
+    # distance from a flatline, which per-clip standardization would erase.
     degenerate = {"pos": 0, "neg": 0}
-    for side, name, cube in val_videos:
-        _, _, wave = _infer(model, cube, clip_len)
-        _, matrix, n_degenerate = _features_for(cfg, wave)
-        degenerate[side] += n_degenerate
-        val_rows.append(matrix)
-        val_labels.append(np.full(len(matrix), LIVE if side == "pos" else ANOMALOUS))
-    val_x = np.vstack(val_rows)
-    val_y = np.concatenate(val_labels)
-    write_features(feat_dir / "val.csv",
-                   np.arange(len(val_x), dtype=float), val_x, val_y.astype(int))
+    passes, tables = {}, {}
+    for split, videos in (("val", val), ("test", test)):
+        passes[split], rows, labels = [], [], []
+        for video in videos:
+            side = "pos" if video.truth is not None else "neg"
+            outputs, clip_starts = clip_predictions(model, video.cube, cfg.train_cfg.clip_len,
+                                                    overlap=0.5)
+            wave = Waveform(stitch_overlap_add(outputs, clip_starts, video.cube.data.shape[0]),
+                            video.cube.fps)
+            windows = extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft)
+            matrix = feature_matrix(windows)
+            degenerate[side] += sum(v.degenerate_peaks for _, v in windows)
+            rows.append(matrix)
+            labels.append(np.full(len(matrix), LIVE if side == "pos" else ANOMALOUS))
+            passes[split].append((video, side, outputs, clip_starts, wave,
+                                  np.array([t for t, _ in windows]), matrix))
+        x, y = np.vstack(rows), np.concatenate(labels)
+        write_features(feat_dir / f"{split}.csv", np.arange(len(x), dtype=float), x, y.astype(int))
+        tables[split] = x, y
+    val_x, val_y = tables["val"]
+    test_x, test_y = tables["test"]
 
     two = fit_two_class(val_x, val_y, C=cfg.svm_C, standardize=cfg.svm_standardize)
     one = fit_one_class(val_x[val_y == LIVE], nu=cfg.svm_nu,
@@ -419,50 +396,32 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
     dump_json(two.to_dict(), out_dir / "svm" / f"{variant}_two_class.json")
     dump_json(one.to_dict(), out_dir / "svm" / f"{variant}_one_class.json")
 
-    snr_median = {"pos": [], "neg": []}
     clip_stds = {"pos": [], "neg": []}
     counts = {"two_class": {"pos": [0, 0], "neg": [0, 0]},
               "one_class": {"pos": [0, 0], "neg": [0, 0]}}
-    test_rows, test_labels = [], []
     rate_pairs = ([], [])
+    for video, side, outputs, clip_starts, wave, starts, matrix in passes["test"]:
+        write_waveform(wave, wave_dir / f"{video.name}.csv")
+        if not clip_stds[side]:  # the first test video of its side
+            _dump_plot_data(cfg, out_dir / "plots", variant, side, wave)
+        clip_stds[side].extend(float(out.std()) for out in outputs)
 
-    for side in ("pos", "neg"):
-        for _, name, cube, truth in test_sets[side]:
-            outputs, clip_starts, wave = _infer(model, cube, clip_len)
-            write_waveform(wave, wave_dir / f"{name}.csv")
-            starts, matrix, n_degenerate = _features_for(cfg, wave)
-            degenerate[side] += n_degenerate
-            test_rows.append(matrix)
-            frame_label = LIVE if side == "pos" else ANOMALOUS
-            test_labels.append(np.full(len(matrix), frame_label))
-            snr_median[side].extend(matrix[:, 0])
-            clip_stds[side].extend(float(out.std()) for out in outputs)
+        centers = starts + cfg.feature_window_s / 2.0
+        frames = np.full(video.cube.data.shape[0], LIVE if side == "pos" else ANOMALOUS)
+        for kind_key, svm in (("two_class", two), ("one_class", one)):
+            window_labels, _ = predict(svm, matrix)
+            correct, total = frame_accuracy(window_labels, centers, frames, cfg.fps,
+                                            window_s=cfg.feature_window_s,
+                                            return_counts=True)
+            counts[kind_key][side][0] += correct
+            counts[kind_key][side][1] += total
 
-            centers = starts + cfg.feature_window_s / 2.0
-            frames = np.full(cube.data.shape[0], frame_label)
-            for kind_key, svm in (("two_class", two), ("one_class", one)):
-                labels, _ = predict(svm, matrix)
-                correct, total = frame_accuracy(labels, centers, frames, cfg.fps,
-                                                window_s=cfg.feature_window_s,
-                                                return_counts=True)
-                counts[kind_key][side][0] += correct
-                counts[kind_key][side][1] += total
-
-            if side == "pos":
-                # the rate input is the standardized stitch, as `infer_video` gives
-                wave_hi = resample_cubic(
-                    Waveform(stitch_overlap_add(standardize_rows(outputs), clip_starts,
-                                                len(wave)), cube.fps),
-                    cfg.rate_resample_fps)
-                rates = pulse_rate(wave_hi, cfg.rate_window_s,
-                                   cfg.rate_stride_frames, cfg.nfft)
-                rate_pairs[0].append(rates.bpm)
-                rate_pairs[1].append(rate_truth[name])
-
-    test_x = np.vstack(test_rows)
-    test_y = np.concatenate(test_labels)
-    write_features(feat_dir / "test.csv",
-                   np.arange(len(test_x), dtype=float), test_x, test_y.astype(int))
+        if side == "pos":
+            # the rate input is the standardized stitch, as `infer_video` gives
+            rate_pairs[0].append(_rates(cfg, Waveform(
+                stitch_overlap_add(standardize_rows(outputs), clip_starts, len(wave)),
+                wave.fps)))
+            rate_pairs[1].append(rate_truth[video.name])
 
     rates_report = error_metrics(np.concatenate(rate_pairs[0]),
                                  np.concatenate(rate_pairs[1]))
@@ -475,12 +434,14 @@ def _evaluate_variant(cfg, variant, model, test_sets, val_videos, rate_truth,
                 "combined_frame_accuracy": (pos_c + neg_c) / (pos_t + neg_t),
                 "frames": pos_t + neg_t}
 
+    # column 0 of the feature matrix is the in-band SNR
+    pos_snr = _median(test_x[test_y == LIVE, 0])
+    neg_snr = _median(test_x[test_y == ANOMALOUS, 0])
     pos_std = _median(clip_stds["pos"])
     neg_std = _median(clip_stds["neg"])
     return {
-        "snr_db": {"positive_median": _median(snr_median["pos"]),
-                   "negative_median": _median(snr_median["neg"]),
-                   "gap": _median(snr_median["pos"]) - _median(snr_median["neg"])},
+        "snr_db": {"positive_median": pos_snr, "negative_median": neg_snr,
+                   "gap": pos_snr - neg_snr},
         "clip_std": {"positive_median": pos_std, "negative_median": neg_std,
                      "negative_over_positive": neg_std / pos_std if pos_std > 0 else float("inf")},
         "two_class": acc("two_class"),
@@ -495,38 +456,30 @@ def _evaluate_baseline(cfg, name, test_pos, rate_truth, out_dir):
     wave_dir = out_dir / "waves" / f"baseline_{name}"
     wave_dir.mkdir(parents=True, exist_ok=True)
     preds, truths = [], []
-    for _, video_name, cube, _truth in test_pos:
-        wave = estimator(bl.trace_from_cube(cube))
-        write_waveform(wave, wave_dir / f"{video_name}.csv")
-        wave_hi = resample_cubic(wave, cfg.rate_resample_fps)
-        rates = pulse_rate(wave_hi, cfg.rate_window_s, cfg.rate_stride_frames, cfg.nfft)
-        preds.append(rates.bpm)
-        truths.append(rate_truth[video_name])
+    for video in test_pos:
+        wave = estimator(bl.trace_from_cube(video.cube))
+        write_waveform(wave, wave_dir / f"{video.name}.csv")
+        preds.append(_rates(cfg, wave))
+        truths.append(rate_truth[video.name])
     return {"rates": error_metrics(np.concatenate(preds),
                                    np.concatenate(truths)).to_dict()}
 
 
-def _dump_plot_data(cfg, report, out_dir, test_sets, clip_len):
-    """Periodogram matrices and waveform segments for one positive and one
-    negative test video per variant, as plain CSV."""
-    plot_dir = out_dir / "plots"
-    picks = [("pos", test_sets["pos"][0][1]), ("neg", test_sets["neg"][0][1])]
-    for variant in cfg.variants:
-        for side, name in picks:
-            wave = read_waveform(out_dir / "waves" / variant / f"{name}.csv")
-            starts, stack = feature_windows(wave.samples, wave.fps, cfg.feature_window_s,
-                                            cfg.feature_stride_s)
-            power, in_band = psd_rows(stack, wave.fps, cfg.nfft)
-            matrix = power[:, in_band]
-            with open(plot_dir / f"periodogram_{variant}_{side}.csv", "w") as fh:
-                fh.write(",".join(repr(start / wave.fps) for start in starts) + "\n")
-                for row in matrix.T.tolist():
-                    fh.write(",".join(map(repr, row)) + "\n")
-            seg_len = int(round(6.0 * wave.fps))
-            with open(plot_dir / f"waveform_{variant}_{side}.csv", "w") as fh:
-                fh.write("t,value\n")
-                for i in range(min(seg_len, len(wave))):
-                    fh.write(f"{i / wave.fps!r},{float(wave.samples[i])!r}\n")
+def _dump_plot_data(cfg, plot_dir, variant, side, wave):
+    """Periodogram matrix and waveform segment of one test video, as plain CSV."""
+    starts, stack = feature_windows(wave.samples, wave.fps, cfg.feature_window_s,
+                                    cfg.feature_stride_s)
+    power, in_band = psd_rows(stack, wave.fps, cfg.nfft)
+    matrix = power[:, in_band]
+    with open(plot_dir / f"periodogram_{variant}_{side}.csv", "w") as fh:
+        fh.write(",".join(repr(start / wave.fps) for start in starts) + "\n")
+        for row in matrix.T.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+    seg_len = int(round(6.0 * wave.fps))
+    with open(plot_dir / f"waveform_{variant}_{side}.csv", "w") as fh:
+        fh.write("t,value\n")
+        for i in range(min(seg_len, len(wave))):
+            fh.write(f"{i / wave.fps!r},{float(wave.samples[i])!r}\n")
 
 
 def _format_tables(cfg: ExperimentConfig, report: dict) -> str:

@@ -145,9 +145,11 @@ def power_spectrum(samples: np.ndarray, nfft: int) -> np.ndarray:
 
 def band_power_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM):
     """One-sided power of each row with the bins outside the band zeroed, and the band mask."""
-    power = power_spectrum(x, nfft)
-    in_band = band_bin_mask(power.shape[-1], fps, nfft, band_bpm)
-    return np.where(in_band, power, 0.0), in_band
+    spectrum, weights = one_sided_spectrum(x, nfft)
+    in_band = band_bin_mask(weights.size, fps, nfft, band_bpm)
+    power = np.zeros(spectrum.shape)
+    power[..., in_band] = np.abs(spectrum[..., in_band]) ** 2 * weights[in_band]
+    return power, in_band
 
 
 def psd_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM):

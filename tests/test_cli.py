@@ -258,6 +258,43 @@ class TestExperiment:
             assert rows, path.name
             for row in rows:
                 assert np.isfinite([float(cell) for cell in row.split(",")]).all()
+        # artifact names: smoke has 3 training scenes and 2 + 3 test videos
+        kinds = ("normal", "uniform", "shuffle")
+        samples = json.loads((out1 / "corpus" / "manifest.json").read_text())["samples"]
+        assert samples == (
+            [{"cube": f"train_pos_{i:02d}.bin", "gt": f"train_pos_{i:02d}_gt.csv",
+              "positive": True} for i in range(3)]
+            + [{"cube": f"train_neg_{i:02d}_{kinds[i]}.bin", "gt": None, "positive": False}
+               for i in range(3)])
+        for name in report["variants"]:
+            assert sorted(p.name for p in (out1 / "waves" / name).iterdir()) == sorted(
+                [f"test_pos_{i:02d}.csv" for i in range(2)]
+                + [f"test_neg_{i:02d}_{kinds[i]}.csv" for i in range(3)])
+        # the written corpus trains through the CLI as it stands
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 200, "batch_size": 2, "steps": 2,
+                                         "estimator": {"filters": 2, "kernel_len": 11}}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(out1 / "corpus"),
+                     "--out", str(tmp_path / "model.json")]) == 0
+
+    def test_plot_times_exact_at_30_fps(self, tmp_path):
+        # 24 s scenes at 30 fps: (720 - 300) frames is 7 strides of 60
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        payload["fps"] = 30.0
+        payload["corpus"]["eval_duration_s"] = 24.0
+        config = tmp_path / "fps30.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        waveforms = sorted(out.glob("plots/waveform_*.csv"))
+        periodograms = sorted(out.glob("plots/periodogram_*.csv"))
+        assert len(waveforms) == len(periodograms) == 4
+        for path in waveforms:
+            rows = path.read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == [repr(i / 30.0) for i in range(180)]
+        for path in periodograms:
+            header = path.read_text().splitlines()[0]
+            assert header.split(",") == [repr(start / 30.0) for start in range(0, 421, 60)]
 
     def test_uncovered_eval_windows_rejected_at_dry_run(self, tmp_path, capsys):
         # 17 s scenes leave 7 s after one 10 s window: not whole 2 s strides

@@ -6,10 +6,12 @@ Usage (from the repository root):
     python3 scripts/sweep.py --out sweep.json --label "what was run"
 
 Each seed is one `pulsegate experiment` run of `configs/repro-desk.json`
-with `PULSEGATE_SEED` set, two processes at a time and BLAS on one thread
-each.  The program runs from this checkout's `src/`.  For every seed the
-script reads `report.json` and the loss histories and computes the margins
-of the seed-dependent acceptance criteria (positive means passing):
+with `PULSEGATE_SEED` set and BLAS on one thread.  Seeds run one at a time:
+each run already spreads its jobs over every usable CPU, so two at once would
+only contend for them and distort each seed's `wall_s`.  The program runs
+from this checkout's `src/`.  For every seed the script reads `report.json`
+and the loss histories and computes the margins of the seed-dependent
+acceptance criteria (positive means passing):
 
 - 07: 6 dB minus the positives-only SNR gap
 - 08: each spectral variant's SNR gap minus 6 dB, and 0.2 minus the std
@@ -34,7 +36,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +43,6 @@ CONFIG = ROOT / "configs" / "repro-desk.json"
 ENTRY = "import sys; from pulsegate.cli import main; sys.exit(main())"
 LOSS_RATIO_BOUND = 1.10
 SEEDS = range(1, 11)
-JOBS = 2  # one process per core of a 2-core box
 
 
 def run_seed(seed: int, work: Path) -> dict:
@@ -131,8 +131,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = args.out or next_sweep_path()
     with tempfile.TemporaryDirectory(prefix="pulsegate-sweep-") as work:
-        with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            rows = list(pool.map(lambda seed: run_seed(seed, Path(work)), SEEDS))
+        rows = [run_seed(seed, Path(work)) for seed in SEEDS]
     for row in rows:
         state = "pass" if row.get("passed") else f"FAIL (exit {row['exit_code']})"
         print(f"seed {row['seed']:3d}: {state} in {row['wall_s']:.0f} s", file=sys.stderr)

@@ -11,7 +11,9 @@ into the report manifest, so a rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,6 +159,11 @@ class ExperimentConfig:
                 raise InvalidArgumentError(f"unknown baseline {name!r}")
         if "none" not in self.variants:
             raise InvalidArgumentError("the positives-only variant 'none' is required")
+        # the two-class SVM needs both validation sides, the test metrics both test sides
+        for name in ("n_val_svm_pos", "n_val_svm_neg", "n_test_pos", "n_test_neg"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(
+                    f"corpus.{name} ({getattr(self, name)}) must be at least 1")
         if self.train_cfg.clip_len > self.train_duration_s * self.fps:
             raise InvalidArgumentError("clip_len exceeds training scene length")
         if self.eval_duration_s < self.feature_window_s:
@@ -188,9 +195,13 @@ class StageError(PulsegateError):
     """Wraps a failure with the pipeline stage where it occurred."""
 
     def __init__(self, stage, cause):
-        super().__init__(f"stage {stage!r} failed: {cause}")
+        # both in args, so that the error unpickles when a worker raises it
+        super().__init__(stage, cause)
         self.stage = stage
         self.cause = cause
+
+    def __str__(self):
+        return f"stage {self.stage!r} failed: {self.cause}"
 
 
 def hrv_trajectory(rng, duration_s, hr_lo, hr_hi, step_bpm, clamp_bpm, spacing_s):
@@ -297,29 +308,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for sub in ("models", "waves", "features", "svm", "plots"):
         (out_dir / sub).mkdir(exist_ok=True)
 
-    report = {"config": _config_echo(cfg), "variants": {}, "baselines": {}}
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PulsegateError as exc:
-            raise StageError(name, exc) from exc
-
-    sets = stage("synth", build_corpora, cfg)
-    stage("write-corpus", _write_corpus, out_dir, sets["train"])
+    sets = _stage("synth", build_corpora, cfg)
+    _stage("write-corpus", _write_corpus, out_dir, sets["train"])
     test_pos = [video for video in sets["test"] if video.truth is not None]
     rate_truth = {video.name: _rates(cfg, video.truth) for video in test_pos}
 
-    for variant in cfg.variants:
-        model, validation = stage(f"train-{variant}", _train_variant, cfg, variant,
-                                  sets["train"], sets["val_model"], out_dir)
-        metrics = stage(f"evaluate-{variant}", _evaluate_variant, cfg, variant,
-                        model, sets["val"], sets["test"], rate_truth, out_dir)
-        report["variants"][variant] = {**metrics, "validation": validation}
-
-    for name in cfg.baselines:
-        report["baselines"][name] = stage(f"baseline-{name}", _evaluate_baseline,
-                                          cfg, name, test_pos, rate_truth, out_dir)
+    # one job per variant and per baseline: each reads only the corpora and
+    # writes only its own files, so the outputs do not depend on how many run
+    # at once
+    jobs = [partial(_variant_job, cfg, variant, sets, rate_truth, out_dir)
+            for variant in cfg.variants]
+    jobs += [partial(_stage, f"baseline-{name}", _evaluate_baseline,
+                     cfg, name, test_pos, rate_truth, out_dir) for name in cfg.baselines]
+    results = _run_jobs(jobs)
+    report = {"config": _config_echo(cfg),
+              "variants": dict(zip(cfg.variants, results)),
+              "baselines": dict(zip(cfg.baselines, results[len(cfg.variants):]))}
 
     manifest = {}
     for path in sorted(out_dir.rglob("*")):
@@ -329,6 +333,52 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     dump_json(report, out_dir / "report.json")
     (out_dir / "report.txt").write_text(_format_tables(cfg, report))
     return report
+
+
+def _stage(name, fn, *args):
+    try:
+        return fn(*args)
+    except PulsegateError as exc:
+        raise StageError(name, exc) from exc
+
+
+def _variant_job(cfg, variant, sets, rate_truth, out_dir) -> dict:
+    model, validation = _stage(f"train-{variant}", _train_variant, cfg, variant,
+                               sets["train"], sets["val_model"], out_dir)
+    metrics = _stage(f"evaluate-{variant}", _evaluate_variant, cfg, variant,
+                     model, sets["val"], sets["test"], rate_truth, out_dir)
+    return {**metrics, "validation": validation}
+
+
+# the jobs of the running study, set just before its pool forks: the workers
+# inherit them, and the corpora they hold, instead of unpickling them
+_JOBS: list = []
+
+
+def _run_job(index: int):
+    return _JOBS[index]()
+
+
+def _run_jobs(jobs: list) -> list:
+    """The jobs' results in job order, computed on one worker per usable CPU.
+
+    A failure raises the error of the first failing job in job order.  With
+    one usable CPU (e.g. under `taskset -c 0`) the jobs run in this process,
+    one after another, where a profiler sees them.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [job() for job in jobs]
+    # imported here: `import pulsegate.cli` should not pay for it
+    import multiprocessing
+
+    _JOBS[:] = jobs
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            # imap, not map: results, and the first failure, come in job order
+            return list(pool.imap(_run_job, range(len(jobs)), chunksize=1))
+    finally:
+        _JOBS.clear()
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

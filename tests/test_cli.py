@@ -1,9 +1,16 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulsegate
 from pulsegate import experiment
 from pulsegate.cli import main
 from pulsegate.errors import DegenerateInputError, NumericalDivergenceError
@@ -24,6 +31,17 @@ def workdir(tmp_path_factory):
     assert main(["synth", "--config", str(scene_path),
                  "--out", str(root / "neg.bin"), "--negative", "shuffle"]) == 0
     return root
+
+
+def main_within(argv, timeout_s=60.0):
+    """`main(argv)` in a thread, so that a hung run fails the test instead of stalling."""
+    result = {}
+    thread = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), f"pulsegate {' '.join(argv)} still running after {timeout_s} s"
+    assert "code" in result, "main raised"
+    return result["code"]
 
 
 class TestSynth:
@@ -321,6 +339,16 @@ class TestExperiment:
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
         assert f"rate_eval.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("n_test_neg", 0), ("n_test_pos", 0),
+                                            ("n_val_svm_pos", 0), ("n_val_svm_neg", -1)])
+    def test_empty_evaluation_set_rejected_at_dry_run(self, tmp_path, capsys, key, value):
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        payload["corpus"][key] = value
+        bad = tmp_path / "empty.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
+        assert f"corpus.{key} ({value}) must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key", [(None, "trian"), ("train", "stpes"),
                                               ("corpus", "n_test_poss"), ("svm", "c")])
     def test_unknown_key_rejected_at_dry_run(self, tmp_path, capsys, section, key):
@@ -352,13 +380,49 @@ class TestExperiment:
 
     @pytest.mark.parametrize("error", [NumericalDivergenceError, DegenerateInputError])
     def test_numerical_failure_in_stage_exits_3(self, tmp_path, capsys, monkeypatch, error):
-        def diverge(*args, **kwargs):
+        # every variant fails, 'none' last in time: the first job in config
+        # order is still the one reported
+        def diverge(cfg, *args, **kwargs):
+            if cfg.loss.negative_loss == "none":
+                time.sleep(0.5)
             raise error("loss went non-finite")
 
         monkeypatch.setattr(experiment, "train", diverge)
-        assert main(["experiment", "--config", "configs/smoke.json",
-                     "--out", str(tmp_path / "run")]) == 3
+        assert main_within(["experiment", "--config", "configs/smoke.json",
+                            "--out", str(tmp_path / "run")]) == 3
         assert "stage 'train-none' failed" in capsys.readouterr().err
+
+    def test_stage_error_pickles(self):
+        # a worker's error reaches the parent pickled; one that does not
+        # unpickle leaves the pool waiting forever
+        error = pickle.loads(pickle.dumps(
+            experiment.StageError("train-std", NumericalDivergenceError("x"))))
+        assert error.stage == "train-std"
+        assert isinstance(error.cause, NumericalDivergenceError) and str(error.cause) == "x"
+        assert str(error) == "stage 'train-std' failed: x"
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path):
+        # one usable CPU runs the jobs in-process, more run them on a pool
+        code = ("import os, sys; from pulsegate.cli import main; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}) "
+                "if sys.argv[1] == 'pinned' else None; sys.exit(main(sys.argv[2:]))")
+        src = str(Path(pulsegate.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("PULSEGATE_SEED", None)
+        outputs = {}
+        for mode in ("pinned", "pool"):
+            out = tmp_path / mode
+            subprocess.run([sys.executable, "-c", code, mode, "experiment", "--config",
+                            "configs/smoke.json", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs[mode] = {str(p.relative_to(out)): p.read_bytes()
+                             for p in out.rglob("*") if p.is_file()}
+        assert outputs["pinned"]["report.json"] == outputs["pool"]["report.json"]
+        manifest = json.loads(outputs["pool"]["report.json"])["manifest"]
+        assert manifest and set(manifest) | {"report.json", "report.txt"} == set(outputs["pool"])
+        assert outputs["pinned"] == outputs["pool"]
 
     def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         # a bug inside the library must surface, not be reported as bad input

@@ -7,21 +7,23 @@ with a few gradient steps that visibly flatten a tone's spectrum.
 
 import numpy as np
 
-from pulsegate import Waveform, psd_normalized, standardize
+from pulsegate import Waveform, standardize
 from pulsegate.losses import loss_spectral_entropy, loss_spectral_flatness, loss_std
+from pulsegate.signal_core import psd_rows
 
 FPS = 90.0
 NFFT = 5400
 
 
 def describe(name, wave):
-    psd = psd_normalized(wave, nfft=NFFT)
-    if psd.degenerate:
+    power, _ = psd_rows(wave.samples, wave.fps, NFFT)
+    if not power.any():
         print(f"{name:12s} degenerate spectrum (no in-band energy)")
         return
     entropy, _ = loss_spectral_entropy(wave, nfft=NFFT)
     flatness, _ = loss_spectral_flatness(wave, nfft=NFFT)
-    print(f"{name:12s} peak {psd.peak_bpm:6.1f} bpm   "
+    peak_bpm = np.argmax(power) * (wave.fps * 60.0 / NFFT)
+    print(f"{name:12s} peak {peak_bpm:6.1f} bpm   "
           f"entropy loss {entropy:.3f}   flatness loss {flatness:.3f}")
 
 

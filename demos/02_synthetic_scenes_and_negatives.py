@@ -10,22 +10,19 @@ import numpy as np
 from pulsegate import (
     NegativeTransform,
     SceneConfig,
-    Waveform,
     generate_positive,
     make_negative,
-    psd_normalized,
     spatial_mean_trace,
 )
+from pulsegate.signal_core import psd_rows
 
 
 def trace_summary(name, cube):
     green = spatial_mean_trace(cube)[:, 1]
-    wave = Waveform(green, cube.fps)
-    psd = psd_normalized(wave, nfft=5400)
-    in_band = psd.power[psd.in_band]
-    peak_share = in_band.max() if in_band.size else 0.0
+    power, _ = psd_rows(green, cube.fps, 5400)
+    peak = np.argmax(power)
     print(f"{name:10s} trace std {green.std() * 255:6.3f} (8-bit)   "
-          f"peak {psd.peak_bpm:6.1f} bpm carries {100 * peak_share:5.1f}% "
+          f"peak {peak * (cube.fps * 60.0 / 5400):6.1f} bpm carries {100 * power[peak]:5.1f}% "
           f"of in-band power")
 
 

@@ -27,7 +27,7 @@ from .estimator import (
     infer_video,
     train,
 )
-from .evaluate import ErrorReport, RateSeries, error_metrics, error_report, pulse_rate
+from .evaluate import ErrorReport, RateSeries, error_metrics, pulse_rate
 from .features import PulseFeatureVector, ampd_peaks, extract_features, feature_matrix, snr_db
 from .losses import (
     LossSpec,
@@ -39,7 +39,6 @@ from .losses import (
     loss_std,
 )
 from .signal_core import (
-    NormalizedPSD,
     VideoCube,
     Waveform,
     hilbert_envelope,
@@ -54,15 +53,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANOMALOUS", "ErrorReport", "LIVE", "LossSpec", "NegativeTransform",
-    "NormalizedPSD", "PulseFeatureVector", "PulsegateError", "RateSeries",
-    "RgbTrace", "SceneConfig", "SvmModel", "ToyEstimator", "TrainConfig",
-    "VideoCube", "Waveform", "ampd_peaks", "backward", "clip_predictions",
-    "combined_loss", "decision_values", "error_metrics", "error_report",
-    "estimate_chrom", "estimate_green", "estimate_pos", "extract_features",
-    "feature_matrix", "fit_one_class", "fit_two_class", "forward",
-    "frame_accuracy", "generate_positive", "hilbert_envelope", "infer_video",
-    "loss_mse_flatline", "loss_neg_pearson", "loss_spectral_entropy",
-    "loss_spectral_flatness", "loss_std", "make_negative", "predict",
-    "psd_normalized", "pulse_rate", "resample_cubic", "snr_db",
-    "spatial_mean_trace", "standardize", "trace_from_cube", "train",
+    "PulseFeatureVector", "PulsegateError", "RateSeries", "RgbTrace",
+    "SceneConfig", "SvmModel", "ToyEstimator", "TrainConfig", "VideoCube",
+    "Waveform", "ampd_peaks", "backward", "clip_predictions", "combined_loss",
+    "decision_values", "error_metrics", "estimate_chrom", "estimate_green",
+    "estimate_pos", "extract_features", "feature_matrix", "fit_one_class",
+    "fit_two_class", "forward", "frame_accuracy", "generate_positive",
+    "hilbert_envelope", "infer_video", "loss_mse_flatline", "loss_neg_pearson",
+    "loss_spectral_entropy", "loss_spectral_flatness", "loss_std",
+    "make_negative", "predict", "psd_normalized", "pulse_rate",
+    "resample_cubic", "snr_db", "spatial_mean_trace", "standardize",
+    "trace_from_cube", "train",
 ]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CoverageError,
     InvalidArgumentError,
     InvalidInputError,
     InvalidTrainingSetError,
@@ -242,14 +243,13 @@ def predict(model: SvmModel, x: np.ndarray):
 
 
 def frame_accuracy(window_labels, window_centers_s, frame_labels, fps: float,
-                   window_s: float = 10.0, return_counts: bool = False):
-    """Fraction of frames whose nearest-window prediction matches the label.
+                   window_s: float = 10.0):
+    """(correct, total): the frames whose nearest-window prediction matches
+    the label, and all frames.
 
     Every frame must fall within half a window of some window center (full
     coverage); otherwise a CoverageError is raised.
     """
-    from .errors import CoverageError
-
     window_labels = np.asarray(window_labels)
     centers = np.asarray(window_centers_s, dtype=float)
     frame_labels = np.asarray(frame_labels)
@@ -262,7 +262,4 @@ def frame_accuracy(window_labels, window_centers_s, frame_labels, fps: float,
     if uncovered.any():
         raise CoverageError(f"{int(uncovered.sum())} frames outside window coverage")
     nearest = np.argmin(np.abs(frame_times[:, None] - centers[None, :]), axis=1)
-    correct = int(np.sum(window_labels[nearest] == frame_labels))
-    if return_counts:
-        return correct, frame_labels.size
-    return correct / frame_labels.size
+    return int(np.sum(window_labels[nearest] == frame_labels)), frame_labels.size

@@ -26,7 +26,7 @@ from .errors import (
     parsing,
 )
 from .estimator import ToyEstimator, TrainConfig, infer_video, train
-from .evaluate import error_report, pulse_rate
+from .evaluate import error_metrics, pulse_rate
 from .experiment import ExperimentConfig, StageError, run_experiment
 from .features import extract_features, feature_matrix
 from .fileio import (
@@ -216,8 +216,11 @@ def cmd_pulse_rate(args):
         truth_wave = read_waveform(args.truth)
         truth = pulse_rate(truth_wave, window_s=args.window_s,
                            stride_frames=args.stride_frames, nfft=args.nfft)
+        if truth.times_s.shape != pred.times_s.shape or \
+                not np.allclose(pred.times_s, truth.times_s):
+            raise InvalidArgumentError("rate series are not aligned in time")
         payload["truth"] = series(truth)
-        payload["errors"] = error_report(pred, truth).to_dict()
+        payload["errors"] = error_metrics(pred.bpm, truth.bpm).to_dict()
     dump_json(payload, args.report)
     if "errors" in payload:
         err = payload["errors"]

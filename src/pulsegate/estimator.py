@@ -226,6 +226,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.negative_mix <= 1.0:
             raise InvalidArgumentError("negative_mix must be in [0, 1]")
+        for name in ("clip_len", "batch_size", "steps", "val_every"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(
+                    f"train.{name} ({getattr(self, name)}) must be at least 1")
 
     def to_dict(self):
         return {**vars(self), "loss": self.loss.to_dict()}
@@ -370,6 +374,8 @@ def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
     directly.
     """
     n_frames = video.data.shape[0]
+    if clip_len < 1:
+        raise InvalidArgumentError(f"clip_len ({clip_len}) must be at least 1")
     if n_frames < clip_len:
         raise InsufficientDataError("video shorter than one clip")
     if not 0.0 <= overlap < 1.0:

@@ -20,8 +20,6 @@ class RateSeries:
 
     times_s: np.ndarray
     bpm: np.ndarray
-    window_s: float
-    band_hz: tuple[float, float] = RATE_BAND_HZ
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,7 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
         bpm[lo:lo + count] = np.where(
             flat, np.nan, in_band[np.argmax(np.abs(spectra), axis=0)] * resolution_bpm)
     centers = (starts + (window - 1) / 2.0) / w.fps
-    return RateSeries(times_s=centers, bpm=bpm, window_s=window_s,
-                      band_hz=(float(band_hz[0]), float(band_hz[1])))
+    return RateSeries(times_s=centers, bpm=bpm)
 
 
 def error_metrics(pred_bpm: np.ndarray, truth_bpm: np.ndarray) -> ErrorReport:
@@ -130,11 +127,3 @@ def error_metrics(pred_bpm: np.ndarray, truth_bpm: np.ndarray) -> ErrorReport:
     denom = np.linalg.norm(pc) * np.linalg.norm(tc)
     r = float(np.clip(pc @ tc / denom, -1.0, 1.0)) if denom > 0.0 else None
     return ErrorReport(me_bpm=me, mae_bpm=mae, rmse_bpm=rmse, pearson_r=r)
-
-
-def error_report(pred: RateSeries, truth: RateSeries) -> ErrorReport:
-    """Error metrics between two rate series with identical windowing."""
-    if pred.times_s.shape != truth.times_s.shape or \
-            not np.allclose(pred.times_s, truth.times_s):
-        raise InvalidArgumentError("rate series are not aligned in time")
-    return error_metrics(pred.bpm, truth.bpm)

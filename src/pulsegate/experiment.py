@@ -461,8 +461,7 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
         for kind_key, svm in (("two_class", two), ("one_class", one)):
             window_labels, _ = predict(svm, matrix)
             correct, total = frame_accuracy(window_labels, centers, frames, cfg.fps,
-                                            window_s=cfg.feature_window_s,
-                                            return_counts=True)
+                                            window_s=cfg.feature_window_s)
             counts[kind_key][side][0] += correct
             counts[kind_key][side][1] += total
 

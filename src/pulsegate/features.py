@@ -51,7 +51,7 @@ class PulseFeatureVector:
                          self.dibi_std, self.rmssd])
 
 
-def _ampd_rows(x: np.ndarray) -> np.ndarray:
+def ampd_rows(x: np.ndarray) -> np.ndarray:
     """Peak masks of the rows of x: automatic multiscale-based peak detection,
     deterministic variant.
 
@@ -87,11 +87,11 @@ def _ampd_rows(x: np.ndarray) -> np.ndarray:
 
 
 def ampd_peaks(w: Waveform) -> np.ndarray:
-    """AMPD peak indices of one waveform (see `_ampd_rows`)."""
-    return np.flatnonzero(_ampd_rows(w.samples[None, :])[0])
+    """AMPD peak indices of one waveform: the one-row `ampd_rows`."""
+    return np.flatnonzero(ampd_rows(w.samples[None, :])[0])
 
 
-def _snr_rows(x: np.ndarray, fps: float, nfft: int, band_bpm) -> np.ndarray:
+def snr_rows(x: np.ndarray, fps: float, nfft: int, band_bpm) -> np.ndarray:
     """In-band signal-to-noise ratio in dB of each row of x.
 
     Signal power is the in-band power within +-6 bpm of the spectral peak
@@ -113,8 +113,8 @@ def _snr_rows(x: np.ndarray, fps: float, nfft: int, band_bpm) -> np.ndarray:
 
 
 def snr_db(w: Waveform, nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM) -> float:
-    """In-band SNR in dB of one waveform (see `_snr_rows`)."""
-    return float(_snr_rows(w.samples[None, :], w.fps, nfft, band_bpm)[0])
+    """In-band SNR in dB of one waveform: the one-row `snr_rows`."""
+    return float(snr_rows(w.samples[None, :], w.fps, nfft, band_bpm)[0])
 
 
 def _peak_interval_features(trough_indices: np.ndarray, fps: float):
@@ -145,10 +145,10 @@ def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
     """
     starts, stack = feature_windows(w.samples, w.fps, window_s, stride_s)
     table = np.zeros((len(stack), len(FEATURE_NAMES)))
-    table[:, 0] = _snr_rows(stack, w.fps, nfft, band_bpm)
+    table[:, 0] = snr_rows(stack, w.fps, nfft, band_bpm)
     table[:, 1] = stack.std(axis=-1)
     table[:, 2] = hilbert_envelope_rows(stack).mean(axis=-1)
-    troughs = _ampd_rows(-stack)
+    troughs = ampd_rows(-stack)
     degenerate = troughs.sum(axis=1) < 3
     for i in np.flatnonzero(~degenerate):
         table[i, 3:] = _peak_interval_features(np.flatnonzero(troughs[i]), w.fps)

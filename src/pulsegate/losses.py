@@ -176,35 +176,21 @@ def combined_loss(pred: Waveform, target, is_positive: bool, spec: LossSpec):
     return float(values[0]), grads[0]
 
 
-def loss_neg_pearson(pred: Waveform, target: Waveform):
-    """1 - Pearson correlation, in [0, 2]; gradient with respect to pred."""
-    return combined_loss(pred, target, True, LossSpec(positive_loss="neg_pearson"))
+def _one_sample(name: str, **loss):
+    """`combined_loss` of one sample under a fixed loss, called as (pred, target)
+    for a positive loss and as (pred, nfft=..., band_bpm=...) for a negative one."""
+    def bound(pred: Waveform, target=None, *, nfft: int = DEFAULT_NFFT,
+              band_bpm=DEFAULT_BAND_BPM):
+        return combined_loss(pred, target, "positive_loss" in loss,
+                             LossSpec(nfft=nfft, band_bpm=band_bpm, **loss))
+    bound.__name__ = bound.__qualname__ = name
+    return bound
 
 
-def loss_mse(pred: Waveform, target: Waveform):
-    """Mean squared error against a target waveform."""
-    return combined_loss(pred, target, True, LossSpec(positive_loss="mse"))
-
-
-def loss_std(pred: Waveform):
-    """Population standard deviation of the prediction."""
-    return combined_loss(pred, None, False, LossSpec(negative_loss="std"))
-
-
-def loss_mse_flatline(pred: Waveform):
-    """MSE against the all-zero flatline target."""
-    return combined_loss(pred, None, False, LossSpec(negative_loss="mse_flatline"))
-
-
-def loss_spectral_entropy(pred: Waveform, nfft: int = DEFAULT_NFFT,
-                          band_bpm=DEFAULT_BAND_BPM):
-    """1 - normalized Shannon entropy of the in-band PSD; 0 for flat spectra."""
-    return combined_loss(pred, None, False, LossSpec(negative_loss="spectral_entropy",
-                                                     nfft=nfft, band_bpm=band_bpm))
-
-
-def loss_spectral_flatness(pred: Waveform, nfft: int = DEFAULT_NFFT,
-                           band_bpm=DEFAULT_BAND_BPM):
-    """1 - spectral flatness (GM/AM) of the in-band PSD; 0 for flat spectra."""
-    return combined_loss(pred, None, False, LossSpec(negative_loss="spectral_flatness",
-                                                     nfft=nfft, band_bpm=band_bpm))
+loss_neg_pearson = _one_sample("loss_neg_pearson", positive_loss="neg_pearson")
+loss_std = _one_sample("loss_std", negative_loss="std")
+loss_mse_flatline = _one_sample("loss_mse_flatline", negative_loss="mse_flatline")
+loss_spectral_entropy = _one_sample("loss_spectral_entropy",
+                                    negative_loss="spectral_entropy")
+loss_spectral_flatness = _one_sample("loss_spectral_flatness",
+                                     negative_loss="spectral_flatness")

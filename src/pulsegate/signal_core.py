@@ -3,7 +3,8 @@ standardization, and Hann-weighted overlap-add of windowed outputs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,16 +23,10 @@ _BAND_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled real-valued signal.
-
-    `degenerate` marks outputs that are structurally empty (e.g. the
-    standardization of a constant signal), so downstream code can skip them
-    without sniffing for all-zero arrays.
-    """
+    """Uniformly sampled real-valued signal."""
 
     samples: np.ndarray
     fps: float
-    degenerate: bool = False
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -78,37 +73,6 @@ class VideoCube:
         return self.data.shape
 
 
-@dataclass(frozen=True)
-class NormalizedPSD:
-    """Band-limited power spectrum normalized to unit sum.
-
-    `power` covers every one-sided bin of the transform; everything outside
-    [band_bpm[0], band_bpm[1]] is exactly zero.  When the in-band energy is
-    zero the distribution is all-zero and `degenerate` is set.
-    """
-
-    power: np.ndarray
-    fps: float
-    nfft: int
-    band_bpm: tuple[float, float]
-    degenerate: bool = False
-    in_band: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def bin_resolution_bpm(self) -> float:
-        return self.fps * 60.0 / self.nfft
-
-    @property
-    def freqs_bpm(self) -> np.ndarray:
-        return np.arange(self.power.size) * self.bin_resolution_bpm
-
-    @property
-    def peak_bpm(self) -> float:
-        """Frequency of the strongest in-band bin."""
-        idx = np.flatnonzero(self.in_band)
-        return float(self.freqs_bpm[idx[np.argmax(self.power[idx])]])
-
-
 def band_bin_mask(n_bins: int, fps: float, nfft: int, band_bpm) -> np.ndarray:
     """Boolean mask of one-sided bins whose frequency lies in [low, high] bpm inclusive."""
     freqs = np.arange(n_bins) * (fps * 60.0 / nfft)
@@ -152,29 +116,29 @@ def band_power_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_
     return power, in_band
 
 
-def psd_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM):
+class PSD(NamedTuple):
+    """Unit-sum power of each one-sided bin, zero outside the band, and the band mask."""
+
+    power: np.ndarray
+    in_band: np.ndarray
+
+
+def psd_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM) -> PSD:
     """Band-limited power of each row normalized to unit sum, and the band mask;
-    a row with no in-band energy stays all-zero."""
+    a row with no in-band energy (e.g. a constant) stays all-zero."""
     power, in_band = band_power_rows(x, fps, nfft, band_bpm)
     total = power.sum(axis=-1, keepdims=True)
     np.divide(power, total, out=power, where=total > 0.0)
-    return power, in_band
+    return PSD(power, in_band)
 
 
 def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
-                   band_bpm=DEFAULT_BAND_BPM) -> NormalizedPSD:
-    """Band-limited, unit-sum power spectral density of a waveform.
-
-    Frequencies outside [low, high] bpm are zeroed before normalization.  A
-    signal with no in-band energy (e.g. a constant) yields the all-zero
-    distribution with the degenerate flag set.
-    """
+                   band_bpm=DEFAULT_BAND_BPM) -> PSD:
+    """The one-row `psd_rows` of a waveform, for a band with low < high."""
     low, high = band_bpm
     if not low < high:
         raise InvalidArgumentError("band low must be below band high")
-    power, in_band = psd_rows(w.samples, w.fps, nfft, band_bpm)
-    return NormalizedPSD(power, w.fps, nfft, (float(low), float(high)),
-                         degenerate=not power.any(), in_band=in_band)
+    return psd_rows(w.samples, w.fps, nfft, band_bpm)
 
 
 def hilbert_envelope_rows(x: np.ndarray) -> np.ndarray:
@@ -193,7 +157,7 @@ def hilbert_envelope_rows(x: np.ndarray) -> np.ndarray:
 
 
 def hilbert_envelope(w: Waveform) -> Waveform:
-    """Hilbert envelope of one waveform (see `hilbert_envelope_rows`)."""
+    """Hilbert envelope of one waveform: the one-row `hilbert_envelope_rows`."""
     return Waveform(hilbert_envelope_rows(w.samples), w.fps)
 
 
@@ -232,7 +196,7 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     if len(w) < 4:
         raise InsufficientDataError("cubic resampling needs at least 4 samples")
     if target_fps == w.fps:
-        return Waveform(w.samples.copy(), w.fps, w.degenerate)
+        return Waveform(w.samples.copy(), w.fps)
     times, y = w.times, w.samples
     n_out = int(np.floor(times[-1] * target_fps + _BAND_EPS)) + 1
     new_times = np.arange(n_out) / target_fps
@@ -245,7 +209,7 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     seg = np.clip(np.searchsorted(times, new_times, side="right") - 1, 0, times.size - 2)
     t = new_times - times[seg]
     values = y[seg] + s[seg] * t + c2[seg] * (t * t) + c3[seg] * (t * t * t)
-    return Waveform(values, target_fps, w.degenerate)
+    return Waveform(values, target_fps)
 
 
 def standardize_rows(x: np.ndarray) -> np.ndarray:
@@ -257,10 +221,8 @@ def standardize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def standardize(w: Waveform) -> Waveform:
-    """Waveform standardized to mean 0, population std 1; a constant maps to
-    zeros, flagged degenerate."""
-    samples = standardize_rows(w.samples)
-    return Waveform(samples, w.fps, not samples.any())
+    """Waveform standardized to mean 0, population std 1; a constant maps to zeros."""
+    return Waveform(standardize_rows(w.samples), w.fps)
 
 
 def spatial_mean_trace(v: VideoCube) -> np.ndarray:
@@ -274,7 +236,7 @@ def bandpass_brickwall(w: Waveform, band_bpm=DEFAULT_BAND_BPM) -> Waveform:
     spectrum = np.fft.rfft(w.samples - w.samples.mean())
     mask = band_bin_mask(spectrum.size, w.fps, n, band_bpm)
     filtered = np.fft.irfft(np.where(mask, spectrum, 0.0), n)
-    return Waveform(filtered, w.fps, w.degenerate)
+    return Waveform(filtered, w.fps)
 
 
 def positive_hann(length: int) -> np.ndarray:

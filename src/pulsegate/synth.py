@@ -35,7 +35,6 @@ class SceneConfig:
     dicrotic_ratio: float = 0.0
     sensor_noise_sigma: float = 0.0
     seed: int = 0
-    channel_gains: tuple[float, float, float] = DEFAULT_CHANNEL_GAINS
 
     def __post_init__(self):
         if self.duration_s * self.fps < 2:
@@ -79,15 +78,14 @@ def generate_positive(cfg: SceneConfig) -> tuple[VideoCube, Waveform]:
 
     rng = np.random.default_rng(cfg.seed)
     base = rng.uniform(0.35, 0.65, size=(height, width))
-    gains = np.asarray(cfg.channel_gains, dtype=float)
+    gains = np.asarray(DEFAULT_CHANNEL_GAINS)
     channel_base = base[:, :, None] * np.asarray(_CHANNEL_BASE)
     modulation = 1.0 + cfg.pulse_amplitude * gains[None, :] * modulator[:, None]
     cube = channel_base[None, :, :, :] * modulation[:, None, None, :]
     if cfg.sensor_noise_sigma > 0:
         noise = rng.normal(0.0, cfg.sensor_noise_sigma, size=cube.shape)
         cube = np.clip(cube * 255.0 + noise, 0.0, 255.0) / 255.0
-    return (VideoCube(cube, cfg.fps),
-            Waveform(truth, cfg.fps, degenerate=(cfg.pulse_amplitude == 0.0)))
+    return VideoCube(cube, cfg.fps), Waveform(truth, cfg.fps)
 
 
 @dataclass(frozen=True)

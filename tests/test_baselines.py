@@ -10,8 +10,8 @@ from pulsegate.baselines import (
 )
 from pulsegate.errors import InsufficientDataError
 from pulsegate.evaluate import pulse_rate
-from pulsegate.features import snr_db
-from pulsegate.signal_core import Waveform, power_spectrum, band_bin_mask
+from pulsegate.features import snr_rows
+from pulsegate.signal_core import DEFAULT_BAND_BPM, Waveform, power_spectrum, band_bin_mask
 from pulsegate.synth import SceneConfig, generate_positive
 
 
@@ -40,12 +40,12 @@ class TestGreen:
 
     def test_constant_trace_degenerate(self):
         wave = estimate_green(constant_trace())
-        assert wave.degenerate
+        np.testing.assert_array_equal(wave.samples, 0.0)
 
     def test_snr_on_clean_synthetic(self):
         trace, _ = synthetic_trace()
         wave = estimate_green(trace)
-        assert snr_db(wave, nfft=5400) >= 10.0
+        assert snr_rows(wave.samples[None], wave.fps, 5400, DEFAULT_BAND_BPM)[0] >= 10.0
 
     def test_sign_convention_darker_green_is_positive(self):
         fps, n = 30.0, 300
@@ -82,7 +82,7 @@ class TestChrom:
         assert pulse_power > flicker_power
 
     def test_constant_trace_degenerate(self):
-        assert estimate_chrom(constant_trace()).degenerate
+        np.testing.assert_array_equal(estimate_chrom(constant_trace()).samples, 0.0)
 
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -97,7 +97,7 @@ class TestPos:
         assert np.nanmedian(rates.bpm) == pytest.approx(60.0, abs=1.0)
 
     def test_constant_trace_degenerate(self):
-        assert estimate_pos(constant_trace()).degenerate
+        np.testing.assert_array_equal(estimate_pos(constant_trace()).samples, 0.0)
 
     def test_noise_trace_has_out_of_band_energy(self):
         # no bandpass filtering: POS output on pure noise keeps high

@@ -220,22 +220,21 @@ class TestFrameAccuracy:
         labels = np.full(11, LIVE)
         centers = 5.0 + np.arange(11)
         frames = np.full(600, LIVE)
-        assert frame_accuracy(labels, centers, frames, fps=30.0) == 1.0
+        assert frame_accuracy(labels, centers, frames, fps=30.0) == (600, 600)
 
     def test_half_correct(self):
         centers = np.array([2.5, 7.5])
         labels = np.array([LIVE, ANOMALOUS])
         frames = np.full(300, LIVE)  # 10 s at 30 fps, split at t=5
-        acc = frame_accuracy(labels, centers, frames, fps=30.0)
-        assert acc == pytest.approx(0.5, abs=0.01)
+        correct, total = frame_accuracy(labels, centers, frames, fps=30.0)
+        assert total == 300
+        assert correct / total == pytest.approx(0.5, abs=0.01)
 
     def test_combined_equals_mean_for_equal_sets(self):
         centers = 5.0 + np.arange(6)
         frames = np.full(330, LIVE)
-        correct_a, total_a = frame_accuracy(np.full(6, LIVE), centers, frames,
-                                            fps=30.0, return_counts=True)
-        correct_b, total_b = frame_accuracy(np.full(6, ANOMALOUS), centers, frames,
-                                            fps=30.0, return_counts=True)
+        correct_a, total_a = frame_accuracy(np.full(6, LIVE), centers, frames, fps=30.0)
+        correct_b, total_b = frame_accuracy(np.full(6, ANOMALOUS), centers, frames, fps=30.0)
         combined = (correct_a + correct_b) / (total_a + total_b)
         assert combined == pytest.approx(0.5)
 

@@ -14,7 +14,9 @@ import pulsegate
 from pulsegate import experiment
 from pulsegate.cli import main
 from pulsegate.errors import DegenerateInputError, NumericalDivergenceError
-from pulsegate.fileio import read_cube, read_features, read_waveform
+from pulsegate.estimator import ToyEstimator
+from pulsegate.fileio import dump_json, read_cube, read_features, read_waveform, write_waveform
+from pulsegate.signal_core import Waveform
 
 SCENE = {"duration_s": 16.0, "fps": 30.0, "dims": [8, 8], "hr_trajectory": 75.0,
          "pulse_amplitude": 0.02, "dicrotic_ratio": 0.2,
@@ -99,6 +101,16 @@ class TestEstimate:
                      "--in", str(workdir / "pos.bin"), "--out", str(workdir / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("clip_len", ["-5", "0"])
+    def test_clip_len_below_one_is_config_error(self, workdir, tmp_path, capsys, clip_len):
+        model = tmp_path / "model.json"
+        dump_json(ToyEstimator.init(filters=2, kernel_len=5, seed=0).to_dict(), model)
+        code = main(["estimate", "--method", "model", "--model", str(model),
+                     "--in", str(workdir / "pos.bin"), "--out", str(tmp_path / "x.csv"),
+                     "--clip-len", clip_len])
+        assert code == 2
+        assert f"clip_len ({clip_len}) must be at least 1" in capsys.readouterr().err
+
 
 class TestFeaturesAndClassify:
     def test_features_and_svm_round_trip(self, workdir):
@@ -173,6 +185,15 @@ class TestPulseRate:
         assert code == 2
         assert f"{key}=" in capsys.readouterr().err
 
+    def test_misaligned_truth_rejected(self, workdir, tmp_path, capsys):
+        # a truth 40 frames shorter gives rate windows at other times
+        truth = read_waveform(workdir / "gt.csv")
+        short = tmp_path / "short_gt.csv"
+        write_waveform(Waveform(truth.samples[:-40], truth.fps), short)
+        assert main(["pulse-rate", "--in", str(workdir / "gt.csv"), "--truth", str(short),
+                     "--report", str(tmp_path / "rate.json")]) == 2
+        assert "not aligned in time" in capsys.readouterr().err
+
     def test_malformed_waveform_rejected(self, tmp_path, capsys):
         wave = tmp_path / "wave.csv"
         wave.write_text("t,value\n0.0,1.0\n0.05,oops\n0.1,0.5\n")
@@ -232,6 +253,14 @@ class TestTrain:
         assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "model.json")]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_zero_steps_rejected(self, tmp_path, capsys):
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "steps": 0}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert "train.steps (0) must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
 
@@ -340,14 +369,18 @@ class TestExperiment:
         assert f"rate_eval.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("n_test_neg", 0), ("n_test_pos", 0),
-                                            ("n_val_svm_pos", 0), ("n_val_svm_neg", -1)])
+                                            ("n_val_svm_pos", 0), ("n_val_svm_neg", -1),
+                                            ("train.clip_len", 0), ("train.batch_size", 0),
+                                            ("train.steps", 0), ("train.val_every", 0)])
     def test_empty_evaluation_set_rejected_at_dry_run(self, tmp_path, capsys, key, value):
+        # a key without a section is a corpus count
+        section, name = key.split(".") if "." in key else ("corpus", key)
         payload = json.loads(Path("configs/smoke.json").read_text())
-        payload["corpus"][key] = value
+        payload[section][name] = value
         bad = tmp_path / "empty.json"
         bad.write_text(json.dumps(payload))
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
-        assert f"corpus.{key} ({value}) must be at least 1" in capsys.readouterr().err
+        assert f"{section}.{name} ({value}) must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [(None, "trian"), ("train", "stpes"),
                                               ("corpus", "n_test_poss"), ("svm", "c")])
@@ -433,3 +466,11 @@ class TestExperiment:
         with pytest.raises(ValueError, match="broadcast"):
             main(["experiment", "--config", "configs/smoke.json",
                   "--out", str(tmp_path / "run")])
+
+
+def test_public_names_resolve():
+    missing = [name for name in pulsegate.__all__ if not hasattr(pulsegate, name)]
+    assert not missing
+    namespace = {}
+    exec("from pulsegate import *", namespace)
+    assert set(pulsegate.__all__) <= set(namespace)

@@ -7,11 +7,22 @@ from pulsegate.features import (
     FEATURE_NAMES,
     SNR_FLOOR_DB,
     ampd_peaks,
+    ampd_rows,
     extract_features,
     feature_matrix,
     snr_db,
+    snr_rows,
 )
-from pulsegate.signal_core import Waveform, band_bin_mask, power_spectrum
+from pulsegate.signal_core import (
+    DEFAULT_BAND_BPM,
+    Waveform,
+    band_bin_mask,
+    hilbert_envelope,
+    hilbert_envelope_rows,
+    power_spectrum,
+    psd_normalized,
+    psd_rows,
+)
 
 
 def sine_with_interior_peaks(freq_hz, fps, n_cycles, phase_frac=0.6):
@@ -48,7 +59,7 @@ class TestAmpd:
     def test_sine_peak_count_and_positions(self):
         for freq, cycles in [(1.2, 10), (0.9, 8), (2.0, 14)]:
             w, expected = sine_with_interior_peaks(freq, 30.0, cycles)
-            peaks = ampd_peaks(w)
+            peaks = np.flatnonzero(ampd_rows(w.samples[None])[0])
             assert peaks.size == cycles
             assert np.abs(peaks - expected).max() <= 1.0
 
@@ -58,26 +69,24 @@ class TestAmpd:
             freq = float(rng.uniform(0.8, 2.5))
             cycles = int(rng.integers(6, 15))
             w, _ = sine_with_interior_peaks(freq, 30.0, cycles)
-            peaks = ampd_peaks(w)
+            peaks = np.flatnonzero(ampd_rows(w.samples[None])[0])
             oracle = brute_force_maxima(w.samples)
             assert peaks.size == oracle.size
             assert np.abs(peaks - oracle).max() <= 1
 
     def test_monotone_signal_has_no_peaks(self):
-        ramp = Waveform(np.linspace(0.0, 1.0, 120), 30.0)
-        assert ampd_peaks(ramp).size == 0
-        convex = Waveform(np.exp(np.linspace(0.0, 2.0, 120)), 30.0)
-        assert ampd_peaks(convex).size == 0
+        ramp = np.linspace(0.0, 1.0, 120)
+        convex = np.exp(np.linspace(0.0, 2.0, 120))
+        assert not ampd_rows(np.stack([ramp, convex])).any()
 
     def test_negated_signal_locates_troughs(self):
         w, troughs = arc_train([26, 34, 26, 34, 26, 34])
-        negated = Waveform(-w.samples, w.fps)
-        found = ampd_peaks(negated)
+        found = np.flatnonzero(ampd_rows(-w.samples[None])[0])
         np.testing.assert_array_equal(found, troughs)
 
     def test_output_sorted_and_locally_maximal(self):
         w, _ = sine_with_interior_peaks(1.5, 30.0, 9)
-        peaks = ampd_peaks(w)
+        peaks = np.flatnonzero(ampd_rows(w.samples[None])[0])
         assert np.all(np.diff(peaks) > 0)
         x = w.samples
         for p in peaks:
@@ -85,23 +94,22 @@ class TestAmpd:
 
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
-            ampd_peaks(Waveform(np.arange(5.0), 30.0))
+            ampd_rows(np.arange(5.0)[None])
 
 
 class TestSnr:
     def test_pure_tone_high_snr(self):
         fps = 90.0
         t = np.arange(900) / fps
-        w = Waveform(np.sin(2 * np.pi * 1.5 * t), fps)
+        tone = np.sin(2 * np.pi * 1.5 * t)[None]
         # on the native grid the tone occupies a single bin
-        assert snr_db(w, nfft=900) >= 30.0
+        assert snr_rows(tone, fps, 900, DEFAULT_BAND_BPM)[0] >= 30.0
         # zero-padding spreads rect-window sidelobes across the band, which
         # caps a clean 10 s tone near 10 dB (frozen from the oracle run)
-        assert snr_db(w, nfft=5400) == pytest.approx(10.06, abs=0.5)
+        assert snr_rows(tone, fps, 5400, DEFAULT_BAND_BPM)[0] == pytest.approx(10.06, abs=0.5)
 
     def test_flatline_hits_floor(self):
-        w = Waveform(np.full(900, 1.0), 90.0)
-        assert snr_db(w, nfft=5400) == SNR_FLOOR_DB
+        assert snr_rows(np.ones((1, 900)), 90.0, 5400, DEFAULT_BAND_BPM)[0] == SNR_FLOOR_DB
 
     def test_white_noise_near_template_fraction(self):
         # Monte-Carlo oracle: under a flat spectrum the width-only prediction
@@ -109,11 +117,11 @@ class TestSnr:
         # of zero-padded bins biases the realized value upward by ~5 dB.
         rng = np.random.default_rng(1)
         fps, nfft = 90.0, 5400
-        values, predictions = [], []
-        for _ in range(100):
-            w = Waveform(rng.standard_normal(900), fps)
-            values.append(snr_db(w, nfft=nfft))
-            power = np.abs(np.fft.rfft(w.samples - w.samples.mean(), nfft)) ** 2
+        noise = rng.standard_normal((100, 900))
+        values = snr_rows(noise, fps, nfft, DEFAULT_BAND_BPM)
+        predictions = []
+        for x in noise:
+            power = np.abs(np.fft.rfft(x - x.mean(), nfft)) ** 2
             freqs = np.arange(power.size) * fps * 60.0 / nfft
             in_band = (freqs >= 40.0) & (freqs <= 240.0)
             peak = freqs[in_band][np.argmax(power[in_band])]
@@ -285,3 +293,22 @@ class TestBatchedMatchesPerWindow:
         expected, flags = reference_features(w)
         assert np.array_equal(feature_matrix(windows), expected)
         assert [vec.degenerate_peaks for _, vec in windows] == flags
+
+
+# each one-row view, and its row function on a one-row stack
+ONE_ROW_VIEWS = {
+    "ampd_peaks": (ampd_peaks, lambda x, fps: np.flatnonzero(ampd_rows(x)[0])),
+    "snr_db": (snr_db, lambda x, fps: snr_rows(x, fps, 5400, DEFAULT_BAND_BPM)[0]),
+    "hilbert_envelope": (lambda w: hilbert_envelope(w).samples,
+                         lambda x, fps: hilbert_envelope_rows(x)[0]),
+    "psd_normalized": (lambda w: psd_normalized(w).power,
+                       lambda x, fps: psd_rows(x, fps, 5400).power[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ROW_VIEWS))
+@pytest.mark.parametrize("kind", ["pulse", "noise", "flat"])
+def test_one_row_view_matches_its_row_function(name, kind):
+    view, rows = ONE_ROW_VIEWS[name]
+    w = reference_wave(kind, 30.0)
+    assert np.array_equal(view(w), rows(w.samples[None], w.fps))

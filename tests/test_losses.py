@@ -4,10 +4,10 @@ import pytest
 from pulsegate.errors import DegenerateCorrelationError, DegenerateInputError
 from pulsegate.losses import (
     LossSpec,
+    batch_loss,
     combined_loss,
     entropy_loss_value,
     flatness_loss_value,
-    loss_mse,
     loss_mse_flatline,
     loss_neg_pearson,
     loss_spectral_entropy,
@@ -178,6 +178,22 @@ class TestSpectralLossGradients:
 
 
 class TestCombinedLoss:
+    @pytest.mark.parametrize("loss, spec", [
+        (loss_neg_pearson, LossSpec(positive_loss="neg_pearson")),
+        (loss_std, LossSpec(negative_loss="std")),
+        (loss_mse_flatline, LossSpec(negative_loss="mse_flatline")),
+        (loss_spectral_entropy, LossSpec(negative_loss="spectral_entropy", nfft=512)),
+        (loss_spectral_flatness, LossSpec(negative_loss="spectral_flatness", nfft=512))])
+    def test_binding_is_a_batch_loss_row(self, loss, spec):
+        rng = np.random.default_rng(13)
+        pred, target = random_standardized(rng), random_standardized(rng)
+        positive = loss is loss_neg_pearson
+        value, grad = loss(pred, target) if positive else loss(pred, nfft=spec.nfft)
+        values, grads = batch_loss(pred.samples[None], target.samples[None],
+                                   np.array([positive]), pred.fps, spec)
+        assert np.array_equal(value, values[0])
+        assert np.array_equal(grad, grads[0])
+
     def test_positive_dispatch(self):
         rng = np.random.default_rng(8)
         w = random_standardized(rng)
@@ -191,8 +207,7 @@ class TestCombinedLoss:
         spec = LossSpec(positive_loss="mse", negative_loss="none")
         value, grad = combined_loss(w, w, True, spec)
         assert value == 0.0
-        expected, _ = loss_mse(w, w)
-        assert value == expected
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_negative_std_flatline(self):
         flat = Waveform(np.zeros(64), 90.0)

@@ -6,9 +6,10 @@ from pulsegate.signal_core import (
     VideoCube,
     Waveform,
     bandpass_brickwall,
-    hilbert_envelope,
+    hilbert_envelope_rows,
     power_spectrum,
     psd_normalized,
+    psd_rows,
     resample_cubic,
     spatial_mean_trace,
     standardize,
@@ -40,24 +41,19 @@ class TestTypes:
 
 class TestPsdNormalized:
     def test_sine_90bpm_dominant_bin(self):
+        # 90 fps and nfft 5400: bin k sits at k bpm
         w = sine_wave(1.5, 90.0, 10.0)
-        psd = psd_normalized(w, nfft=5400, band_bpm=(40.0, 240.0))
-        assert psd.bin_resolution_bpm == pytest.approx(1.0)
-        assert psd.peak_bpm == pytest.approx(90.0)
-        assert not psd.degenerate
+        power, _ = psd_rows(w.samples[None], w.fps, 5400, (40.0, 240.0))
+        assert np.argmax(power[0]) == 90
 
     def test_unit_sum_and_band_mask(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            w = Waveform(rng.standard_normal(600), 60.0)
-            psd = psd_normalized(w, nfft=1024)
-            assert psd.power.sum() == pytest.approx(1.0, abs=1e-9)
-            outside = psd.power[~psd.in_band]
-            assert np.all(outside == 0.0)
+        psd = psd_rows(rng.standard_normal((5, 600)), 60.0, 1024)
+        np.testing.assert_allclose(psd.power.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        assert np.all(psd.power[:, ~psd.in_band] == 0.0)
 
     def test_constant_signal_degenerate(self):
-        psd = psd_normalized(Waveform(np.full(100, 3.3), 30.0), nfft=256)
-        assert psd.degenerate
+        psd = psd_rows(np.full((1, 100), 3.3), 30.0, 256)
         assert np.all(psd.power == 0.0)
 
     def test_two_tone_equal_split(self):
@@ -66,12 +62,12 @@ class TestPsdNormalized:
         fps, dur = 90.0, 60.0
         t = np.arange(int(fps * dur)) / fps
         x = np.sin(2 * np.pi * 1.0 * t) + np.sin(2 * np.pi * 2.0 * t)
-        psd = psd_normalized(Waveform(x, fps), nfft=5400)
-        freqs = psd.freqs_bpm
+        power = psd_rows(x[None], fps, 5400).power[0]
+        freqs = np.arange(power.size) * (fps * 60.0 / 5400)
         near_60 = np.abs(freqs - 60.0) <= 3.0
         near_120 = np.abs(freqs - 120.0) <= 3.0
-        assert psd.power[near_60].sum() == pytest.approx(0.5, abs=0.01)
-        assert psd.power[near_120].sum() == pytest.approx(0.5, abs=0.01)
+        assert power[near_60].sum() == pytest.approx(0.5, abs=0.01)
+        assert power[near_120].sum() == pytest.approx(0.5, abs=0.01)
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(11)
@@ -86,34 +82,36 @@ class TestPsdNormalized:
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(300)
-        a = psd_normalized(Waveform(x, 30.0), nfft=512)
-        b = psd_normalized(Waveform(7.25 * x, 30.0), nfft=512)
-        assert np.argmax(a.power) == np.argmax(b.power)
-        np.testing.assert_allclose(a.power, b.power, atol=1e-12)
+        a, b = psd_rows(np.stack([x, 7.25 * x]), 30.0, 512).power
+        assert np.argmax(a) == np.argmax(b)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_nfft_too_short_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            psd_normalized(sine_wave(1.0, 30.0, 10.0), nfft=100)
+            psd_rows(sine_wave(1.0, 30.0, 10.0).samples[None], 30.0, 100)
+
+    def test_inverted_band_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="band low"):
+            psd_normalized(sine_wave(1.0, 30.0, 10.0), band_bpm=(240.0, 40.0))
 
 
 class TestHilbertEnvelope:
     def test_sine_envelope_is_amplitude(self):
         w = sine_wave(2.0, 90.0, 5.0, amplitude=2.0)
-        env = hilbert_envelope(w).samples
+        env = hilbert_envelope_rows(w.samples)
         edge = int(0.05 * len(env))
         interior = env[edge:-edge]
         assert np.all(np.abs(interior - 2.0) < 0.04)
 
     def test_zero_signal(self):
-        env = hilbert_envelope(Waveform(np.zeros(64), 30.0))
-        np.testing.assert_array_equal(env.samples, 0.0)
+        np.testing.assert_array_equal(hilbert_envelope_rows(np.zeros((2, 64))), 0.0)
 
     def test_am_modulated_sine_tracks_modulator(self):
         fps, dur = 100.0, 20.0
         t = np.arange(int(fps * dur)) / fps
         modulator = 1.0 + 0.5 * np.cos(2 * np.pi * 0.2 * t)
         x = modulator * np.sin(2 * np.pi * 8.0 * t)
-        env = hilbert_envelope(Waveform(x, fps)).samples
+        env = hilbert_envelope_rows(x)
         edge = int(0.1 * len(env))
         rel = np.abs(env[edge:-edge] - modulator[edge:-edge]) / modulator[edge:-edge]
         assert rel.max() < 0.03
@@ -121,8 +119,7 @@ class TestHilbertEnvelope:
     def test_envelope_dominates_signal(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(256)
-        w = Waveform(x, 30.0)
-        env = hilbert_envelope(w).samples
+        env = hilbert_envelope_rows(x)
         edge = int(0.05 * len(x))
         assert np.all(env[edge:-edge] >= np.abs(x[edge:-edge]) - 1e-9)
 
@@ -175,7 +172,6 @@ class TestStandardize:
 
     def test_constant_flags_degenerate(self):
         out = standardize(Waveform(np.full(5, 5.0), 10.0))
-        assert out.degenerate
         np.testing.assert_array_equal(out.samples, 0.0)
 
     def test_affine_invariance(self):
@@ -210,10 +206,10 @@ def test_bandpass_brickwall_removes_out_of_band():
     x = np.sin(2 * np.pi * 1.5 * t) + np.sin(2 * np.pi * 10.0 * t)
     out = bandpass_brickwall(Waveform(x, fps), (40.0, 240.0))
     # analyze on the native grid so zero-padding leakage cannot reappear
-    psd = psd_normalized(out, nfft=900, band_bpm=(1.0, 2690.0))
-    freqs = psd.freqs_bpm
-    assert psd.power[freqs > 300.0].sum() < 1e-12
-    assert psd.peak_bpm == pytest.approx(90.0)
+    power = psd_rows(out.samples[None], fps, 900, (1.0, 2690.0)).power[0]
+    freqs = np.arange(power.size) * (fps * 60.0 / 900)
+    assert power[freqs > 300.0].sum() < 1e-12
+    assert freqs[np.argmax(power)] == pytest.approx(90.0)
 
 
 class TestAgainstScipy:
@@ -227,7 +223,7 @@ class TestAgainstScipy:
         for n in self.LENGTHS:
             x = rng.standard_normal(n)
             expect = np.abs(signal.hilbert(x))
-            got = hilbert_envelope(Waveform(x, 30.0)).samples
+            got = hilbert_envelope_rows(x)
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
 
     @pytest.mark.parametrize("target_fps", [7.0, 13.0, 90.0])
@@ -246,6 +242,6 @@ class TestAgainstScipy:
         for n in (2, 3):
             w = Waveform(np.arange(float(n)), 10.0)
             with pytest.raises(InsufficientDataError):
-                hilbert_envelope(w)
+                hilbert_envelope_rows(w.samples)
             with pytest.raises(InsufficientDataError):
                 resample_cubic(w, 20.0)

@@ -183,6 +183,8 @@ def _check_features(x: np.ndarray) -> np.ndarray:
 def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0, gamma=None,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a two-class RBF SVM on labels {LIVE, ANOMALOUS}."""
+    if not C > 0:
+        raise InvalidArgumentError("C must be positive")
     x = _check_features(x)
     y = np.asarray(y, dtype=float)
     if y.shape != (x.shape[0],):

@@ -23,6 +23,7 @@ from .errors import (
     NumericalDivergenceError,
     PulsegateError,
     check_keys,
+    from_json,
     parsing,
 )
 from .estimator import ToyEstimator, TrainConfig, infer_video, train
@@ -50,11 +51,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# the keys of the synth scene config, its negative block and train's estimator block
-SCENE_KEYS = {"duration_s", "fps", "dims", "hr_trajectory", "pulse_amplitude",
-              "dicrotic_ratio", "sensor_noise_sigma", "seed", "negative"}
-NEGATIVE_KEYS = {"seed", "normal_sigma", "uniform_bounds"}
-ESTIMATOR_KEYS = {"filters", "kernel_len", "init_scale"}
+# the keys of train's estimator block, and the `ToyEstimator.init` arguments they set
+ESTIMATOR_KEYS = {"filters": "filters", "kernel_len": "kernel_len", "init_scale": "scale"}
 
 
 def _load_json(path):
@@ -65,35 +63,24 @@ def _load_json(path):
     return payload
 
 
-def _seed_override(seed):
+def _env_seed() -> dict:
+    """The seed that PULSEGATE_SEED sets, as a config entry: empty when it is unset."""
     env = os.environ.get("PULSEGATE_SEED")
-    return int(env) if env is not None else seed
+    with parsing("PULSEGATE_SEED"):
+        return {} if env is None else {"seed": int(env)}
 
 
 def cmd_synth(args):
     payload = _load_json(args.config)
-    check_keys(payload, SCENE_KEYS, "scene config")
-    check_keys(payload.get("negative", {}), NEGATIVE_KEYS, "section 'negative'")
-    with parsing(args.config):
-        scene = SceneConfig(
-            duration_s=float(payload["duration_s"]),
-            fps=float(payload.get("fps", 90.0)),
-            dims=tuple(payload.get("dims", (32, 32))),
-            hr_trajectory=payload.get("hr_trajectory", 72.0),
-            pulse_amplitude=float(payload.get("pulse_amplitude", 0.02)),
-            dicrotic_ratio=float(payload.get("dicrotic_ratio", 0.0)),
-            sensor_noise_sigma=float(payload.get("sensor_noise_sigma", 0.0)),
-            seed=_seed_override(int(payload.get("seed", 0))),
-        )
+    negative = payload.pop("negative", {})
+    scene = from_json(SceneConfig, {**payload, **_env_seed()}, "scene config")
+    with parsing("section 'negative'"):
+        negative = {"seed": scene.seed, **negative, **_env_seed()}
+    # read without --negative too, so that a bad block always fails
+    transform = from_json(NegativeTransform, negative, "section 'negative'",
+                          kind=args.negative or "shuffle")
     cube, truth = generate_positive(scene)
     if args.negative:
-        negative = payload.get("negative", {})
-        with parsing(args.config):
-            transform = NegativeTransform(
-                kind=args.negative,
-                seed=_seed_override(int(negative.get("seed", scene.seed))),
-                normal_sigma=float(negative.get("normal_sigma", 3.0)),
-                uniform_bounds=tuple(negative.get("uniform_bounds", (-3.0, 3.0))))
         cube = make_negative(cube, transform)
     write_cube(cube, args.out)
     if args.gt_out:
@@ -135,14 +122,11 @@ def _read_corpus_dir(corpus_dir):
 
 def cmd_train(args):
     payload = _load_json(args.config)
-    estimator_cfg = payload.pop("estimator", {})
-    check_keys(estimator_cfg, ESTIMATOR_KEYS, "section 'estimator'")
-    with parsing(args.config):
-        payload["seed"] = _seed_override(int(payload.get("seed", 0)))
-        cfg = TrainConfig.from_dict(payload)
-        init = ToyEstimator.init(filters=int(estimator_cfg.get("filters", 8)),
-                                 kernel_len=int(estimator_cfg.get("kernel_len", 11)),
-                                 scale=float(estimator_cfg.get("init_scale", 0.1)),
+    estimator = payload.pop("estimator", {})
+    check_keys(estimator, ESTIMATOR_KEYS, "section 'estimator'")
+    cfg = from_json(TrainConfig, {**payload, **_env_seed()}, "train config")
+    with parsing("section 'estimator'"):
+        init = ToyEstimator.init(**{ESTIMATOR_KEYS[key]: value for key, value in estimator.items()},
                                  seed=cfg.seed)
     samples = _read_corpus_dir(args.corpus)
     model, history, _ = train(cfg, samples, model=init)
@@ -234,10 +218,7 @@ def cmd_pulse_rate(args):
 
 
 def cmd_experiment(args):
-    payload = _load_json(args.config)
-    with parsing(args.config):
-        payload["seed"] = _seed_override(int(payload.get("seed", 7)))
-    cfg = ExperimentConfig.from_dict(payload)
+    cfg = ExperimentConfig.from_dict({**_load_json(args.config), **_env_seed()})
     if args.dry_run:
         print("config ok")
         return EXIT_OK

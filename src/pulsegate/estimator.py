@@ -11,7 +11,7 @@ overlap-add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     InvalidInputError,
     InvalidTrainingSetError,
     NumericalDivergenceError,
-    check_keys,
     parsing,
 )
 from .losses import LossSpec, batch_loss
@@ -230,15 +229,6 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise InvalidArgumentError(
                     f"train.{name} ({getattr(self, name)}) must be at least 1")
-
-    def to_dict(self):
-        return {**vars(self), "loss": self.loss.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload):
-        check_keys(payload, {f.name for f in fields(cls)}, "train config")
-        kwargs = {k: v for k, v in payload.items() if k != "loss"}
-        return cls(loss=LossSpec.from_dict(payload.get("loss", {})), **kwargs)
 
 
 def _split_corpus(corpus, clip_len: int):

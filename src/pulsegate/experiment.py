@@ -12,7 +12,7 @@ into the report manifest, so a rerun with the same config is byte-identical.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +28,7 @@ from .classify import (
     frame_accuracy,
     predict,
 )
-from .errors import InvalidArgumentError, PulsegateError, check_keys, parsing
+from .errors import InvalidArgumentError, PulsegateError, check_keys, from_json
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
 from .features import extract_features, feature_matrix, feature_windows
@@ -72,9 +72,6 @@ _JSON_KEYS = {
     "rate_stride_frames": ("rate_eval", "stride_frames"),
     "rate_resample_fps": ("rate_eval", "resample_fps"),
 }
-# the keys of the "train" section: TrainConfig fields, less the loss each
-# variant sets itself, plus the loss parameters shared by every variant
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"loss"} | {"nfft", "band_bpm"}
 
 
 @dataclass
@@ -128,29 +125,41 @@ class ExperimentConfig:
             check_keys(payload.get(name, {}),
                        {key for section, key in _JSON_KEYS.values() if section == name},
                        f"section {name!r}")
-        check_keys(payload.get("train", {}), _TRAIN_KEYS, "section 'train'")
-        with parsing("experiment config"):
-            train_payload = dict(payload.get("train", {}))
-            train_payload.setdefault("seed", payload.get("seed", cls.seed))
-            loss_defaults = {"nfft": train_payload.pop("nfft", cls.nfft),
-                             "band_bpm": tuple(train_payload.pop("band_bpm", (40.0, 240.0)))}
-            train_payload["loss"] = {"positive_loss": "neg_pearson",
-                                     "negative_loss": "none", **loss_defaults}
-            values = {"train_cfg": TrainConfig.from_dict(train_payload),
-                      "nfft": int(loss_defaults["nfft"])}
-            for name, (section, key) in _JSON_KEYS.items():
-                source = payload.get(section, {}) if section else payload
-                if key in source:
-                    # cast to the type of the field's default
-                    values[name] = type(getattr(cls, name))(source[key])
-            cfg = cls(**values)
+        # the "train" section holds TrainConfig fields less the loss, which each
+        # variant sets itself, and the loss parameters every variant shares
+        check_keys(payload.get("train", {}),
+                   {f.name for f in fields(TrainConfig)} - {"loss"} | {"nfft", "band_bpm"},
+                   "section 'train'")
+        train = dict(payload.get("train", {}))
+        loss = from_json(LossSpec, {key: train.pop(key) for key in ("nfft", "band_bpm")
+                                    if key in train}, "section 'train'")
+        values = {}
+        for name, (section, key) in _JSON_KEYS.items():
+            source = payload.get(section, {}) if section else payload
+            if key in source:
+                values[name] = source[key]
+        cfg = from_json(cls, values, "experiment config", nfft=loss.nfft)
+        # training takes the experiment's seed unless the section sets its own
+        cfg.train_cfg = from_json(TrainConfig, {"seed": cfg.seed, **train}, "section 'train'",
+                                  loss=loss)
         cfg.validate()
         return cfg
 
     def validate(self):
+        if not self.negative_kinds:
+            raise InvalidArgumentError("negatives.kinds names no kind")
         for kind in self.negative_kinds:
-            if kind not in NEGATIVE_KINDS:
-                raise InvalidArgumentError(f"unknown negative kind {kind!r}")
+            NegativeTransform(kind=kind, normal_sigma=self.normal_sigma,
+                              uniform_bounds=self.uniform_bounds)
+        if self.kernel_len % 2 == 0:
+            raise InvalidArgumentError(f"estimator.kernel_len ({self.kernel_len}) must be odd")
+        if not 40.0 <= self.hr_range_bpm[0] <= self.hr_range_bpm[1] <= 240.0:
+            raise InvalidArgumentError(f"scene.hr_range_bpm {list(self.hr_range_bpm)} must "
+                                       "satisfy 40 <= low <= high <= 240")
+        if self.svm_C <= 0:
+            raise InvalidArgumentError(f"svm.C ({self.svm_C:g}) must be positive")
+        if not 0.0 < self.svm_nu <= 1.0:
+            raise InvalidArgumentError(f"svm.nu ({self.svm_nu:g}) must be in (0, 1]")
         for variant in self.variants:
             if variant not in VARIANT_ORDER:
                 raise InvalidArgumentError(f"unknown estimator variant {variant!r}")
@@ -285,10 +294,7 @@ def _write_corpus(out_dir: Path, train: list[Video]):
 
 
 def _variant_train_config(cfg: ExperimentConfig, variant: str) -> TrainConfig:
-    base = cfg.train_cfg
-    loss = LossSpec(positive_loss="neg_pearson", negative_loss=variant,
-                    nfft=base.loss.nfft, band_bpm=base.loss.band_bpm)
-    return replace(base, loss=loss)
+    return replace(cfg.train_cfg, loss=replace(cfg.train_cfg.loss, negative_loss=variant))
 
 
 def _median(values) -> float:
@@ -321,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     jobs += [partial(_stage, f"baseline-{name}", _evaluate_baseline,
                      cfg, name, test_pos, rate_truth, out_dir) for name in cfg.baselines]
     results = _run_jobs(jobs)
-    report = {"config": _config_echo(cfg),
+    report = {"config": asdict(cfg),
               "variants": dict(zip(cfg.variants, results)),
               "baselines": dict(zip(cfg.baselines, results[len(cfg.variants):]))}
 
@@ -379,18 +385,6 @@ def _run_jobs(jobs: list) -> list:
             return list(pool.imap(_run_job, range(len(jobs)), chunksize=1))
     finally:
         _JOBS.clear()
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {}
-    for key, value in vars(cfg).items():
-        if key == "train_cfg":
-            echo[key] = value.to_dict()
-        elif isinstance(value, tuple):
-            echo[key] = list(value)
-        else:
-            echo[key] = value
-    return echo
 
 
 def _train_variant(cfg, variant, train_videos, val_videos, out_dir):

@@ -10,7 +10,7 @@ flat spectrum, 1 for a single-bin spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .errors import (
     DegenerateCorrelationError,
     DegenerateInputError,
     InvalidArgumentError,
-    check_keys,
-    parsing,
 )
 from .signal_core import (
     DEFAULT_BAND_BPM,
@@ -48,19 +46,9 @@ class LossSpec:
             raise InvalidArgumentError(f"unknown positive loss {self.positive_loss!r}")
         if self.negative_loss not in NEGATIVE_LOSSES:
             raise InvalidArgumentError(f"unknown negative loss {self.negative_loss!r}")
-
-    def to_dict(self):
-        return {"positive_loss": self.positive_loss, "negative_loss": self.negative_loss,
-                "nfft": self.nfft, "band_bpm": list(self.band_bpm)}
-
-    @classmethod
-    def from_dict(cls, payload):
-        check_keys(payload, {f.name for f in fields(cls)}, "loss")
-        with parsing("loss config"):
-            return cls(positive_loss=payload.get("positive_loss", "neg_pearson"),
-                       negative_loss=payload.get("negative_loss", "none"),
-                       nfft=int(payload.get("nfft", DEFAULT_NFFT)),
-                       band_bpm=tuple(payload.get("band_bpm", DEFAULT_BAND_BPM)))
+        if len(self.band_bpm) != 2 or not 0 <= self.band_bpm[0] < self.band_bpm[1]:
+            raise InvalidArgumentError(
+                f"band_bpm {list(self.band_bpm)} must be two numbers with 0 <= low < high")
 
 
 def _pearson_rows(pred: np.ndarray, target: np.ndarray):

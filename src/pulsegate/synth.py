@@ -39,6 +39,9 @@ class SceneConfig:
     def __post_init__(self):
         if self.duration_s * self.fps < 2:
             raise InvalidArgumentError("scene must span at least 2 frames")
+        if np.shape(self.dims) != (2,) or not all(
+                isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
+            raise InvalidArgumentError(f"dims {self.dims} must be two positive integers")
         lo, hi = np.min(self.hr_bpm_knots()[1]), np.max(self.hr_bpm_knots()[1])
         if lo < 40.0 or hi > 240.0:
             raise InvalidArgumentError("hr trajectory must stay within [40, 240] bpm")
@@ -103,7 +106,8 @@ class NegativeTransform:
         if self.normal_sigma <= 0:
             raise InvalidArgumentError("normal_sigma must be positive")
         if not self.uniform_bounds[0] < self.uniform_bounds[1]:
-            raise InvalidArgumentError("uniform bounds must satisfy low < high")
+            raise InvalidArgumentError(
+                f"uniform_bounds {list(self.uniform_bounds)} must satisfy low < high")
 
 
 def make_negative(v: VideoCube, transform: NegativeTransform) -> VideoCube:

@@ -16,6 +16,7 @@ from pulsegate.classify import (
 )
 from pulsegate.errors import (
     CoverageError,
+    InvalidArgumentError,
     InvalidInputError,
     InvalidTrainingSetError,
     NumericalDivergenceError,
@@ -66,6 +67,13 @@ class TestTwoClass:
         x = np.zeros((4, 2))
         with pytest.raises(InvalidTrainingSetError):
             fit_two_class(x, np.full(4, LIVE))
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_box_constraint_must_be_positive(self, C):
+        rng = np.random.default_rng(1)
+        x, y = gaussian_blobs(rng, n_per_class=10)
+        with pytest.raises(InvalidArgumentError, match="C must be positive"):
+            fit_two_class(x, y, C=C)
 
     def test_kkt_gap_within_tolerance(self):
         rng = np.random.default_rng(2)

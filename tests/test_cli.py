@@ -70,6 +70,15 @@ class TestSynth:
                      "--out", str(tmp_path / "pos.bin")]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("dims", [8]), ("seed", 1.5)])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, key, value):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**SCENE, key: value}))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert f"{key!r} in scene config" in capsys.readouterr().err
+        assert not (tmp_path / "pos.bin").exists()
+
     def test_env_seed_override(self, workdir, monkeypatch):
         scene_path = workdir / "scene.json"
         monkeypatch.setenv("PULSEGATE_SEED", "99")
@@ -264,6 +273,16 @@ class TestTrain:
         assert not (tmp_path / "model.json").exists()
 
 
+    @pytest.mark.parametrize("key, value", [("steps", 2.5), ("learning_rate", "x")])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, key, value):
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "steps": 2, key: value}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert f"{key!r} in train config" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+
 class TestExperiment:
     def test_dry_run(self):
         assert main(["experiment", "--config", "configs/smoke.json", "--dry-run"]) == 0
@@ -403,13 +422,35 @@ class TestExperiment:
         bad.write_text(json.dumps({"variants": ["nonsense"]}))
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
 
-    def test_malformed_value_is_config_error(self, tmp_path, capsys):
+    # the setting, its malformed value, and what stderr must say about it
+    MALFORMED = [
+        ("corpus.n_test_pos", "two", "'n_test_pos' in experiment config"),
+        ("train.steps", 10.5, "'steps' in section 'train'"),
+        ("train.learning_rate", "fast", "'learning_rate' in section 'train'"),
+        ("train.seed", 1.5, "'seed' in section 'train'"),
+        ("seed", 1.5, "'seed' in experiment config"),
+        ("corpus.n_train_pos", 3.5, "'n_train_pos' in experiment config"),
+        ("train.band_bpm", [240, 40], "band_bpm [240.0, 40.0]"),
+        ("train.band_bpm", [40], "'band_bpm' in section 'train'"),
+        ("svm.C", 0, "svm.C (0)"),
+        ("svm.nu", 1.5, "svm.nu (1.5)"),
+        ("estimator.kernel_len", 30, "estimator.kernel_len (30)"),
+        ("negatives.uniform_bounds", [3, -3], "uniform_bounds [3.0, -3.0]"),
+        ("negatives.kinds", [], "negatives.kinds"),
+        ("scene.hr_range_bpm", [300, 320], "scene.hr_range_bpm [300.0, 320.0]"),
+        ("dims", [8], "'dims' in experiment config"),
+    ]
+
+    @pytest.mark.parametrize("key, value, named", MALFORMED,
+                             ids=[f"{key}={value}" for key, value, _ in MALFORMED])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, key, value, named):
         payload = json.loads(Path("configs/smoke.json").read_text())
-        payload["corpus"]["n_test_pos"] = "two"
+        *section, name = key.split(".")
+        (payload[section[0]] if section else payload)[name] = value
         bad = tmp_path / "malformed.json"
         bad.write_text(json.dumps(payload))
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
-        assert "experiment config" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [NumericalDivergenceError, DegenerateInputError])
     def test_numerical_failure_in_stage_exits_3(self, tmp_path, capsys, monkeypatch, error):

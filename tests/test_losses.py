@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from pulsegate.errors import DegenerateCorrelationError, DegenerateInputError
+from pulsegate.errors import (
+    DegenerateCorrelationError,
+    DegenerateInputError,
+    InvalidArgumentError,
+)
 from pulsegate.losses import (
     LossSpec,
     batch_loss,
@@ -200,6 +204,12 @@ class TestCombinedLoss:
         spec = LossSpec(positive_loss="neg_pearson", negative_loss="std")
         value, _ = combined_loss(w, w, True, spec)
         assert value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("band_bpm", [(240.0, 40.0), (40.0, 40.0), (-10.0, 240.0),
+                                          (40.0,), (40.0, 240.0, 300.0)])
+    def test_band_not_low_high_rejected(self, band_bpm):
+        with pytest.raises(InvalidArgumentError, match="band_bpm"):
+            LossSpec(negative_loss="spectral_flatness", band_bpm=band_bpm)
 
     def test_positive_mse_dispatch(self):
         rng = np.random.default_rng(12)

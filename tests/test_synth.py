@@ -56,6 +56,11 @@ class TestGeneratePositive:
         with pytest.raises(InvalidArgumentError):
             scene(hr_trajectory=30.0)
 
+    @pytest.mark.parametrize("dims", [(8,), (8, 8, 8), (0, 8), (8.0, 8)])
+    def test_dims_not_two_positive_integers_rejected(self, dims):
+        with pytest.raises(InvalidArgumentError, match="dims"):
+            scene(dims=dims)
+
 
 class TestMakeNegative:
     def test_shuffle_preserves_frame_multiset(self):

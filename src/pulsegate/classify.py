@@ -17,7 +17,7 @@ from .errors import (
     InvalidInputError,
     InvalidTrainingSetError,
     NumericalDivergenceError,
-    parsing,
+    from_json,
 )
 
 LIVE = 1
@@ -35,61 +35,33 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 @dataclass
-class FeatureScaler:
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, x: np.ndarray) -> "FeatureScaler":
-        std = x.std(axis=0)
-        std = np.where(std > 0, std, 1.0)  # constant dims pass through
-        return cls(mean=x.mean(axis=0), std=std)
-
-    @classmethod
-    def identity(cls, dim: int) -> "FeatureScaler":
-        return cls(mean=np.zeros(dim), std=np.ones(dim))
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
-
-
-@dataclass
 class SvmModel:
+    """A fitted RBF SVM; its fields are the keys of its JSON file.
+
+    decision(x) = dual_coef . k(support_vectors, (x - scaler_mean) / scaler_std) + bias
+    """
+
     kind: str  # "two_class" or "one_class"
     gamma: float
     support_vectors: np.ndarray  # already standardized rows
     dual_coef: np.ndarray        # alpha_i * y_i (two-class) or alpha_i (one-class)
-    bias: float                  # decision(x) = dual_coef . k(sv, x) + bias
-    scaler: FeatureScaler
+    bias: float
+    scaler_mean: np.ndarray
+    scaler_std: np.ndarray       # identity (zeros, ones) when fitted unstandardized
     C: float = 1.0
     nu: float = 0.5
 
+    def __post_init__(self):
+        for name in ("support_vectors", "dual_coef", "scaler_mean", "scaler_std"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
     def to_dict(self):
-        return {"kind": self.kind, "gamma": self.gamma, "C": self.C, "nu": self.nu,
-                "bias": self.bias,
-                "support_vectors": [list(map(float, r)) for r in self.support_vectors],
-                "dual_coef": list(map(float, self.dual_coef)),
-                "scaler_mean": list(map(float, self.scaler.mean)),
-                "scaler_std": list(map(float, self.scaler.std))}
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self).items()}
 
     @classmethod
     def from_dict(cls, payload):
-        with parsing("SVM model"):
-            return cls(kind=payload["kind"], gamma=float(payload["gamma"]),
-                       C=float(payload.get("C", 1.0)), nu=float(payload.get("nu", 0.5)),
-                       bias=float(payload["bias"]),
-                       support_vectors=np.asarray(payload["support_vectors"], dtype=float),
-                       dual_coef=np.asarray(payload["dual_coef"], dtype=float),
-                       scaler=FeatureScaler(np.asarray(payload["scaler_mean"], dtype=float),
-                                            np.asarray(payload["scaler_std"], dtype=float)))
-
-
-def _scale_gamma(x: np.ndarray) -> float:
-    """gamma = 1 / (n_features * var(X)), the common 'scale' heuristic."""
-    var = float(x.var())
-    if var <= 0:
-        var = 1.0
-    return 1.0 / (x.shape[1] * var)
+        return from_json(cls, payload, "SVM model")
 
 
 def _smo(q, p, y, upper, alpha0, tol, max_iter, record_objective):
@@ -180,6 +152,27 @@ def _check_features(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fit(x: np.ndarray, gamma, standardize: bool, dual, **hyper) -> SvmModel:
+    """An RBF SVM on the rows `x`, the other `SvmModel` fields in `hyper`.
+
+    `dual(kernel)` solves the SVM's dual on the Gram matrix of the
+    standardized rows and returns (alpha, dual coefficients, bias); the rows
+    with alpha above zero are the support vectors.
+    """
+    if standardize:
+        std = x.std(axis=0)
+        mean, std = x.mean(axis=0), np.where(std > 0, std, 1.0)  # constant dims pass through
+    else:
+        mean, std = np.zeros(x.shape[1]), np.ones(x.shape[1])
+    xs = (x - mean) / std
+    # unless given, gamma = 1 / (n_features * var(X)), the common 'scale' heuristic
+    gamma = float(gamma) if gamma is not None else 1.0 / (x.shape[1] * (float(xs.var()) or 1.0))
+    alpha, coef, bias = dual(rbf_kernel(xs, xs, gamma))
+    keep = alpha > _SV_EPS
+    return SvmModel(gamma=gamma, support_vectors=xs[keep], dual_coef=coef[keep],
+                    bias=bias, scaler_mean=mean, scaler_std=std, **hyper)
+
+
 def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0, gamma=None,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a two-class RBF SVM on labels {LIVE, ANOMALOUS}."""
@@ -191,15 +184,12 @@ def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0, gamma=None,
         raise InvalidArgumentError("labels must be one per feature row")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise InvalidTrainingSetError("two-class fit needs both classes present")
-    scaler = FeatureScaler.fit(x) if standardize else FeatureScaler.identity(x.shape[1])
-    xs = scaler.transform(x)
-    gamma = float(gamma) if gamma is not None else _scale_gamma(xs)
-    kernel = rbf_kernel(xs, xs, gamma)
-    alpha, bias, _, _, _ = smo_solve_two_class(kernel, y, C, tol)
-    keep = alpha > _SV_EPS
-    return SvmModel(kind="two_class", gamma=gamma, C=C,
-                    support_vectors=xs[keep], dual_coef=(alpha * y)[keep],
-                    bias=bias, scaler=scaler)
+
+    def dual(kernel):
+        alpha, bias, *_ = smo_solve_two_class(kernel, y, C, tol)
+        return alpha, alpha * y, bias
+
+    return _fit(x, gamma, standardize, dual, kind="two_class", C=C)
 
 
 def fit_one_class(x: np.ndarray, nu: float = 0.5, gamma=None,
@@ -211,15 +201,12 @@ def fit_one_class(x: np.ndarray, nu: float = 0.5, gamma=None,
     if x.shape[0] < 2.0 / nu:
         raise InvalidTrainingSetError(
             f"one-class fit with nu={nu} needs at least {int(np.ceil(2 / nu))} rows")
-    scaler = FeatureScaler.fit(x) if standardize else FeatureScaler.identity(x.shape[1])
-    xs = scaler.transform(x)
-    gamma = float(gamma) if gamma is not None else _scale_gamma(xs)
-    kernel = rbf_kernel(xs, xs, gamma)
-    alpha, rho, _, _, _ = smo_solve_one_class(kernel, nu, tol)
-    keep = alpha > _SV_EPS
-    return SvmModel(kind="one_class", gamma=gamma, nu=nu,
-                    support_vectors=xs[keep], dual_coef=alpha[keep],
-                    bias=-rho, scaler=scaler)
+
+    def dual(kernel):
+        alpha, rho, *_ = smo_solve_one_class(kernel, nu, tol)
+        return alpha, alpha, -rho
+
+    return _fit(x, gamma, standardize, dual, kind="one_class", nu=nu)
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
@@ -228,7 +215,7 @@ def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
     Evaluated row by row so batch and single-row calls are bit-identical.
     """
     x = _check_features(np.atleast_2d(x))
-    xs = model.scaler.transform(x)
+    xs = (x - model.scaler_mean) / model.scaler_std
     sv = model.support_vectors
     out = np.empty(xs.shape[0])
     for i, row in enumerate(xs):

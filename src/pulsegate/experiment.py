@@ -12,6 +12,7 @@ into the report manifest, so a rerun with the same config is byte-identical.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -151,11 +152,29 @@ class ExperimentConfig:
         for kind in self.negative_kinds:
             NegativeTransform(kind=kind, normal_sigma=self.normal_sigma,
                               uniform_bounds=self.uniform_bounds)
-        if self.kernel_len % 2 == 0:
-            raise InvalidArgumentError(f"estimator.kernel_len ({self.kernel_len}) must be odd")
+        if self.filters < 1:
+            raise InvalidArgumentError(f"estimator.filters ({self.filters}) must be at least 1")
+        if self.kernel_len < 1 or self.kernel_len % 2 == 0:
+            raise InvalidArgumentError(
+                f"estimator.kernel_len ({self.kernel_len}) must be odd and at least 1")
+        if not self.init_scale > 0:
+            raise InvalidArgumentError(
+                f"estimator.init_scale ({self.init_scale:g}) must be positive")
         if not 40.0 <= self.hr_range_bpm[0] <= self.hr_range_bpm[1] <= 240.0:
             raise InvalidArgumentError(f"scene.hr_range_bpm {list(self.hr_range_bpm)} must "
                                        "satisfy 40 <= low <= high <= 240")
+        if not self.hrv_knot_spacing_s > 0:
+            raise InvalidArgumentError(
+                f"scene.hrv_knot_spacing_s ({self.hrv_knot_spacing_s:g}) must be positive")
+        for split in ("train", "eval"):
+            noise = getattr(self, f"{split}_sensor_noise")
+            if noise < 0:
+                raise InvalidArgumentError(
+                    f"scene.{split}_sensor_noise ({noise:g}) must be at least 0")
+            # the scene checks of `SceneConfig` on the scenes that synth builds
+            SceneConfig(duration_s=getattr(self, f"{split}_duration_s"), fps=self.fps,
+                        dims=self.dims, pulse_amplitude=self.pulse_amplitude,
+                        dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise)
         if self.svm_C <= 0:
             raise InvalidArgumentError(f"svm.C ({self.svm_C:g}) must be positive")
         if not 0.0 < self.svm_nu <= 1.0:
@@ -179,7 +198,10 @@ class ExperimentConfig:
             raise InvalidArgumentError("evaluation scenes shorter than one feature window")
         # feature windows start every stride: the last must end on the last frame
         window = int(round(self.feature_window_s * self.fps))
-        stride = max(int(round(self.feature_stride_s * self.fps)), 1)
+        stride = int(round(self.feature_stride_s * self.fps))
+        if stride < 1:
+            raise InvalidArgumentError(f"features.stride_s ({self.feature_stride_s:g} s) is "
+                                       f"under one frame at fps {self.fps:g}")
         frames = int(round(self.eval_duration_s * self.fps))
         if (frames - window) % stride:
             raise InvalidArgumentError(
@@ -223,19 +245,14 @@ def hrv_trajectory(rng, duration_s, hr_lo, hr_hi, step_bpm, clamp_bpm, spacing_s
     return list(zip(knot_t.tolist(), walk.tolist()))
 
 
-class _SeedStream:
-    """Deterministic child-seed source; draws occur in a fixed order."""
-
-    def __init__(self, master_seed: int):
-        self._rng = np.random.default_rng(master_seed)
-
-    def child(self) -> int:
-        return int(self._rng.integers(0, 2 ** 62))
+def _child_seed(seeds: np.random.Generator) -> int:
+    """The next seed drawn from the study's seed stream; draws occur in a fixed order."""
+    return int(seeds.integers(0, 2 ** 62))
 
 
-def _scene(cfg: ExperimentConfig, seeds: _SeedStream, duration, noise):
-    seed = seeds.child()
-    rng = np.random.default_rng(seeds.child())
+def _scene(cfg: ExperimentConfig, seeds: np.random.Generator, duration, noise):
+    seed = _child_seed(seeds)
+    rng = np.random.default_rng(_child_seed(seeds))
     trajectory = hrv_trajectory(rng, duration, cfg.hr_range_bpm[0], cfg.hr_range_bpm[1],
                                 cfg.hrv_step_bpm, cfg.hrv_clamp_bpm, cfg.hrv_knot_spacing_s)
     scene_cfg = SceneConfig(duration_s=duration, fps=cfg.fps, dims=cfg.dims,
@@ -257,7 +274,7 @@ def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Video]]:
     """The train, val_model (checkpoint), val (SVM) and test sets, generated in
     one fixed seed order: per set, its positive scenes, its negatives' source
     scenes (its own positives for train and val_model), then the negatives."""
-    seeds = _SeedStream(cfg.seed)
+    seeds = np.random.default_rng(cfg.seed)
     train = (cfg.train_duration_s, cfg.train_sensor_noise)
     evaluation = (cfg.eval_duration_s, cfg.eval_sensor_noise)
     layout = {"train": (cfg.n_train_pos, None, train),
@@ -274,7 +291,8 @@ def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Video]]:
         for i, (cube, _) in enumerate(sources):
             kind = cfg.negative_kinds[i % len(cfg.negative_kinds)]
             transform = NegativeTransform(kind=kind, normal_sigma=cfg.normal_sigma,
-                                          uniform_bounds=cfg.uniform_bounds, seed=seeds.child())
+                                          uniform_bounds=cfg.uniform_bounds,
+                                          seed=_child_seed(seeds))
             videos.append(Video(f"{name}_neg_{i:02d}_{kind}", make_negative(cube, transform), None))
         sets[name] = videos
     return sets
@@ -291,10 +309,6 @@ def _write_corpus(out_dir: Path, train: list[Video]):
             write_waveform(video.truth, corpus_dir / gt)
         manifest.append({"cube": f"{video.name}.bin", "gt": gt, "positive": gt is not None})
     dump_json({"samples": manifest}, corpus_dir / "manifest.json")
-
-
-def _variant_train_config(cfg: ExperimentConfig, variant: str) -> TrainConfig:
-    return replace(cfg.train_cfg, loss=replace(cfg.train_cfg.loss, negative_loss=variant))
 
 
 def _median(values) -> float:
@@ -388,7 +402,7 @@ def _run_jobs(jobs: list) -> list:
 
 
 def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
-    train_cfg = _variant_train_config(cfg, variant)
+    train_cfg = replace(cfg.train_cfg, loss=replace(cfg.train_cfg.loss, negative_loss=variant))
     init = ToyEstimator.init(filters=cfg.filters, kernel_len=cfg.kernel_len,
                              scale=cfg.init_scale, seed=train_cfg.seed)
     corpus, val_corpus = ([(v.cube, v.truth, v.truth is not None) for v in videos]
@@ -412,9 +426,9 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
     # survive into the feature stage: sigma and the Hilbert envelope measure
     # distance from a flatline, which per-clip standardization would erase.
     degenerate = {"pos": 0, "neg": 0}
-    passes, tables = {}, {}
+    tables, passes = {}, []  # passes: the test videos', for the SVMs to classify
     for split, videos in (("val", val), ("test", test)):
-        passes[split], rows, labels = [], [], []
+        rows, labels = [], []
         for video in videos:
             side = "pos" if video.truth is not None else "neg"
             outputs, clip_starts = clip_predictions(model, video.cube, cfg.train_cfg.clip_len,
@@ -426,38 +440,36 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
             degenerate[side] += sum(v.degenerate_peaks for _, v in windows)
             rows.append(matrix)
             labels.append(np.full(len(matrix), LIVE if side == "pos" else ANOMALOUS))
-            passes[split].append((video, side, outputs, clip_starts, wave,
-                                  np.array([t for t, _ in windows]), matrix))
+            if split == "test":
+                passes.append((video, side, outputs, clip_starts, wave,
+                               np.array([t for t, _ in windows]), matrix))
         x, y = np.vstack(rows), np.concatenate(labels)
         write_features(feat_dir / f"{split}.csv", np.arange(len(x), dtype=float), x, y.astype(int))
         tables[split] = x, y
     val_x, val_y = tables["val"]
     test_x, test_y = tables["test"]
 
-    two = fit_two_class(val_x, val_y, C=cfg.svm_C, standardize=cfg.svm_standardize)
-    one = fit_one_class(val_x[val_y == LIVE], nu=cfg.svm_nu,
-                        standardize=cfg.svm_standardize)
-    dump_json(two.to_dict(), out_dir / "svm" / f"{variant}_two_class.json")
-    dump_json(one.to_dict(), out_dir / "svm" / f"{variant}_one_class.json")
+    svms = {svm.kind: svm for svm in (
+        fit_two_class(val_x, val_y, C=cfg.svm_C, standardize=cfg.svm_standardize),
+        fit_one_class(val_x[val_y == LIVE], nu=cfg.svm_nu, standardize=cfg.svm_standardize))}
+    for kind, svm in svms.items():
+        dump_json(svm.to_dict(), out_dir / "svm" / f"{variant}_{kind}.json")
 
     clip_stds = {"pos": [], "neg": []}
-    counts = {"two_class": {"pos": [0, 0], "neg": [0, 0]},
-              "one_class": {"pos": [0, 0], "neg": [0, 0]}}
+    frames, correct = Counter(), Counter()  # per side, and per (SVM kind, side)
     rate_pairs = ([], [])
-    for video, side, outputs, clip_starts, wave, starts, matrix in passes["test"]:
+    for video, side, outputs, clip_starts, wave, starts, matrix in passes:
         write_waveform(wave, wave_dir / f"{video.name}.csv")
         if not clip_stds[side]:  # the first test video of its side
             _dump_plot_data(cfg, out_dir / "plots", variant, side, wave)
         clip_stds[side].extend(float(out.std()) for out in outputs)
 
         centers = starts + cfg.feature_window_s / 2.0
-        frames = np.full(video.cube.data.shape[0], LIVE if side == "pos" else ANOMALOUS)
-        for kind_key, svm in (("two_class", two), ("one_class", one)):
-            window_labels, _ = predict(svm, matrix)
-            correct, total = frame_accuracy(window_labels, centers, frames, cfg.fps,
-                                            window_s=cfg.feature_window_s)
-            counts[kind_key][side][0] += correct
-            counts[kind_key][side][1] += total
+        frame_labels = np.full(video.cube.data.shape[0], LIVE if side == "pos" else ANOMALOUS)
+        frames[side] += frame_labels.size
+        for kind, svm in svms.items():
+            correct[kind, side] += frame_accuracy(predict(svm, matrix)[0], centers, frame_labels,
+                                                  cfg.fps, window_s=cfg.feature_window_s)[0]
 
         if side == "pos":
             # the rate input is the standardized stitch, as `infer_video` gives
@@ -468,27 +480,21 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
 
     rates_report = error_metrics(np.concatenate(rate_pairs[0]),
                                  np.concatenate(rate_pairs[1]))
-
-    def acc(kind_key):
-        pos_c, pos_t = counts[kind_key]["pos"]
-        neg_c, neg_t = counts[kind_key]["neg"]
-        return {"positive_frame_accuracy": pos_c / pos_t,
-                "negative_frame_accuracy": neg_c / neg_t,
-                "combined_frame_accuracy": (pos_c + neg_c) / (pos_t + neg_t),
-                "frames": pos_t + neg_t}
-
     # column 0 of the feature matrix is the in-band SNR
     pos_snr = _median(test_x[test_y == LIVE, 0])
     neg_snr = _median(test_x[test_y == ANOMALOUS, 0])
     pos_std = _median(clip_stds["pos"])
     neg_std = _median(clip_stds["neg"])
+    total = frames["pos"] + frames["neg"]
     return {
         "snr_db": {"positive_median": pos_snr, "negative_median": neg_snr,
                    "gap": pos_snr - neg_snr},
         "clip_std": {"positive_median": pos_std, "negative_median": neg_std,
                      "negative_over_positive": neg_std / pos_std if pos_std > 0 else float("inf")},
-        "two_class": acc("two_class"),
-        "one_class": acc("one_class"),
+        **{kind: {"positive_frame_accuracy": correct[kind, "pos"] / frames["pos"],
+                  "negative_frame_accuracy": correct[kind, "neg"] / frames["neg"],
+                  "combined_frame_accuracy": (correct[kind, "pos"] + correct[kind, "neg"]) / total,
+                  "frames": total} for kind in svms},
         "rates": rates_report.to_dict(),
         "features": {"degenerate_windows": degenerate},
     }

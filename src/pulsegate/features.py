@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, InvalidArgumentError
 from .signal_core import (
     DEFAULT_BAND_BPM,
     DEFAULT_NFFT,
@@ -131,7 +131,9 @@ def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: 
     if samples.size < window:
         raise InsufficientDataError(
             f"waveform of {samples.size} samples is shorter than one {window_s} s window")
-    hop = max(int(round(stride_s * fps)), 1)
+    hop = int(round(stride_s * fps))
+    if hop < 1:
+        raise InvalidArgumentError(f"stride_s ({stride_s:g} s) is under one frame at {fps:g} fps")
     return (range(0, samples.size - window + 1, hop),
             sliding_window_view(samples, window)[::hop])
 

@@ -46,7 +46,10 @@ class SceneConfig:
         if lo < 40.0 or hi > 240.0:
             raise InvalidArgumentError("hr trajectory must stay within [40, 240] bpm")
         if not (0.0 <= self.dicrotic_ratio <= 1.0):
-            raise InvalidArgumentError("dicrotic_ratio must be in [0, 1]")
+            raise InvalidArgumentError(f"dicrotic_ratio ({self.dicrotic_ratio:g}) must be in [0, 1]")
+        if self.sensor_noise_sigma < 0:
+            raise InvalidArgumentError(
+                f"sensor_noise_sigma ({self.sensor_noise_sigma:g}) must be at least 0")
 
     def hr_bpm_knots(self):
         """(times, bpms) arrays describing the trajectory."""

@@ -205,13 +205,14 @@ class TestPredict:
         scale = np.array([10.0, 0.1, 1.0, 5.0, 0.5, 2.0, 1.0, 3.0])
         raw = x * scale
         model_raw = fit_two_class(raw, y, tol=1e-10, standardize=True)
-        pre = model_raw.scaler.transform(raw)
+        pre = (raw - model_raw.scaler_mean) / model_raw.scaler_std
         model_pre = fit_two_class(pre, y, tol=1e-10, standardize=False,
                                   gamma=model_raw.gamma)
         probe = rng.normal(0, 1, (20, 8)) * scale
-        np.testing.assert_allclose(decision_values(model_raw, probe),
-                                   decision_values(model_pre, model_raw.scaler.transform(probe)),
-                                   atol=1e-8)
+        np.testing.assert_allclose(
+            decision_values(model_raw, probe),
+            decision_values(model_pre, (probe - model_raw.scaler_mean) / model_raw.scaler_std),
+            atol=1e-8)
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(14)
@@ -221,6 +222,22 @@ class TestPredict:
         probe = rng.normal(0, 1, (10, 8))
         np.testing.assert_allclose(decision_values(model, probe),
                                    decision_values(restored, probe), atol=1e-12)
+
+    def test_file_format_pinned(self):
+        # the fields are the file's keys; arrays are written as (nested) lists
+        model = SvmModel(kind="two_class", gamma=0.125, support_vectors=[[1.0, -2.0], [0.5, 0.0]],
+                         dual_coef=[0.75, -0.75], bias=-0.25, scaler_mean=[3.0, 4.0],
+                         scaler_std=[2.0, 1.0], C=2.0)
+        expected = {"kind": "two_class", "gamma": 0.125, "C": 2.0, "nu": 0.5, "bias": -0.25,
+                    "support_vectors": [[1.0, -2.0], [0.5, 0.0]], "dual_coef": [0.75, -0.75],
+                    "scaler_mean": [3.0, 4.0], "scaler_std": [2.0, 1.0]}
+        assert model.to_dict() == expected
+        assert SvmModel.from_dict(expected).to_dict() == expected
+
+    def test_unknown_key_rejected(self):
+        payload = fit_one_class(np.random.default_rng(15).normal(0, 1, (20, 8))).to_dict()
+        with pytest.raises(InvalidArgumentError, match="'kernel'"):
+            SvmModel.from_dict({**payload, "kernel": "rbf"})
 
 
 class TestFrameAccuracy:

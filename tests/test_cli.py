@@ -12,10 +12,18 @@ import pytest
 
 import pulsegate
 from pulsegate import experiment
+from pulsegate.classify import fit_one_class
 from pulsegate.cli import main
 from pulsegate.errors import DegenerateInputError, NumericalDivergenceError
 from pulsegate.estimator import ToyEstimator
-from pulsegate.fileio import dump_json, read_cube, read_features, read_waveform, write_waveform
+from pulsegate.fileio import (
+    dump_json,
+    read_cube,
+    read_features,
+    read_waveform,
+    write_features,
+    write_waveform,
+)
 from pulsegate.signal_core import Waveform
 
 SCENE = {"duration_s": 16.0, "fps": 30.0, "dims": [8, 8], "hr_trajectory": 75.0,
@@ -154,6 +162,24 @@ class TestFeaturesAndClassify:
             assert np.isfinite([float(t_start), float(decision)]).all()
             assert int(label) in (-1, 1)
 
+    def test_stride_under_one_frame_rejected(self, workdir, tmp_path, capsys):
+        wave = tmp_path / "wave.csv"
+        assert main(["estimate", "--method", "green", "--in", str(workdir / "pos.bin"),
+                     "--out", str(wave)]) == 0
+        assert main(["features", "--in", str(wave), "--out", str(tmp_path / "feats.csv"),
+                     "--stride-s", "0"]) == 2
+        assert "stride_s (0 s) is under one frame" in capsys.readouterr().err
+        assert not (tmp_path / "feats.csv").exists()
+
+    def test_model_with_unknown_key_rejected(self, tmp_path, capsys):
+        x = np.random.default_rng(3).normal(0.0, 1.0, (12, 8))
+        write_features(tmp_path / "feats.csv", np.arange(12.0), x)
+        dump_json({**fit_one_class(x).to_dict(), "kernel": "rbf"}, tmp_path / "svm.json")
+        assert main(["classify", "predict", "--model", str(tmp_path / "svm.json"), "--in",
+                     str(tmp_path / "feats.csv"), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "'kernel'" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
 
 class TestPulseRate:
     def test_report_written(self, workdir, tmp_path):
@@ -280,6 +306,21 @@ class TestTrain:
         assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "model.json")]) == 2
         assert f"{key!r} in train config" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    # the estimator key, its bad value, and what stderr must say: the init argument it sets
+    BAD_ESTIMATOR = [("filters", 0, "filters (0)"), ("filters", -1, "filters (-1)"),
+                     ("kernel_len", -1, "kernel_len (-1)"),
+                     ("init_scale", 0, "scale (0)"), ("init_scale", -1, "scale (-1)")]
+
+    @pytest.mark.parametrize("key, value, named", BAD_ESTIMATOR,
+                             ids=[f"{key}={value}" for key, value, _ in BAD_ESTIMATOR])
+    def test_bad_estimator_value_rejected(self, tmp_path, capsys, key, value, named):
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "steps": 2, "estimator": {key: value}}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
 
@@ -439,6 +480,19 @@ class TestExperiment:
         ("negatives.kinds", [], "negatives.kinds"),
         ("scene.hr_range_bpm", [300, 320], "scene.hr_range_bpm [300.0, 320.0]"),
         ("dims", [8], "'dims' in experiment config"),
+        ("dims", [0, 8], "dims (0, 8)"),
+        ("scene.dicrotic_ratio", 2, "dicrotic_ratio (2)"),
+        ("scene.hrv_knot_spacing_s", 0, "scene.hrv_knot_spacing_s (0)"),
+        ("scene.train_sensor_noise", -1, "scene.train_sensor_noise (-1)"),
+        ("scene.eval_sensor_noise", -1, "scene.eval_sensor_noise (-1)"),
+        ("estimator.filters", 0, "estimator.filters (0)"),
+        ("estimator.filters", -1, "estimator.filters (-1)"),
+        ("estimator.kernel_len", -1, "estimator.kernel_len (-1)"),
+        ("estimator.init_scale", 0, "estimator.init_scale (0)"),
+        ("estimator.init_scale", -1, "estimator.init_scale (-1)"),
+        # smoke runs at 20 fps: 0.02 s rounds to no frame
+        ("features.stride_s", 0, "features.stride_s (0 s)"),
+        ("features.stride_s", 0.02, "features.stride_s (0.02 s)"),
     ]
 
     @pytest.mark.parametrize("key, value, named", MALFORMED,

@@ -61,6 +61,10 @@ class TestGeneratePositive:
         with pytest.raises(InvalidArgumentError, match="dims"):
             scene(dims=dims)
 
+    def test_negative_sensor_noise_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"sensor_noise_sigma \(-1\)"):
+            scene(sensor_noise_sigma=-1.0)
+
 
 class TestMakeNegative:
     def test_shuffle_preserves_frame_multiset(self):

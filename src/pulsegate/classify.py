@@ -28,9 +28,10 @@ _SV_EPS = 1e-10
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Gram matrix exp(-gamma * ||a_i - b_j||^2)."""
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
+    """Gram matrix exp(-gamma * ||a_i - b_j||^2), each element independent of the other rows."""
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for f in range(a.shape[1]):
+        sq += (a[:, f, None] - b[None, :, f]) ** 2
     return np.exp(-gamma * sq)
 
 
@@ -54,6 +55,15 @@ class SvmModel:
     def __post_init__(self):
         for name in ("support_vectors", "dual_coef", "scaler_mean", "scaler_std"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.support_vectors.ndim != 2 or self.support_vectors.size == 0:
+            raise InvalidInputError("support_vectors must be a non-empty 2-D array")
+        rows, columns = self.support_vectors.shape
+        if self.dual_coef.shape != (rows,):
+            raise InvalidInputError(
+                f"dual_coef must hold one value per support vector ({rows})")
+        for name in ("scaler_mean", "scaler_std"):
+            if getattr(self, name).shape != (columns,):
+                raise InvalidInputError(f"{name} must hold one value per column ({columns})")
 
     def to_dict(self):
         return {key: value.tolist() if isinstance(value, np.ndarray) else value
@@ -76,7 +86,7 @@ def _smo(q, p, y, upper, alpha0, tol, max_iter, record_objective):
     when max_iter passes with the gap still above tol.
     """
     alpha = alpha0.copy()
-    grad = q @ alpha + p
+    grad = np.sum(q * alpha, axis=1) + p
     history = []
 
     def violators():
@@ -103,7 +113,7 @@ def _smo(q, p, y, upper, alpha0, tol, max_iter, record_objective):
         alpha[j] -= y[j] * step
         grad += step * (q[:, i] * y[i] - q[:, j] * y[j])
         if record_objective:
-            history.append(0.5 * float(alpha @ (grad + p)))
+            history.append(0.5 * float(np.sum(alpha * (grad + p))))
     else:
         raise NumericalDivergenceError(
             f"SMO stopped at max_iter={max_iter} with KKT gap {gap:.3g} > tol {tol:.3g}")
@@ -212,16 +222,15 @@ def fit_one_class(x: np.ndarray, nu: float = 0.5, gamma=None,
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """Signed decision values for feature rows (positive means LIVE).
 
-    Evaluated row by row so batch and single-row calls are bit-identical.
+    Each row is reduced on its own, so batch and single-row calls are bit-identical.
     """
     x = _check_features(np.atleast_2d(x))
+    if x.shape[1] != model.scaler_mean.size:
+        raise InvalidInputError(
+            f"feature rows have {x.shape[1]} columns; the model takes {model.scaler_mean.size}")
     xs = (x - model.scaler_mean) / model.scaler_std
-    sv = model.support_vectors
-    out = np.empty(xs.shape[0])
-    for i, row in enumerate(xs):
-        sq = np.sum((sv - row) ** 2, axis=1)
-        out[i] = float(model.dual_coef @ np.exp(-model.gamma * sq)) + model.bias
-    return out
+    kernel = rbf_kernel(xs, model.support_vectors, model.gamma)
+    return np.sum(kernel * model.dual_coef, axis=1) + model.bias
 
 
 def predict(model: SvmModel, x: np.ndarray):

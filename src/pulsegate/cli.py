@@ -51,9 +51,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# the keys of train's estimator block, and the `ToyEstimator.init` arguments they set
-ESTIMATOR_KEYS = {"filters": "filters", "kernel_len": "kernel_len", "init_scale": "scale"}
-
 
 def _load_json(path):
     with open(path) as fh, parsing(path):
@@ -123,11 +120,10 @@ def _read_corpus_dir(corpus_dir):
 def cmd_train(args):
     payload = _load_json(args.config)
     estimator = payload.pop("estimator", {})
-    check_keys(estimator, ESTIMATOR_KEYS, "section 'estimator'")
+    check_keys(estimator, {"filters", "kernel_len", "init_scale"}, "section 'estimator'")
     cfg = from_json(TrainConfig, {**payload, **_env_seed()}, "train config")
     with parsing("section 'estimator'"):
-        init = ToyEstimator.init(**{ESTIMATOR_KEYS[key]: value for key, value in estimator.items()},
-                                 seed=cfg.seed)
+        init = ToyEstimator.init(**estimator, seed=cfg.seed)
     samples = _read_corpus_dir(args.corpus)
     model, history, _ = train(cfg, samples, model=init)
     dump_json(model.to_dict(), args.out)

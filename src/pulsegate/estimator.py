@@ -60,16 +60,16 @@ class ToyEstimator:
 
     @classmethod
     def init(cls, filters: int = 8, kernel_len: int = 11, in_channels: int = 3,
-             scale: float = 0.1, seed: int = 0, activation: str = "tanh"):
+             init_scale: float = 0.1, seed: int = 0, activation: str = "tanh"):
         for name, size in (("filters", filters), ("kernel_len", kernel_len)):
             if size < 1:
                 raise InvalidArgumentError(f"{name} ({size}) must be at least 1")
-        if not scale > 0:
-            raise InvalidArgumentError(f"scale ({scale:g}) must be positive")
+        if not init_scale > 0:
+            raise InvalidArgumentError(f"init_scale ({init_scale:g}) must be positive")
         rng = np.random.default_rng(seed)
-        return cls(w1=rng.normal(0.0, scale, (filters, in_channels, kernel_len)),
+        return cls(w1=rng.normal(0.0, init_scale, (filters, in_channels, kernel_len)),
                    b1=np.zeros(filters),
-                   w2=rng.normal(0.0, scale, (1, filters, kernel_len)),
+                   w2=rng.normal(0.0, init_scale, (1, filters, kernel_len)),
                    b2=np.zeros(1),
                    activation=activation)
 

@@ -124,6 +124,6 @@ def error_metrics(pred_bpm: np.ndarray, truth_bpm: np.ndarray) -> ErrorReport:
     rmse = float(np.sqrt(np.mean(diff ** 2)))
     pc = p - p.mean()
     tc = t - t.mean()
-    denom = np.linalg.norm(pc) * np.linalg.norm(tc)
-    r = float(np.clip(pc @ tc / denom, -1.0, 1.0)) if denom > 0.0 else None
+    denom = np.sqrt(np.sum(pc * pc) * np.sum(tc * tc))
+    r = float(np.clip(np.sum(pc * tc) / denom, -1.0, 1.0)) if denom > 0.0 else None
     return ErrorReport(me_bpm=me, mae_bpm=mae, rmse_bpm=rmse, pearson_r=r)

@@ -404,7 +404,7 @@ def _run_jobs(jobs: list) -> list:
 def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
     train_cfg = replace(cfg.train_cfg, loss=replace(cfg.train_cfg.loss, negative_loss=variant))
     init = ToyEstimator.init(filters=cfg.filters, kernel_len=cfg.kernel_len,
-                             scale=cfg.init_scale, seed=train_cfg.seed)
+                             init_scale=cfg.init_scale, seed=train_cfg.seed)
     corpus, val_corpus = ([(v.cube, v.truth, v.truth is not None) for v in videos]
                           for videos in (train_videos, val_videos))
     model, history, validation = train(train_cfg, corpus, val_corpus=val_corpus, model=init)

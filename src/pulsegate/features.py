@@ -55,18 +55,18 @@ def ampd_rows(x: np.ndarray) -> np.ndarray:
     """Peak masks of the rows of x: automatic multiscale-based peak detection,
     deterministic variant.
 
-    After linear detrending (one polyfit per row), a scale-k "local maximum"
-    at index i means x[i] > x[i-k] and x[i] > x[i+k].  The operating scale is
-    the one with the most scale-k maxima (argmin of the miss count, smallest
-    scale on ties); peaks are the indices that are maxima at every scale up to
-    it.  Rows are taken in chunks that bound the (rows, scales, n) tensor.
+    After linear detrending, a scale-k "local maximum" at index i means
+    x[i] > x[i-k] and x[i] > x[i+k].  The operating scale is the one with the
+    most scale-k maxima (argmin of the miss count, smallest scale on ties);
+    peaks are the indices that are maxima at every scale up to it.  Rows are
+    taken in chunks that bound the (rows, scales, n) tensor.
     """
     rows, n = x.shape
     if n < 8:
         raise InsufficientDataError("AMPD needs at least 8 samples")
-    t = np.arange(n)
-    fits = np.array([np.polyfit(t, row, 1) for row in x])
-    detrended = x - (fits[:, :1] * t + fits[:, 1:])
+    t = np.arange(n) - (n - 1) / 2.0
+    centred = x - x.mean(axis=1, keepdims=True)
+    detrended = centred - (np.sum(centred * t, axis=1, keepdims=True) / np.sum(t * t)) * t
     # an exactly (affine-)flat row leaves only rounding noise behind
     flat = np.abs(detrended).max(axis=1) <= 1e-10 * np.abs(x).max(axis=1)
     max_scale = int(np.ceil(n / 2)) - 1

@@ -179,6 +179,12 @@ class TestPredict:
                          for i in range(len(probe))])
         np.testing.assert_array_equal(batch, rows)
 
+    def test_kernel_exact_on_the_diagonal_and_symmetric(self):
+        x = np.random.default_rng(16).normal(0.0, 3.0, (60, 8))
+        kernel = rbf_kernel(x, x, 0.2)
+        assert np.all(np.diag(kernel) == 1.0)
+        np.testing.assert_array_equal(kernel, kernel.T)
+
     def test_lipschitz_bound_on_decision(self):
         # |f(x) - f(x+d)| <= sum|dual| * sqrt(2*gamma/e) * ||d|| for RBF
         rng = np.random.default_rng(11)

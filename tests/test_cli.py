@@ -180,6 +180,31 @@ class TestFeaturesAndClassify:
         assert "'kernel'" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    # a model file's arrays cut to disagree with each other or with the 8 feature columns
+    BAD_SHAPES = {
+        "three_column_support_vectors": (
+            lambda m: {**m, "support_vectors": [row[:3] for row in m["support_vectors"]],
+                       "scaler_mean": m["scaler_mean"][:3], "scaler_std": m["scaler_std"][:3]},
+            "feature rows have 8 columns; the model takes 3"),
+        "short_scaler": (lambda m: {**m, "scaler_std": m["scaler_std"][:7]},
+                         "scaler_std must hold one value per column (8)"),
+        "short_dual_coef": (lambda m: {**m, "dual_coef": m["dual_coef"][1:]},
+                            "dual_coef must hold one value per support vector"),
+        "empty_support_vectors": (lambda m: {**m, "support_vectors": [], "dual_coef": []},
+                                  "support_vectors must be a non-empty 2-D array"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SHAPES)
+    def test_model_with_bad_shapes_rejected(self, tmp_path, capsys, case):
+        cut, named = self.BAD_SHAPES[case]
+        x = np.random.default_rng(3).normal(0.0, 1.0, (12, 8))
+        write_features(tmp_path / "feats.csv", np.arange(12.0), x)
+        dump_json(cut(fit_one_class(x).to_dict()), tmp_path / "svm.json")
+        assert main(["classify", "predict", "--model", str(tmp_path / "svm.json"), "--in",
+                     str(tmp_path / "feats.csv"), "--out", str(tmp_path / "p.csv")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
 
 class TestPulseRate:
     def test_report_written(self, workdir, tmp_path):
@@ -308,10 +333,10 @@ class TestTrain:
         assert f"{key!r} in train config" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
-    # the estimator key, its bad value, and what stderr must say: the init argument it sets
+    # the estimator key, its bad value, and what stderr must say: the key and the value
     BAD_ESTIMATOR = [("filters", 0, "filters (0)"), ("filters", -1, "filters (-1)"),
                      ("kernel_len", -1, "kernel_len (-1)"),
-                     ("init_scale", 0, "scale (0)"), ("init_scale", -1, "scale (-1)")]
+                     ("init_scale", 0, "init_scale (0)"), ("init_scale", -1, "init_scale (-1)")]
 
     @pytest.mark.parametrize("key, value, named", BAD_ESTIMATOR,
                              ids=[f"{key}={value}" for key, value, _ in BAD_ESTIMATOR])
@@ -538,7 +563,10 @@ class TestExperiment:
         src = str(Path(pulsegate.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        env.pop("PULSEGATE_SEED", None)
+        # both arms run BLAS's default threading, whatever the caller sets
+        for name in ("PULSEGATE_SEED", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+            env.pop(name, None)
         outputs = {}
         for mode in ("pinned", "pool"):
             out = tmp_path / mode

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import pulsegate
 from pulsegate.errors import EmptyComparisonError, InvalidArgumentError
 from pulsegate.evaluate import (
     RATE_BAND_HZ,
@@ -196,6 +202,23 @@ class TestErrorReport:
         assert report.mae_bpm == pytest.approx(1.5)
         assert report.rmse_bpm == pytest.approx(np.sqrt(2.5))
         assert report.to_dict()["pearson_r"] is None
+
+    def test_pearson_independent_of_blas_threads(self):
+        # enough pairs that a threaded BLAS dot product would split the sum
+        code = ("import numpy as np; from pulsegate.evaluate import error_metrics\n"
+                "for seed in range(4):\n"
+                "    rng = np.random.default_rng(seed)\n"
+                "    truth = 70.0 + rng.normal(0.0, 5.0, 40_000)\n"
+                "    pred = truth + rng.normal(0.0, 2.0, truth.size)\n"
+                "    print(repr(error_metrics(pred, truth).pearson_r))")
+        src = str(Path(pulsegate.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        values = {subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                                 text=True, timeout=60,
+                                 env={**os.environ, "PYTHONPATH": path,
+                                      "OPENBLAS_NUM_THREADS": threads}).stdout
+                  for threads in ("1", "2")}
+        assert len(values) == 1, values
 
     def test_no_valid_pairs_rejected(self):
         with pytest.raises(EmptyComparisonError):

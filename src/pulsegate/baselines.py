@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InvalidInputError
 from .signal_core import (
     VideoCube,
     Waveform,
@@ -66,7 +66,7 @@ def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
     total = len(trace)
     length = max(int(round(window_s * trace.fps)), 2)
     if total < length:
-        raise InsufficientDataError(
+        raise InvalidInputError(
             f"trace of {total} samples is shorter than one {window_s} s window")
     starts = window_starts(total, length, length // 2)
     chunks = []

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    InvalidArgumentError,
-    InvalidInputError,
-    InvalidTrainingSetError,
-    NumericalDivergenceError,
-    from_json,
-)
+from .errors import InvalidInputError, NumericalError, from_json
 
 LIVE = 1
 ANOMALOUS = -1
@@ -59,11 +52,19 @@ class SvmModel:
             raise InvalidInputError("support_vectors must be a non-empty 2-D array")
         rows, columns = self.support_vectors.shape
         if self.dual_coef.shape != (rows,):
-            raise InvalidInputError(
-                f"dual_coef must hold one value per support vector ({rows})")
+            raise InvalidInputError(f"dual_coef must hold one value per support vector ({rows})")
         for name in ("scaler_mean", "scaler_std"):
             if getattr(self, name).shape != (columns,):
                 raise InvalidInputError(f"{name} must hold one value per column ({columns})")
+        if self.kind not in ("two_class", "one_class"):
+            raise InvalidInputError(f"kind {self.kind!r} must be 'two_class' or 'one_class'")
+        if not 0 < self.gamma < np.inf:
+            raise InvalidInputError(f"gamma ({self.gamma:g}) must be positive and finite")
+        for name in ("support_vectors", "dual_coef", "bias", "scaler_mean", "scaler_std"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"{name} must be finite")
+        if np.any(self.scaler_std <= 0):
+            raise InvalidInputError("scaler_std entries must be positive")
 
     def to_dict(self):
         return {key: value.tolist() if isinstance(value, np.ndarray) else value
@@ -82,7 +83,7 @@ def _smo(q, p, y, upper, alpha0, tol, max_iter, record_objective):
     -y_j*s; s is the second-order step gap / (Q_ii + Q_jj - 2 y_i y_j Q_ij)
     along that direction (Fan, Chen & Lin, JMLR 2005), clipped to the box.
     The bias is the mean of -y*grad over the free variables.  Returns (alpha,
-    bias, n_iter, kkt_gap, objective_history); raises NumericalDivergenceError
+    bias, n_iter, kkt_gap, objective_history); raises NumericalError
     when max_iter passes with the gap still above tol.
     """
     alpha = alpha0.copy()
@@ -115,7 +116,7 @@ def _smo(q, p, y, upper, alpha0, tol, max_iter, record_objective):
         if record_objective:
             history.append(0.5 * float(np.sum(alpha * (grad + p))))
     else:
-        raise NumericalDivergenceError(
+        raise NumericalError(
             f"SMO stopped at max_iter={max_iter} with KKT gap {gap:.3g} > tol {tol:.3g}")
     yg, up, lo = violators()
     free = (alpha > _SV_EPS) & (alpha < upper - _SV_EPS)
@@ -187,13 +188,13 @@ def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0, gamma=None,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a two-class RBF SVM on labels {LIVE, ANOMALOUS}."""
     if not C > 0:
-        raise InvalidArgumentError("C must be positive")
+        raise InvalidInputError("C must be positive")
     x = _check_features(x)
     y = np.asarray(y, dtype=float)
     if y.shape != (x.shape[0],):
-        raise InvalidArgumentError("labels must be one per feature row")
+        raise InvalidInputError("labels must be one per feature row")
     if not (np.any(y > 0) and np.any(y < 0)):
-        raise InvalidTrainingSetError("two-class fit needs both classes present")
+        raise InvalidInputError("two-class fit needs both classes present")
 
     def dual(kernel):
         alpha, bias, *_ = smo_solve_two_class(kernel, y, C, tol)
@@ -206,10 +207,10 @@ def fit_one_class(x: np.ndarray, nu: float = 0.5, gamma=None,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a one-class RBF SVM on live-only feature rows."""
     if not 0.0 < nu <= 1.0:
-        raise InvalidArgumentError("nu must be in (0, 1]")
+        raise InvalidInputError("nu must be in (0, 1]")
     x = _check_features(x)
     if x.shape[0] < 2.0 / nu:
-        raise InvalidTrainingSetError(
+        raise InvalidInputError(
             f"one-class fit with nu={nu} needs at least {int(np.ceil(2 / nu))} rows")
 
     def dual(kernel):
@@ -246,18 +247,18 @@ def frame_accuracy(window_labels, window_centers_s, frame_labels, fps: float,
     the label, and all frames.
 
     Every frame must fall within half a window of some window center (full
-    coverage); otherwise a CoverageError is raised.
+    coverage); otherwise an InvalidInputError is raised.
     """
     window_labels = np.asarray(window_labels)
     centers = np.asarray(window_centers_s, dtype=float)
     frame_labels = np.asarray(frame_labels)
     if window_labels.size == 0:
-        raise CoverageError("no windows to map frames onto")
+        raise InvalidInputError("no windows to map frames onto")
     frame_times = np.arange(frame_labels.size) / fps
     low = centers.min() - window_s / 2.0
     high = centers.max() + window_s / 2.0
     uncovered = (frame_times < low - 1e-9) | (frame_times > high + 1e-9)
     if uncovered.any():
-        raise CoverageError(f"{int(uncovered.sum())} frames outside window coverage")
+        raise InvalidInputError(f"{int(uncovered.sum())} frames outside window coverage")
     nearest = np.argmin(np.abs(frame_times[:, None] - centers[None, :]), axis=1)
     return int(np.sum(window_labels[nearest] == frame_labels)), frame_labels.size

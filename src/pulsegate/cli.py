@@ -18,9 +18,8 @@ import numpy as np
 from . import baselines as bl
 from .classify import ANOMALOUS, LIVE, SvmModel, fit_one_class, fit_two_class, predict
 from .errors import (
-    DegenerateInputError,
-    InvalidArgumentError,
-    NumericalDivergenceError,
+    InvalidInputError,
+    NumericalError,
     PulsegateError,
     check_keys,
     from_json,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .estimator import ToyEstimator, TrainConfig, infer_video, train
 from .evaluate import error_metrics, pulse_rate
-from .experiment import ExperimentConfig, StageError, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .features import extract_features, feature_matrix
 from .fileio import (
     dump_json,
@@ -56,7 +55,7 @@ def _load_json(path):
     with open(path) as fh, parsing(path):
         payload = json.load(fh)
     if not isinstance(payload, dict):
-        raise InvalidArgumentError(f"{path} must hold a JSON object")
+        raise InvalidInputError(f"{path} must hold a JSON object")
     return payload
 
 
@@ -90,7 +89,7 @@ def cmd_estimate(args):
     cube = read_cube(args.infile)
     if args.method == "model":
         if not args.model:
-            raise PulsegateError("--model is required for --method model")
+            raise InvalidInputError("--model is required for --method model")
         model = ToyEstimator.from_dict(_load_json(args.model))
         clip_len = min(args.clip_len, cube.data.shape[0])
         wave = infer_video(model, cube, clip_len, overlap=args.overlap)
@@ -156,7 +155,7 @@ def cmd_classify_fit(args):
     x = np.vstack(matrices)
     if args.kind == "two":
         if any(l is None for l in labels):
-            raise PulsegateError("two-class fit needs labeled feature files")
+            raise InvalidInputError("two-class fit needs labeled feature files")
         y = np.concatenate(labels)
         model = fit_two_class(x, y, C=args.C)
     else:
@@ -198,7 +197,7 @@ def cmd_pulse_rate(args):
                            stride_frames=args.stride_frames, nfft=args.nfft)
         if truth.times_s.shape != pred.times_s.shape or \
                 not np.allclose(pred.times_s, truth.times_s):
-            raise InvalidArgumentError("rate series are not aligned in time")
+            raise InvalidInputError("rate series are not aligned in time")
         payload["truth"] = series(truth)
         payload["errors"] = error_metrics(pred.bpm, truth.bpm).to_dict()
     dump_json(payload, args.report)
@@ -219,7 +218,7 @@ def cmd_experiment(args):
         print("config ok")
         return EXIT_OK
     if not args.out:
-        raise PulsegateError("--out directory is required (unless --dry-run)")
+        raise InvalidInputError("--out directory is required (unless --dry-run)")
     run_experiment(cfg, args.out)
     print((Path(args.out) / "report.txt").read_text())
     print(f"report written to {args.out}/report.json")
@@ -302,12 +301,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except PulsegateError as exc:
-        # an experiment stage wraps the error that stopped it
-        cause = exc.cause if isinstance(exc, StageError) else exc
-        if isinstance(cause, (NumericalDivergenceError, DegenerateInputError)):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    InvalidArgumentError,
-    InvalidInputError,
-    InvalidTrainingSetError,
-    NumericalDivergenceError,
-    parsing,
-)
+from .errors import InvalidInputError, NumericalError, parsing
 from .losses import LossSpec, batch_loss
 from .signal_core import (
     VideoCube,
@@ -49,10 +42,16 @@ class ToyEstimator:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        filters = np.shape(self.w1)[0]
+        for name, shape in (("b1", (filters,)), ("w2", (1, filters, np.shape(self.w2)[-1])),
+                            ("b2", (1,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise InvalidInputError(f"{name} has shape {np.shape(getattr(self, name))}; "
+                                        f"{filters} filters need {shape}")
         if np.shape(self.w1)[2] % 2 == 0 or np.shape(self.w2)[2] % 2 == 0:
-            raise InvalidArgumentError("kernel lengths must be odd")
+            raise InvalidInputError("kernel lengths must be odd")
         if self.activation not in ("tanh", "linear"):
-            raise InvalidArgumentError(f"unknown activation {self.activation!r}")
+            raise InvalidInputError(f"unknown activation {self.activation!r}")
         self.flat = np.concatenate([np.ravel(getattr(self, name)) for name in PARAM_NAMES],
                                    dtype=float)
         for name, view in self.split(self.flat).items():
@@ -63,9 +62,9 @@ class ToyEstimator:
              init_scale: float = 0.1, seed: int = 0, activation: str = "tanh"):
         for name, size in (("filters", filters), ("kernel_len", kernel_len)):
             if size < 1:
-                raise InvalidArgumentError(f"{name} ({size}) must be at least 1")
+                raise InvalidInputError(f"{name} ({size}) must be at least 1")
         if not init_scale > 0:
-            raise InvalidArgumentError(f"init_scale ({init_scale:g}) must be positive")
+            raise InvalidInputError(f"init_scale ({init_scale:g}) must be positive")
         rng = np.random.default_rng(seed)
         return cls(w1=rng.normal(0.0, init_scale, (filters, in_channels, kernel_len)),
                    b1=np.zeros(filters),
@@ -203,7 +202,7 @@ def forward(model: ToyEstimator, clip: VideoCube) -> Waveform:
     """Predict a waveform for one clip (length equals the clip length)."""
     trace = _trace(model, clip)
     if trace.shape[1] < model.receptive_field:
-        raise InsufficientDataError("clip shorter than the model's receptive field")
+        raise InvalidInputError("clip shorter than the model's receptive field")
     out, _ = _forward(model, standardize_rows(trace)[None])
     return Waveform(out[0], clip.fps)
 
@@ -229,11 +228,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.negative_mix <= 1.0:
-            raise InvalidArgumentError("negative_mix must be in [0, 1]")
+            raise InvalidInputError("negative_mix must be in [0, 1]")
         for name in ("clip_len", "batch_size", "steps", "val_every"):
             if getattr(self, name) < 1:
-                raise InvalidArgumentError(
-                    f"train.{name} ({getattr(self, name)}) must be at least 1")
+                raise InvalidInputError(f"train.{name} ({getattr(self, name)}) must be at least 1")
 
 
 def _split_corpus(corpus, clip_len: int):
@@ -244,13 +242,13 @@ def _split_corpus(corpus, clip_len: int):
     for clip, target, is_positive in corpus:
         fps = clip.fps if fps is None else fps
         if clip.fps != fps:
-            raise InvalidTrainingSetError("all corpus clips must share one frame rate")
+            raise InvalidInputError("all corpus clips must share one frame rate")
         n_frames = clip.data.shape[0]
         if n_frames < clip_len:
-            raise InvalidTrainingSetError(
+            raise InvalidInputError(
                 f"corpus clip of {n_frames} frames shorter than clip_len={clip_len}")
         if is_positive and (target is None or len(target) != n_frames):
-            raise InvalidTrainingSetError(
+            raise InvalidInputError(
                 "positive corpus clips need a target waveform of their own length")
         trace = np.ascontiguousarray(spatial_mean_trace(clip).T)
         (positives if is_positive else negatives).append(
@@ -266,7 +264,7 @@ def _score(model, samples, starts, clip_len, fps, spec):
     """
     out, cache = _forward(model, _crops([trace for trace, _ in samples], starts, clip_len))
     if not np.all(np.isfinite(out)):
-        raise NumericalDivergenceError("non-finite estimator output")
+        raise NumericalError("non-finite estimator output")
     positive = np.array([target is not None for _, target in samples])
     targets = np.zeros_like(out)
     for row, ((_, target), start) in enumerate(zip(samples, starts)):
@@ -306,16 +304,16 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
     negative_mix = 0.0 if cfg.loss.negative_loss == "none" else cfg.negative_mix
     positives, negatives, fps = _split_corpus(corpus, cfg.clip_len)
     if not positives:
-        raise InvalidTrainingSetError("training corpus has no positive samples")
+        raise InvalidInputError("training corpus has no positive samples")
     if negative_mix > 0 and not negatives:
-        raise InvalidTrainingSetError("negative_mix > 0 but corpus has no negatives")
+        raise InvalidInputError("negative_mix > 0 but corpus has no negatives")
     model = ToyEstimator.init(seed=cfg.seed) if model is None else model.copy()
 
     validation = None
     if val_corpus:
         val_pos, val_neg, val_fps = _split_corpus(val_corpus, cfg.clip_len)
         if not val_pos:
-            raise InvalidTrainingSetError("validation corpus has no positive samples")
+            raise InvalidInputError("validation corpus has no positive samples")
         val_samples = val_pos + (val_neg if negative_mix > 0 else [])
         validation = {"steps": [], "metric": [], "checkpoint_step": cfg.steps}
 
@@ -338,8 +336,7 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
         values, upstream, cache = _score(model, samples, starts, cfg.clip_len, fps, cfg.loss)
         batch_loss_value = float(values.mean())
         if not np.isfinite(batch_loss_value):
-            raise NumericalDivergenceError(
-                f"non-finite training loss {batch_loss_value} at step {step}")
+            raise NumericalError(f"non-finite training loss {batch_loss_value} at step {step}")
         history.append(batch_loss_value)
         velocity = cfg.momentum * velocity + _backward(model, cache, upstream) / cfg.batch_size
         model.flat -= cfg.learning_rate * velocity
@@ -370,11 +367,11 @@ def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
     """
     n_frames = video.data.shape[0]
     if clip_len < 1:
-        raise InvalidArgumentError(f"clip_len ({clip_len}) must be at least 1")
+        raise InvalidInputError(f"clip_len ({clip_len}) must be at least 1")
     if n_frames < clip_len:
-        raise InsufficientDataError("video shorter than one clip")
+        raise InvalidInputError("video shorter than one clip")
     if not 0.0 <= overlap < 1.0:
-        raise InvalidArgumentError("overlap must be in [0, 1)")
+        raise InvalidInputError("overlap must be in [0, 1)")
     hop = max(int(round(clip_len * (1.0 - overlap))), 1)
     starts = window_starts(n_frames, clip_len, hop)
     trace = _trace(model, video)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyComparisonError, InsufficientDataError, InvalidArgumentError
+from .errors import InvalidInputError
 from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask
 
 RATE_BAND_HZ = (0.66, 4.0)
@@ -52,16 +52,16 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     """
     window = int(round(window_s * w.fps))
     if stride_frames < 1:
-        raise InvalidArgumentError(f"stride_frames={stride_frames} must be at least 1")
+        raise InvalidInputError(f"stride_frames={stride_frames} must be at least 1")
     if window < 2:
-        raise InvalidArgumentError(
+        raise InvalidInputError(
             f"window_s={window_s} holds {window} samples at {w.fps} fps; "
             "it must hold at least 2")
     if len(w) < window:
-        raise InsufficientDataError(
+        raise InvalidInputError(
             f"waveform of {len(w)} samples is shorter than one {window_s} s window")
     if nfft < window:
-        raise InvalidArgumentError(f"nfft={nfft} shorter than window of {window} samples")
+        raise InvalidInputError(f"nfft={nfft} shorter than window of {window} samples")
     resolution_bpm = w.fps * 60.0 / nfft
     in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, w.fps, nfft,
                                            (band_hz[0] * 60.0, band_hz[1] * 60.0)))
@@ -113,10 +113,10 @@ def error_metrics(pred_bpm: np.ndarray, truth_bpm: np.ndarray) -> ErrorReport:
     pred_bpm = np.asarray(pred_bpm, dtype=float)
     truth_bpm = np.asarray(truth_bpm, dtype=float)
     if pred_bpm.shape != truth_bpm.shape:
-        raise InvalidArgumentError("rate arrays must have equal shapes")
+        raise InvalidInputError("rate arrays must have equal shapes")
     valid = np.isfinite(pred_bpm) & np.isfinite(truth_bpm)
     if valid.sum() < 2:
-        raise EmptyComparisonError("need at least 2 valid rate pairs")
+        raise InvalidInputError("need at least 2 valid rate pairs")
     p, t = pred_bpm[valid], truth_bpm[valid]
     diff = p - t
     me = float(diff.mean())

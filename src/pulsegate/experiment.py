@@ -29,7 +29,7 @@ from .classify import (
     frame_accuracy,
     predict,
 )
-from .errors import InvalidArgumentError, PulsegateError, check_keys, from_json
+from .errors import InvalidInputError, PulsegateError, check_keys, from_json
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
 from .features import extract_features, feature_matrix, feature_windows
@@ -148,91 +148,77 @@ class ExperimentConfig:
 
     def validate(self):
         if not self.negative_kinds:
-            raise InvalidArgumentError("negatives.kinds names no kind")
+            raise InvalidInputError("negatives.kinds names no kind")
         for kind in self.negative_kinds:
             NegativeTransform(kind=kind, normal_sigma=self.normal_sigma,
                               uniform_bounds=self.uniform_bounds)
         if self.filters < 1:
-            raise InvalidArgumentError(f"estimator.filters ({self.filters}) must be at least 1")
+            raise InvalidInputError(f"estimator.filters ({self.filters}) must be at least 1")
         if self.kernel_len < 1 or self.kernel_len % 2 == 0:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"estimator.kernel_len ({self.kernel_len}) must be odd and at least 1")
         if not self.init_scale > 0:
-            raise InvalidArgumentError(
-                f"estimator.init_scale ({self.init_scale:g}) must be positive")
+            raise InvalidInputError(f"estimator.init_scale ({self.init_scale:g}) must be positive")
         if not 40.0 <= self.hr_range_bpm[0] <= self.hr_range_bpm[1] <= 240.0:
-            raise InvalidArgumentError(f"scene.hr_range_bpm {list(self.hr_range_bpm)} must "
+            raise InvalidInputError(f"scene.hr_range_bpm {list(self.hr_range_bpm)} must "
                                        "satisfy 40 <= low <= high <= 240")
         if not self.hrv_knot_spacing_s > 0:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"scene.hrv_knot_spacing_s ({self.hrv_knot_spacing_s:g}) must be positive")
         for split in ("train", "eval"):
             noise = getattr(self, f"{split}_sensor_noise")
             if noise < 0:
-                raise InvalidArgumentError(
+                raise InvalidInputError(
                     f"scene.{split}_sensor_noise ({noise:g}) must be at least 0")
             # the scene checks of `SceneConfig` on the scenes that synth builds
             SceneConfig(duration_s=getattr(self, f"{split}_duration_s"), fps=self.fps,
                         dims=self.dims, pulse_amplitude=self.pulse_amplitude,
                         dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise)
         if self.svm_C <= 0:
-            raise InvalidArgumentError(f"svm.C ({self.svm_C:g}) must be positive")
+            raise InvalidInputError(f"svm.C ({self.svm_C:g}) must be positive")
         if not 0.0 < self.svm_nu <= 1.0:
-            raise InvalidArgumentError(f"svm.nu ({self.svm_nu:g}) must be in (0, 1]")
+            raise InvalidInputError(f"svm.nu ({self.svm_nu:g}) must be in (0, 1]")
         for variant in self.variants:
             if variant not in VARIANT_ORDER:
-                raise InvalidArgumentError(f"unknown estimator variant {variant!r}")
+                raise InvalidInputError(f"unknown estimator variant {variant!r}")
         for name in self.baselines:
             if name not in bl.ESTIMATORS:
-                raise InvalidArgumentError(f"unknown baseline {name!r}")
+                raise InvalidInputError(f"unknown baseline {name!r}")
         if "none" not in self.variants:
-            raise InvalidArgumentError("the positives-only variant 'none' is required")
+            raise InvalidInputError("the positives-only variant 'none' is required")
         # the two-class SVM needs both validation sides, the test metrics both test sides
         for name in ("n_val_svm_pos", "n_val_svm_neg", "n_test_pos", "n_test_neg"):
             if getattr(self, name) < 1:
-                raise InvalidArgumentError(
+                raise InvalidInputError(
                     f"corpus.{name} ({getattr(self, name)}) must be at least 1")
         if self.train_cfg.clip_len > self.train_duration_s * self.fps:
-            raise InvalidArgumentError("clip_len exceeds training scene length")
+            raise InvalidInputError("clip_len exceeds training scene length")
         if self.eval_duration_s < self.feature_window_s:
-            raise InvalidArgumentError("evaluation scenes shorter than one feature window")
+            raise InvalidInputError("evaluation scenes shorter than one feature window")
         # feature windows start every stride: the last must end on the last frame
         window = int(round(self.feature_window_s * self.fps))
         stride = int(round(self.feature_stride_s * self.fps))
         if stride < 1:
-            raise InvalidArgumentError(f"features.stride_s ({self.feature_stride_s:g} s) is "
+            raise InvalidInputError(f"features.stride_s ({self.feature_stride_s:g} s) is "
                                        f"under one frame at fps {self.fps:g}")
         frames = int(round(self.eval_duration_s * self.fps))
         if (frames - window) % stride:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"eval_duration_s - feature_window_s ({self.eval_duration_s:g} - "
                 f"{self.feature_window_s:g} s) is not a whole number of "
                 f"feature_stride_s ({self.feature_stride_s:g} s) strides")
         if self.rate_stride_frames < 1:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"rate_eval.stride_frames ({self.rate_stride_frames}) must be at least 1")
         # rates come from scenes resampled over their span of (frames - 1) / fps
         rate_window = int(round(self.rate_window_s * self.rate_resample_fps))
         if not 2 <= rate_window <= self.nfft or \
                 self.rate_window_s > (frames - 1) / self.fps:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"rate_eval.window_s ({self.rate_window_s:g} s) must hold 2 to nfft "
                 f"({self.nfft}) samples at rate_eval.resample_fps "
                 f"({self.rate_resample_fps:g}) and fit in the "
                 f"{self.eval_duration_s:g} s evaluation scenes less one frame")
-
-
-class StageError(PulsegateError):
-    """Wraps a failure with the pipeline stage where it occurred."""
-
-    def __init__(self, stage, cause):
-        # both in args, so that the error unpickles when a worker raises it
-        super().__init__(stage, cause)
-        self.stage = stage
-        self.cause = cause
-
-    def __str__(self):
-        return f"stage {self.stage!r} failed: {self.cause}"
 
 
 def hrv_trajectory(rng, duration_s, hr_lo, hr_hi, step_bpm, clamp_bpm, spacing_s):
@@ -359,7 +345,8 @@ def _stage(name, fn, *args):
     try:
         return fn(*args)
     except PulsegateError as exc:
-        raise StageError(name, exc) from exc
+        # the same class with one message, so that it unpickles from a worker
+        raise type(exc)(f"stage {name!r} failed: {exc}") from exc
 
 
 def _variant_job(cfg, variant, sets, rate_truth, out_dir) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InvalidInputError
 from .signal_core import (
     DEFAULT_BAND_BPM,
     DEFAULT_NFFT,
@@ -63,7 +63,7 @@ def ampd_rows(x: np.ndarray) -> np.ndarray:
     """
     rows, n = x.shape
     if n < 8:
-        raise InsufficientDataError("AMPD needs at least 8 samples")
+        raise InvalidInputError("AMPD needs at least 8 samples")
     t = np.arange(n) - (n - 1) / 2.0
     centred = x - x.mean(axis=1, keepdims=True)
     detrended = centred - (np.sum(centred * t, axis=1, keepdims=True) / np.sum(t * t)) * t
@@ -129,11 +129,11 @@ def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: 
     """Start indices and the read-only (windows, W) stack of the sliding feature windows."""
     window = int(round(window_s * fps))
     if samples.size < window:
-        raise InsufficientDataError(
+        raise InvalidInputError(
             f"waveform of {samples.size} samples is shorter than one {window_s} s window")
     hop = int(round(stride_s * fps))
     if hop < 1:
-        raise InvalidArgumentError(f"stride_s ({stride_s:g} s) is under one frame at {fps:g} fps")
+        raise InvalidInputError(f"stride_s ({stride_s:g} s) is under one frame at {fps:g} fps")
     return (range(0, samples.size - window + 1, hop),
             sliding_window_view(samples, window)[::hop])
 

@@ -47,11 +47,15 @@ def read_waveform(path) -> Waveform:
         raise InvalidInputError(f"{path}: need at least 2 samples")
     times = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
-    span = times[-1] - times[0]
-    if span <= 0:
+    steps, span = np.diff(times), times[-1] - times[0]
+    if not np.all(steps > 0):  # NaN too
         raise InvalidInputError(f"{path}: time column must be increasing")
-    fps = (len(rows) - 1) / span
-    return Waveform(values, fps)
+    # the fps comes from the span, so a gap or a jitter beyond rounding is an error
+    mean_step = span / (len(rows) - 1)
+    if not np.all(np.abs(steps - mean_step) <= 0.5 * mean_step):
+        raise InvalidInputError(f"{path}: time steps of {steps.min():g} to {steps.max():g} s "
+                                f"are not even around their mean of {mean_step:g} s")
+    return Waveform(values, (len(rows) - 1) / span)
 
 
 def _sidecar_path(bin_path: Path) -> Path:

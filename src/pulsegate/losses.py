@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCorrelationError,
-    DegenerateInputError,
-    InvalidArgumentError,
-)
+from .errors import InvalidInputError, NumericalError
 from .signal_core import (
     DEFAULT_BAND_BPM,
     DEFAULT_NFFT,
@@ -43,11 +39,11 @@ class LossSpec:
 
     def __post_init__(self):
         if self.positive_loss not in POSITIVE_LOSSES:
-            raise InvalidArgumentError(f"unknown positive loss {self.positive_loss!r}")
+            raise InvalidInputError(f"unknown positive loss {self.positive_loss!r}")
         if self.negative_loss not in NEGATIVE_LOSSES:
-            raise InvalidArgumentError(f"unknown negative loss {self.negative_loss!r}")
+            raise InvalidInputError(f"unknown negative loss {self.negative_loss!r}")
         if len(self.band_bpm) != 2 or not 0 <= self.band_bpm[0] < self.band_bpm[1]:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"band_bpm {list(self.band_bpm)} must be two numbers with 0 <= low < high")
 
 
@@ -59,7 +55,7 @@ def _pearson_rows(pred: np.ndarray, target: np.ndarray):
     p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
     t_norm = np.sqrt(np.einsum("ij,ij->i", t, t))
     if np.any(p_norm == 0.0) or np.any(t_norm == 0.0):
-        raise DegenerateCorrelationError("correlation undefined for constant signals")
+        raise NumericalError("correlation undefined for constant signals")
     r = np.einsum("ij,ij->i", p, t) / (p_norm * t_norm)
     grad = -(t / (p_norm * t_norm)[:, None] - r[:, None] * p / (p_norm ** 2)[:, None])
     return 1.0 - r, grad
@@ -106,7 +102,7 @@ def _spectral_rows(pred: np.ndarray, fps: float, nfft: int, band_bpm, kind: str)
     band_power = np.abs(spectrum[:, mask]) ** 2 * weights[mask]
     total = band_power.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
-        raise DegenerateInputError("no in-band spectral energy")
+        raise NumericalError("no in-band spectral energy")
     dist = band_power / total
     k = dist.shape[1]
     log_dist = np.log(np.maximum(dist, LOG_FLOOR))
@@ -155,9 +151,9 @@ def batch_loss(pred: np.ndarray, targets: np.ndarray, positive: np.ndarray,
 def combined_loss(pred: Waveform, target, is_positive: bool, spec: LossSpec):
     """Value and gradient of the objective for one sample: a one-row `batch_loss`."""
     if is_positive != (target is not None):
-        raise InvalidArgumentError("positive samples need a target waveform, negatives none")
+        raise InvalidInputError("positive samples need a target waveform, negatives none")
     if is_positive and len(target) != len(pred):
-        raise InvalidArgumentError("pred and target must have equal lengths")
+        raise InvalidInputError("pred and target must have equal lengths")
     targets = (target if is_positive else pred).samples[None]
     values, grads = batch_loss(pred.samples[None], targets, np.array([is_positive]),
                                pred.fps, spec)

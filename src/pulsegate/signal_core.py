@@ -8,11 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    InvalidArgumentError,
-    InvalidInputError,
-)
+from .errors import InvalidInputError
 
 DEFAULT_NFFT = 5400
 DEFAULT_BAND_BPM = (40.0, 240.0)
@@ -89,7 +85,7 @@ def one_sided_spectrum(samples: np.ndarray, nfft: int) -> tuple[np.ndarray, np.n
     """
     x = np.asarray(samples, dtype=float)
     if nfft < x.shape[-1]:
-        raise InvalidArgumentError(f"nfft={nfft} shorter than signal length {x.shape[-1]}")
+        raise InvalidInputError(f"nfft={nfft} shorter than signal length {x.shape[-1]}")
     spectrum = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), nfft)
     weights = np.full(spectrum.shape[-1], 2.0)
     weights[0] = 1.0
@@ -137,7 +133,7 @@ def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
     """The one-row `psd_rows` of a waveform, for a band with low < high."""
     low, high = band_bpm
     if not low < high:
-        raise InvalidArgumentError("band low must be below band high")
+        raise InvalidInputError("band low must be below band high")
     return psd_rows(w.samples, w.fps, nfft, band_bpm)
 
 
@@ -147,7 +143,7 @@ def hilbert_envelope_rows(x: np.ndarray) -> np.ndarray:
     positive frequencies and zeroes the negative ones."""
     n = x.shape[-1]
     if n < 4:
-        raise InsufficientDataError("hilbert envelope needs at least 4 samples")
+        raise InvalidInputError("hilbert envelope needs at least 4 samples")
     gain = np.zeros(n)
     gain[0] = 1.0
     gain[1:(n + 1) // 2] = 2.0
@@ -192,9 +188,9 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     count is chosen so the last grid point does not extrapolate.
     """
     if not target_fps > 0:
-        raise InvalidArgumentError("target_fps must be positive")
+        raise InvalidInputError("target_fps must be positive")
     if len(w) < 4:
-        raise InsufficientDataError("cubic resampling needs at least 4 samples")
+        raise InvalidInputError("cubic resampling needs at least 4 samples")
     if target_fps == w.fps:
         return Waveform(w.samples.copy(), w.fps)
     times, y = w.times, w.samples

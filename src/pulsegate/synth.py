@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidInputError
 from .signal_core import VideoCube, Waveform
 
 NEGATIVE_KINDS = ("normal", "uniform", "shuffle")
@@ -38,17 +38,17 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.duration_s * self.fps < 2:
-            raise InvalidArgumentError("scene must span at least 2 frames")
+            raise InvalidInputError("scene must span at least 2 frames")
         if np.shape(self.dims) != (2,) or not all(
                 isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
-            raise InvalidArgumentError(f"dims {self.dims} must be two positive integers")
+            raise InvalidInputError(f"dims {self.dims} must be two positive integers")
         lo, hi = np.min(self.hr_bpm_knots()[1]), np.max(self.hr_bpm_knots()[1])
         if lo < 40.0 or hi > 240.0:
-            raise InvalidArgumentError("hr trajectory must stay within [40, 240] bpm")
+            raise InvalidInputError("hr trajectory must stay within [40, 240] bpm")
         if not (0.0 <= self.dicrotic_ratio <= 1.0):
-            raise InvalidArgumentError(f"dicrotic_ratio ({self.dicrotic_ratio:g}) must be in [0, 1]")
+            raise InvalidInputError(f"dicrotic_ratio ({self.dicrotic_ratio:g}) must be in [0, 1]")
         if self.sensor_noise_sigma < 0:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"sensor_noise_sigma ({self.sensor_noise_sigma:g}) must be at least 0")
 
     def hr_bpm_knots(self):
@@ -105,11 +105,11 @@ class NegativeTransform:
 
     def __post_init__(self):
         if self.kind not in NEGATIVE_KINDS:
-            raise InvalidArgumentError(f"unknown negative kind {self.kind!r}")
+            raise InvalidInputError(f"unknown negative kind {self.kind!r}")
         if self.normal_sigma <= 0:
-            raise InvalidArgumentError("normal_sigma must be positive")
+            raise InvalidInputError("normal_sigma must be positive")
         if not self.uniform_bounds[0] < self.uniform_bounds[1]:
-            raise InvalidArgumentError(
+            raise InvalidInputError(
                 f"uniform_bounds {list(self.uniform_bounds)} must satisfy low < high")
 
 

@@ -8,7 +8,7 @@ from pulsegate.baselines import (
     estimate_pos,
     trace_from_cube,
 )
-from pulsegate.errors import InsufficientDataError
+from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import pulse_rate
 from pulsegate.features import snr_rows
 from pulsegate.signal_core import DEFAULT_BAND_BPM, Waveform, power_spectrum, band_bin_mask
@@ -85,7 +85,7 @@ class TestChrom:
         np.testing.assert_array_equal(estimate_chrom(constant_trace()).samples, 0.0)
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match="shorter than one"):
             estimate_chrom(RgbTrace(np.full((10, 3), 0.5), 30.0))
 
 

@@ -14,7 +14,7 @@ import pulsegate
 from pulsegate import experiment
 from pulsegate.classify import fit_one_class
 from pulsegate.cli import main
-from pulsegate.errors import DegenerateInputError, NumericalDivergenceError
+from pulsegate.errors import InvalidInputError, NumericalError
 from pulsegate.estimator import ToyEstimator
 from pulsegate.fileio import (
     dump_json,
@@ -128,6 +128,21 @@ class TestEstimate:
         assert code == 2
         assert f"clip_len ({clip_len}) must be at least 1" in capsys.readouterr().err
 
+    # a model file of 4 filters whose biases are cut or grown
+    @pytest.mark.parametrize("key, values, named", [
+        ("b1", [0.0] * 3, "b1 has shape (3,); 4 filters need (4,)"),
+        ("b2", [0.0] * 2, "b2 has shape (2,); 4 filters need (1,)"),
+    ], ids=["b1", "b2"])
+    def test_model_with_bad_bias_rejected(self, workdir, tmp_path, capsys, key, values, named):
+        model = tmp_path / "model.json"
+        dump_json({**ToyEstimator.init(filters=4, kernel_len=5, seed=0).to_dict(), key: values},
+                  model)
+        code = main(["estimate", "--method", "model", "--model", str(model),
+                     "--in", str(workdir / "pos.bin"), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFeaturesAndClassify:
     def test_features_and_svm_round_trip(self, workdir):
@@ -192,6 +207,29 @@ class TestFeaturesAndClassify:
                             "dual_coef must hold one value per support vector"),
         "empty_support_vectors": (lambda m: {**m, "support_vectors": [], "dual_coef": []},
                                   "support_vectors must be a non-empty 2-D array"),
+        # values a fitted model never holds
+        "negative_gamma": (lambda m: {**m, "gamma": -1.0},
+                           "gamma (-1) must be positive and finite"),
+        "zero_gamma": (lambda m: {**m, "gamma": 0.0}, "gamma (0) must be positive and finite"),
+        "infinite_gamma": (lambda m: {**m, "gamma": float("inf")},
+                           "gamma (inf) must be positive and finite"),
+        "zero_scaler_std": (lambda m: {**m, "scaler_std": [0.0] * 8},
+                            "scaler_std entries must be positive"),
+        "negative_scaler_std": (lambda m: {**m, "scaler_std": [-1.0] + m["scaler_std"][1:]},
+                                "scaler_std entries must be positive"),
+        "nan_support_vector": (
+            lambda m: {**m, "support_vectors": [[float("nan")] + m["support_vectors"][0][1:]]
+                       + m["support_vectors"][1:]},
+            "support_vectors must be finite"),
+        "nan_dual_coef": (lambda m: {**m, "dual_coef": [float("nan")] + m["dual_coef"][1:]},
+                          "dual_coef must be finite"),
+        "infinite_bias": (lambda m: {**m, "bias": float("inf")}, "bias must be finite"),
+        "nan_scaler_mean": (lambda m: {**m, "scaler_mean": [float("nan")] * 8},
+                            "scaler_mean must be finite"),
+        "infinite_scaler_std": (lambda m: {**m, "scaler_std": [float("inf")] * 8},
+                                "scaler_std must be finite"),
+        "unknown_kind": (lambda m: {**m, "kind": "three_class"},
+                         "kind 'three_class' must be 'two_class' or 'one_class'"),
     }
 
     @pytest.mark.parametrize("case", BAD_SHAPES)
@@ -531,28 +569,32 @@ class TestExperiment:
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [NumericalDivergenceError, DegenerateInputError])
-    def test_numerical_failure_in_stage_exits_3(self, tmp_path, capsys, monkeypatch, error):
+    def test_numerical_failure_in_stage_exits_3(self, tmp_path, capsys, monkeypatch):
         # every variant fails, 'none' last in time: the first job in config
         # order is still the one reported
         def diverge(cfg, *args, **kwargs):
             if cfg.loss.negative_loss == "none":
                 time.sleep(0.5)
-            raise error("loss went non-finite")
+            raise NumericalError("loss went non-finite")
 
         monkeypatch.setattr(experiment, "train", diverge)
         assert main_within(["experiment", "--config", "configs/smoke.json",
                             "--out", str(tmp_path / "run")]) == 3
-        assert "stage 'train-none' failed" in capsys.readouterr().err
+        assert ("numerical failure: stage 'train-none' failed: loss went non-finite"
+                in capsys.readouterr().err)
 
     def test_stage_error_pickles(self):
         # a worker's error reaches the parent pickled; one that does not
         # unpickle leaves the pool waiting forever
-        error = pickle.loads(pickle.dumps(
-            experiment.StageError("train-std", NumericalDivergenceError("x"))))
-        assert error.stage == "train-std"
-        assert isinstance(error.cause, NumericalDivergenceError) and str(error.cause) == "x"
-        assert str(error) == "stage 'train-std' failed: x"
+        for cls in (InvalidInputError, NumericalError):
+            def fail():
+                raise cls("x")
+
+            with pytest.raises(cls) as caught:
+                experiment._stage("train-std", fail)
+            error = pickle.loads(pickle.dumps(caught.value))
+            assert type(error) is cls
+            assert str(error) == "stage 'train-std' failed: x"
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path):

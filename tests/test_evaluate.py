@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import pulsegate
-from pulsegate.errors import EmptyComparisonError, InvalidArgumentError
+from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import (
     RATE_BAND_HZ,
     ErrorReport,
@@ -145,12 +145,12 @@ class TestPulseRate:
 
     @pytest.mark.parametrize("stride", [0, -5])
     def test_stride_below_one_rejected(self, stride):
-        with pytest.raises(InvalidArgumentError, match="stride_frames"):
+        with pytest.raises(InvalidInputError, match="stride_frames"):
             pulse_rate(sine(1.5, 90.0, 15.0), stride_frames=stride)
 
     @pytest.mark.parametrize("window_s", [0.0, 0.004, 0.011])
     def test_window_under_two_samples_rejected(self, window_s):
-        with pytest.raises(InvalidArgumentError, match="at least 2"):
+        with pytest.raises(InvalidInputError, match="at least 2"):
             pulse_rate(sine(1.5, 90.0, 15.0), window_s=window_s)
 
     def test_times_strictly_increasing_and_in_band(self):
@@ -221,7 +221,7 @@ class TestErrorReport:
         assert len(values) == 1, values
 
     def test_no_valid_pairs_rejected(self):
-        with pytest.raises(EmptyComparisonError):
+        with pytest.raises(InvalidInputError, match="valid rate pairs"):
             error_metrics([np.nan, np.nan, 60.0], [60.0, 60.0, np.nan])
 
     def test_affine_protocol_zero_error(self):

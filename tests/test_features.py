@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulsegate.errors import InsufficientDataError
+from pulsegate.errors import InvalidInputError
 from pulsegate.features import (
     _AMPD_CHUNK_CELLS,
     FEATURE_NAMES,
@@ -93,7 +93,7 @@ class TestAmpd:
             assert x[p] >= x[p - 1] - 1e-12 and x[p] >= x[p + 1] - 1e-12
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match="at least 8 samples"):
             ampd_rows(np.arange(5.0)[None])
 
 
@@ -195,7 +195,7 @@ class TestExtractFeatures:
             np.testing.assert_allclose(scaled[:, i], 2.0 * base[:, i], rtol=1e-9)
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match="shorter than one"):
             extract_features(Waveform(np.zeros(100), 30.0), window_s=10.0)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -81,12 +82,33 @@ def test_malformed_sidecar_rejected(tmp_path, sidecar):
         read_cube(path)
 
 
-@pytest.mark.parametrize("text", ["", "t,value\n0.0,1.0\n0.1,x\n", "t,value\n0.0\n0.1,1\n"])
+def csv_text(times):
+    return "t,value\n" + "".join(f"{t!r},{i}\n" for i, t in enumerate(times))
+
+
+TICKS = [i / 30 for i in range(150)]  # 5 s at 30 fps
+
+
+@pytest.mark.parametrize("text", [
+    "", "t,value\n0.0,1.0\n0.1,x\n", "t,value\n0.0\n0.1,1\n",
+    pytest.param(csv_text([0.0, 0.1, 0.1, 0.2]), id="repeated_time"),
+    pytest.param(csv_text([0.0, 0.1, 0.3, 0.2, 0.4]), id="swapped_pair"),
+    pytest.param(csv_text(TICKS[:75] + [t + 5.0 for t in TICKS[75:]]), id="gap_of_5_s"),
+    pytest.param(csv_text([0.0, 0.1, 0.2, 0.36, 0.4]), id="step_of_1.6_mean_steps"),
+    pytest.param(csv_text([0.0, float("nan"), 0.2, 0.3]), id="nan_time"),
+])
 def test_malformed_waveform_csv_rejected(tmp_path, text):
     path = tmp_path / "wave.csv"
     path.write_text(text)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=re.escape(str(path))):
         read_waveform(path)
+
+
+@pytest.mark.parametrize("fps", [30.0, 90.0])
+def test_millisecond_rounded_times_read(tmp_path, fps):
+    path = tmp_path / "wave.csv"
+    path.write_text(csv_text([round(i / fps, 3) for i in range(int(10 * fps))]))
+    assert read_waveform(path).fps == pytest.approx(fps, rel=1e-3)
 
 
 def test_malformed_feature_table_rejected(tmp_path):

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from pulsegate.errors import (
-    DegenerateCorrelationError,
-    DegenerateInputError,
-    InvalidArgumentError,
-)
+from pulsegate.errors import InvalidInputError, NumericalError
 from pulsegate.losses import (
     LossSpec,
     batch_loss,
@@ -69,9 +65,9 @@ class TestNegPearson:
     def test_constant_signal_rejected(self):
         flat = Waveform(np.full(16, 2.0), 30.0)
         wavy = Waveform(np.sin(np.arange(16.0)), 30.0)
-        with pytest.raises(DegenerateCorrelationError):
+        with pytest.raises(NumericalError, match="constant signals"):
             loss_neg_pearson(flat, wavy)
-        with pytest.raises(DegenerateCorrelationError):
+        with pytest.raises(NumericalError, match="constant signals"):
             loss_neg_pearson(wavy, flat)
 
 
@@ -177,7 +173,7 @@ class TestSpectralLossGradients:
 
     @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
     def test_degenerate_spectrum_rejected(self, loss):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericalError, match="no in-band"):
             loss(Waveform(np.full(64, 2.0), 90.0), nfft=128)
 
 
@@ -208,7 +204,7 @@ class TestCombinedLoss:
     @pytest.mark.parametrize("band_bpm", [(240.0, 40.0), (40.0, 40.0), (-10.0, 240.0),
                                           (40.0,), (40.0, 240.0, 300.0)])
     def test_band_not_low_high_rejected(self, band_bpm):
-        with pytest.raises(InvalidArgumentError, match="band_bpm"):
+        with pytest.raises(InvalidInputError, match="band_bpm"):
             LossSpec(negative_loss="spectral_flatness", band_bpm=band_bpm)
 
     def test_positive_mse_dispatch(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulsegate.errors import InsufficientDataError, InvalidArgumentError, InvalidInputError
+from pulsegate.errors import InvalidInputError
 from pulsegate.signal_core import (
     VideoCube,
     Waveform,
@@ -87,11 +87,11 @@ class TestPsdNormalized:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_nfft_too_short_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidInputError, match="shorter than signal"):
             psd_rows(sine_wave(1.0, 30.0, 10.0).samples[None], 30.0, 100)
 
     def test_inverted_band_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="band low"):
+        with pytest.raises(InvalidInputError, match="band low"):
             psd_normalized(sine_wave(1.0, 30.0, 10.0), band_bpm=(240.0, 40.0))
 
 
@@ -160,7 +160,7 @@ class TestResampleCubic:
         assert np.abs(back.samples[edge:n - edge] - x[edge:n - edge]).max() < 1e-3
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match="at least 4 samples"):
             resample_cubic(Waveform(np.array([0.0, 1.0, 2.0]), 10.0), 20.0)
 
 
@@ -241,7 +241,7 @@ class TestAgainstScipy:
     def test_short_inputs_rejected(self):
         for n in (2, 3):
             w = Waveform(np.arange(float(n)), 10.0)
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(InvalidInputError, match="at least 4 samples"):
                 hilbert_envelope_rows(w.samples)
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(InvalidInputError, match="at least 4 samples"):
                 resample_cubic(w, 20.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulsegate.errors import InvalidArgumentError
+from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import pulse_rate
 from pulsegate.signal_core import psd_rows, spatial_mean_trace
 from pulsegate.synth import (
@@ -53,16 +53,16 @@ class TestGeneratePositive:
         assert r > 0.95
 
     def test_hr_outside_band_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidInputError, match="hr trajectory"):
             scene(hr_trajectory=30.0)
 
     @pytest.mark.parametrize("dims", [(8,), (8, 8, 8), (0, 8), (8.0, 8)])
     def test_dims_not_two_positive_integers_rejected(self, dims):
-        with pytest.raises(InvalidArgumentError, match="dims"):
+        with pytest.raises(InvalidInputError, match="dims"):
             scene(dims=dims)
 
     def test_negative_sensor_noise_rejected(self):
-        with pytest.raises(InvalidArgumentError, match=r"sensor_noise_sigma \(-1\)"):
+        with pytest.raises(InvalidInputError, match=r"sensor_noise_sigma \(-1\)"):
             scene(sensor_noise_sigma=-1.0)
 
 

@@ -56,7 +56,7 @@ def estimate_green(trace: RgbTrace) -> Waveform:
     return standardize(Waveform(-trace.values[:, 1], trace.fps))
 
 
-def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
+def _windowed_projection(trace: RgbTrace, project) -> Waveform:
     """Shared CHROM/POS machinery: per-window projection + Hann overlap-add.
 
     `project` maps window-mean-normalized channels (Rn, Gn, Bn) to a 1-D chunk
@@ -64,10 +64,10 @@ def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
     non-positive channel means); degenerate windows contribute zeros.
     """
     total = len(trace)
-    length = max(int(round(window_s * trace.fps)), 2)
+    length = max(int(round(CHROM_POS_WINDOW_S * trace.fps)), 2)
     if total < length:
         raise InvalidInputError(
-            f"trace of {total} samples is shorter than one {window_s} s window")
+            f"trace of {total} samples is shorter than one {CHROM_POS_WINDOW_S} s window")
     starts = window_starts(total, length, length // 2)
     chunks = []
     for start in starts:
@@ -78,7 +78,7 @@ def _windowed_projection(trace: RgbTrace, window_s: float, project) -> Waveform:
     return standardize(Waveform(stitch_overlap_add(chunks, starts, total), trace.fps))
 
 
-def estimate_chrom(trace: RgbTrace, window_s: float = CHROM_POS_WINDOW_S) -> Waveform:
+def estimate_chrom(trace: RgbTrace) -> Waveform:
     """Chrominance estimator: s = Xc - (std(Xc)/std(Yc)) * Yc per window."""
 
     def project(rn, gn, bn):
@@ -89,10 +89,10 @@ def estimate_chrom(trace: RgbTrace, window_s: float = CHROM_POS_WINDOW_S) -> Wav
             return None
         return xc - (xc.std() / sd_y) * yc
 
-    return _windowed_projection(trace, window_s, project)
+    return _windowed_projection(trace, project)
 
 
-def estimate_pos(trace: RgbTrace, window_s: float = CHROM_POS_WINDOW_S) -> Waveform:
+def estimate_pos(trace: RgbTrace) -> Waveform:
     """Plane-orthogonal-to-skin estimator: h = S1 + (std(S1)/std(S2)) * S2 per window."""
 
     def project(rn, gn, bn):
@@ -103,7 +103,7 @@ def estimate_pos(trace: RgbTrace, window_s: float = CHROM_POS_WINDOW_S) -> Wavef
             return None
         return s1 + (s1.std() / sd2) * s2
 
-    return _windowed_projection(trace, window_s, project)
+    return _windowed_projection(trace, project)
 
 
 # baseline name -> estimator, for the CLI and the experiment

@@ -163,7 +163,7 @@ def _check_features(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fit(x: np.ndarray, gamma, standardize: bool, dual, **hyper) -> SvmModel:
+def _fit(x: np.ndarray, standardize: bool, dual, **hyper) -> SvmModel:
     """An RBF SVM on the rows `x`, the other `SvmModel` fields in `hyper`.
 
     `dual(kernel)` solves the SVM's dual on the Gram matrix of the
@@ -176,15 +176,15 @@ def _fit(x: np.ndarray, gamma, standardize: bool, dual, **hyper) -> SvmModel:
     else:
         mean, std = np.zeros(x.shape[1]), np.ones(x.shape[1])
     xs = (x - mean) / std
-    # unless given, gamma = 1 / (n_features * var(X)), the common 'scale' heuristic
-    gamma = float(gamma) if gamma is not None else 1.0 / (x.shape[1] * (float(xs.var()) or 1.0))
+    # gamma = 1 / (n_features * var(X)), the common 'scale' heuristic
+    gamma = 1.0 / (x.shape[1] * (float(xs.var()) or 1.0))
     alpha, coef, bias = dual(rbf_kernel(xs, xs, gamma))
     keep = alpha > _SV_EPS
     return SvmModel(gamma=gamma, support_vectors=xs[keep], dual_coef=coef[keep],
                     bias=bias, scaler_mean=mean, scaler_std=std, **hyper)
 
 
-def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0, gamma=None,
+def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a two-class RBF SVM on labels {LIVE, ANOMALOUS}."""
     if not C > 0:
@@ -200,10 +200,10 @@ def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0, gamma=None,
         alpha, bias, *_ = smo_solve_two_class(kernel, y, C, tol)
         return alpha, alpha * y, bias
 
-    return _fit(x, gamma, standardize, dual, kind="two_class", C=C)
+    return _fit(x, standardize, dual, kind="two_class", C=C)
 
 
-def fit_one_class(x: np.ndarray, nu: float = 0.5, gamma=None,
+def fit_one_class(x: np.ndarray, nu: float = 0.5,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a one-class RBF SVM on live-only feature rows."""
     if not 0.0 < nu <= 1.0:
@@ -217,7 +217,7 @@ def fit_one_class(x: np.ndarray, nu: float = 0.5, gamma=None,
         alpha, rho, *_ = smo_solve_one_class(kernel, nu, tol)
         return alpha, alpha, -rho
 
-    return _fit(x, gamma, standardize, dual, kind="one_class", nu=nu)
+    return _fit(x, standardize, dual, kind="one_class", nu=nu)
 
 
 def decision_values(model: SvmModel, x: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ from .fileio import (
     write_waveform,
 )
 from .signal_core import (
-    DEFAULT_BAND_BPM,
     DEFAULT_NFFT,
     bandpass_brickwall,
     resample_cubic,
@@ -96,7 +95,7 @@ def cmd_estimate(args):
     else:
         wave = bl.ESTIMATORS[args.method](bl.trace_from_cube(cube))
     if args.bandpass:
-        wave = bandpass_brickwall(wave, DEFAULT_BAND_BPM)
+        wave = bandpass_brickwall(wave)
     if args.resample_fps:
         wave = resample_cubic(wave, args.resample_fps)
     write_waveform(wave, args.out)
@@ -152,17 +151,14 @@ def cmd_classify_fit(args):
         _, matrix, file_labels = read_features(path)
         matrices.append(matrix)
         labels.append(file_labels)
-    x = np.vstack(matrices)
     if args.kind == "two":
         if any(l is None for l in labels):
             raise InvalidInputError("two-class fit needs labeled feature files")
-        y = np.concatenate(labels)
-        model = fit_two_class(x, y, C=args.C)
+        model = fit_two_class(np.vstack(matrices), np.concatenate(labels), C=args.C)
     else:
-        if all(l is not None for l in labels):
-            keep = np.concatenate(labels) == LIVE
-            x = x[keep]
-        model = fit_one_class(x, nu=args.nu)
+        # the one-class SVM learns the live rows: unlabeled ones and those labelled LIVE
+        live = [m if l is None else m[l == LIVE] for m, l in zip(matrices, labels)]
+        model = fit_one_class(np.vstack(live), nu=args.nu)
     dump_json(model.to_dict(), args.out)
     print(f"wrote {args.out} ({model.support_vectors.shape[0]} support vectors)")
     return EXIT_OK
@@ -185,6 +181,9 @@ def cmd_pulse_rate(args):
     wave = read_waveform(args.infile)
     pred = pulse_rate(wave, window_s=args.window_s, stride_frames=args.stride_frames,
                       nfft=args.nfft)
+    if np.isnan(pred.bpm).all():
+        raise NumericalError(f"no pulse rate in {args.infile}: "
+                             f"{pred.bpm.size} of {pred.bpm.size} windows are constant")
 
     def series(rates):
         return {"times_s": list(map(float, rates.times_s)),

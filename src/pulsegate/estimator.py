@@ -34,7 +34,7 @@ class ToyEstimator:
     """Two temporal convolutions: C_in -> filters (tanh) -> 1 (linear).
     The four parameter arrays are views into one flat vector, `flat`."""
 
-    w1: np.ndarray  # (filters, in_channels, kernel_len)
+    w1: np.ndarray  # (filters, in_channels, kernel_len); `init` builds 3 channels, R, G, B
     b1: np.ndarray  # (filters,)
     w2: np.ndarray  # (1, filters, kernel_len)
     b2: np.ndarray  # (1,)
@@ -58,15 +58,15 @@ class ToyEstimator:
             setattr(self, name, view)
 
     @classmethod
-    def init(cls, filters: int = 8, kernel_len: int = 11, in_channels: int = 3,
-             init_scale: float = 0.1, seed: int = 0, activation: str = "tanh"):
+    def init(cls, filters: int = 8, kernel_len: int = 11, init_scale: float = 0.1,
+             seed: int = 0, activation: str = "tanh"):
         for name, size in (("filters", filters), ("kernel_len", kernel_len)):
             if size < 1:
                 raise InvalidInputError(f"{name} ({size}) must be at least 1")
         if not init_scale > 0:
             raise InvalidInputError(f"init_scale ({init_scale:g}) must be positive")
         rng = np.random.default_rng(seed)
-        return cls(w1=rng.normal(0.0, init_scale, (filters, in_channels, kernel_len)),
+        return cls(w1=rng.normal(0.0, init_scale, (filters, 3, kernel_len)),
                    b1=np.zeros(filters),
                    w2=rng.normal(0.0, init_scale, (1, filters, kernel_len)),
                    b2=np.zeros(1),
@@ -287,6 +287,8 @@ def _validation_metric(model, val_samples, fps, cfg):
     return metric
 
 
+# a diverging step overflows quietly: `train` stops on its non-finite loss itself
+@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None):
     """SGD with momentum on the combined loss over a labeled clip corpus.
 

@@ -35,8 +35,8 @@ class ErrorReport:
 
 
 def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
-               nfft: int = DEFAULT_NFFT, band_hz=RATE_BAND_HZ) -> RateSeries:
-    """Highest in-band spectral peak per sliding window, in bpm.
+               nfft: int = DEFAULT_NFFT) -> RateSeries:
+    """Highest spectral peak in `RATE_BAND_HZ` per sliding window, in bpm.
 
     Windows slide one frame at a time by default, producing frame-wise
     estimates at the window centers; edge frames without a full window are
@@ -64,7 +64,7 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
         raise InvalidInputError(f"nfft={nfft} shorter than window of {window} samples")
     resolution_bpm = w.fps * 60.0 / nfft
     in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, w.fps, nfft,
-                                           (band_hz[0] * 60.0, band_hz[1] * 60.0)))
+                                           (RATE_BAND_HZ[0] * 60.0, RATE_BAND_HZ[1] * 60.0)))
     starts = np.arange(0, len(w) - window + 1, stride_frames)
     per_chunk = min(max(_CHUNK_CELLS // (len(in_band) * stride_frames), 1), len(starts))
     span = (per_chunk - 1) * stride_frames + window

@@ -210,6 +210,9 @@ class ExperimentConfig:
         if self.rate_stride_frames < 1:
             raise InvalidInputError(
                 f"rate_eval.stride_frames ({self.rate_stride_frames}) must be at least 1")
+        if not 0 < self.rate_resample_fps < np.inf:
+            raise InvalidInputError(f"rate_eval.resample_fps ({self.rate_resample_fps:g}) "
+                                    "must be positive and finite")
         # rates come from scenes resampled over their span of (frames - 1) / fps
         rate_window = int(round(self.rate_window_s * self.rate_resample_fps))
         if not 2 <= rate_window <= self.nfft or \

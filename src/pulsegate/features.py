@@ -9,7 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 from .signal_core import (
-    DEFAULT_BAND_BPM,
     DEFAULT_NFFT,
     Waveform,
     band_power_rows,
@@ -91,14 +90,14 @@ def ampd_peaks(w: Waveform) -> np.ndarray:
     return np.flatnonzero(ampd_rows(w.samples[None, :])[0])
 
 
-def snr_rows(x: np.ndarray, fps: float, nfft: int, band_bpm) -> np.ndarray:
+def snr_rows(x: np.ndarray, fps: float, nfft: int) -> np.ndarray:
     """In-band signal-to-noise ratio in dB of each row of x.
 
     Signal power is the in-band power within +-6 bpm of the spectral peak
     plus +-12 bpm of its second harmonic (clipped to the band); noise is the
     remaining in-band power.  Degenerate spectra report the -60 dB floor.
     """
-    band_power, in_band = band_power_rows(x, fps, nfft, band_bpm)
+    band_power, in_band = band_power_rows(x, fps, nfft)
     freqs = np.arange(in_band.size) * (fps * 60.0 / nfft)
     total = band_power.sum(axis=-1)
     peak_bpm = freqs[np.argmax(band_power, axis=-1)][:, None]
@@ -112,9 +111,9 @@ def snr_rows(x: np.ndarray, fps: float, nfft: int, band_bpm) -> np.ndarray:
     return out
 
 
-def snr_db(w: Waveform, nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM) -> float:
+def snr_db(w: Waveform, nfft: int = DEFAULT_NFFT) -> float:
     """In-band SNR in dB of one waveform: the one-row `snr_rows`."""
-    return float(snr_rows(w.samples[None, :], w.fps, nfft, band_bpm)[0])
+    return float(snr_rows(w.samples[None, :], w.fps, nfft)[0])
 
 
 def _peak_interval_features(trough_indices: np.ndarray, fps: float):
@@ -139,7 +138,7 @@ def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: 
 
 
 def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
-                     nfft: int = DEFAULT_NFFT, band_bpm=DEFAULT_BAND_BPM):
+                     nfft: int = DEFAULT_NFFT):
     """Sliding-window feature extraction, every window in one pass.
 
     Returns a list of (window_start_s, PulseFeatureVector).  The number of
@@ -147,7 +146,7 @@ def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
     """
     starts, stack = feature_windows(w.samples, w.fps, window_s, stride_s)
     table = np.zeros((len(stack), len(FEATURE_NAMES)))
-    table[:, 0] = snr_rows(stack, w.fps, nfft, band_bpm)
+    table[:, 0] = snr_rows(stack, w.fps, nfft)
     table[:, 1] = stack.std(axis=-1)
     table[:, 2] = hilbert_envelope_rows(stack).mean(axis=-1)
     troughs = ampd_rows(-stack)

@@ -162,11 +162,9 @@ def combined_loss(pred: Waveform, target, is_positive: bool, spec: LossSpec):
 
 def _one_sample(name: str, **loss):
     """`combined_loss` of one sample under a fixed loss, called as (pred, target)
-    for a positive loss and as (pred, nfft=..., band_bpm=...) for a negative one."""
-    def bound(pred: Waveform, target=None, *, nfft: int = DEFAULT_NFFT,
-              band_bpm=DEFAULT_BAND_BPM):
-        return combined_loss(pred, target, "positive_loss" in loss,
-                             LossSpec(nfft=nfft, band_bpm=band_bpm, **loss))
+    for a positive loss and as (pred, nfft=...) for a negative one."""
+    def bound(pred: Waveform, target=None, *, nfft: int = DEFAULT_NFFT):
+        return combined_loss(pred, target, "positive_loss" in loss, LossSpec(nfft=nfft, **loss))
     bound.__name__ = bound.__qualname__ = name
     return bound
 

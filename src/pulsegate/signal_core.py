@@ -30,8 +30,8 @@ class Waveform:
             raise InvalidInputError("waveform needs a 1-D array of at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise InvalidInputError("waveform samples must be finite")
-        if not (self.fps > 0):
-            raise InvalidInputError("waveform fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise InvalidInputError(f"waveform fps ({self.fps:g}) must be positive and finite")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "fps", float(self.fps))
 
@@ -59,14 +59,10 @@ class VideoCube:
             raise InvalidInputError(f"bad cube shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("video cube values must be finite")
-        if not (self.fps > 0):
-            raise InvalidInputError("video cube fps must be positive")
+        if not 0 < self.fps < np.inf:
+            raise InvalidInputError(f"video cube fps ({self.fps:g}) must be positive and finite")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "fps", float(self.fps))
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 def band_bin_mask(n_bins: int, fps: float, nfft: int, band_bpm) -> np.ndarray:
@@ -103,10 +99,10 @@ def power_spectrum(samples: np.ndarray, nfft: int) -> np.ndarray:
     return np.abs(spectrum) ** 2 * weights
 
 
-def band_power_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM):
-    """One-sided power of each row with the bins outside the band zeroed, and the band mask."""
+def band_power_rows(x: np.ndarray, fps: float, nfft: int):
+    """One-sided power of each row with the bins outside `DEFAULT_BAND_BPM` zeroed, and the mask."""
     spectrum, weights = one_sided_spectrum(x, nfft)
-    in_band = band_bin_mask(weights.size, fps, nfft, band_bpm)
+    in_band = band_bin_mask(weights.size, fps, nfft, DEFAULT_BAND_BPM)
     power = np.zeros(spectrum.shape)
     power[..., in_band] = np.abs(spectrum[..., in_band]) ** 2 * weights[in_band]
     return power, in_band
@@ -119,22 +115,18 @@ class PSD(NamedTuple):
     in_band: np.ndarray
 
 
-def psd_rows(x: np.ndarray, fps: float, nfft: int, band_bpm=DEFAULT_BAND_BPM) -> PSD:
+def psd_rows(x: np.ndarray, fps: float, nfft: int) -> PSD:
     """Band-limited power of each row normalized to unit sum, and the band mask;
     a row with no in-band energy (e.g. a constant) stays all-zero."""
-    power, in_band = band_power_rows(x, fps, nfft, band_bpm)
+    power, in_band = band_power_rows(x, fps, nfft)
     total = power.sum(axis=-1, keepdims=True)
     np.divide(power, total, out=power, where=total > 0.0)
     return PSD(power, in_band)
 
 
-def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT,
-                   band_bpm=DEFAULT_BAND_BPM) -> PSD:
-    """The one-row `psd_rows` of a waveform, for a band with low < high."""
-    low, high = band_bpm
-    if not low < high:
-        raise InvalidInputError("band low must be below band high")
-    return psd_rows(w.samples, w.fps, nfft, band_bpm)
+def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT) -> PSD:
+    """The one-row `psd_rows` of a waveform."""
+    return psd_rows(w.samples, w.fps, nfft)
 
 
 def hilbert_envelope_rows(x: np.ndarray) -> np.ndarray:
@@ -187,8 +179,8 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     The new grid starts at t=0 and spans the original time range; the sample
     count is chosen so the last grid point does not extrapolate.
     """
-    if not target_fps > 0:
-        raise InvalidInputError("target_fps must be positive")
+    if not 0 < target_fps < np.inf:
+        raise InvalidInputError(f"target_fps ({target_fps:g}) must be positive and finite")
     if len(w) < 4:
         raise InvalidInputError("cubic resampling needs at least 4 samples")
     if target_fps == w.fps:
@@ -226,11 +218,11 @@ def spatial_mean_trace(v: VideoCube) -> np.ndarray:
     return v.data.mean(axis=(1, 2))
 
 
-def bandpass_brickwall(w: Waveform, band_bpm=DEFAULT_BAND_BPM) -> Waveform:
-    """Zero-phase FFT bandpass keeping only bins inside [low, high] bpm."""
+def bandpass_brickwall(w: Waveform) -> Waveform:
+    """Zero-phase FFT bandpass keeping only the bins inside `DEFAULT_BAND_BPM`."""
     n = len(w)
     spectrum = np.fft.rfft(w.samples - w.samples.mean())
-    mask = band_bin_mask(spectrum.size, w.fps, n, band_bpm)
+    mask = band_bin_mask(spectrum.size, w.fps, n, DEFAULT_BAND_BPM)
     filtered = np.fft.irfft(np.where(mask, spectrum, 0.0), n)
     return Waveform(filtered, w.fps)
 

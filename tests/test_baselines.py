@@ -11,7 +11,7 @@ from pulsegate.baselines import (
 from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import pulse_rate
 from pulsegate.features import snr_rows
-from pulsegate.signal_core import DEFAULT_BAND_BPM, Waveform, power_spectrum, band_bin_mask
+from pulsegate.signal_core import Waveform, power_spectrum, band_bin_mask
 from pulsegate.synth import SceneConfig, generate_positive
 
 
@@ -45,7 +45,7 @@ class TestGreen:
     def test_snr_on_clean_synthetic(self):
         trace, _ = synthetic_trace()
         wave = estimate_green(trace)
-        assert snr_rows(wave.samples[None], wave.fps, 5400, DEFAULT_BAND_BPM)[0] >= 10.0
+        assert snr_rows(wave.samples[None], wave.fps, 5400)[0] >= 10.0
 
     def test_sign_convention_darker_green_is_positive(self):
         fps, n = 30.0, 300

@@ -206,8 +206,7 @@ class TestPredict:
         raw = x * scale
         model_raw = fit_two_class(raw, y, tol=1e-10, standardize=True)
         pre = (raw - model_raw.scaler_mean) / model_raw.scaler_std
-        model_pre = fit_two_class(pre, y, tol=1e-10, standardize=False,
-                                  gamma=model_raw.gamma)
+        model_pre = fit_two_class(pre, y, tol=1e-10, standardize=False)
         probe = rng.normal(0, 1, (20, 8)) * scale
         np.testing.assert_allclose(
             decision_values(model_raw, probe),

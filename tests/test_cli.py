@@ -1,10 +1,12 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,15 @@ class TestSynth:
         assert f"{key!r} in scene config" in capsys.readouterr().err
         assert not (tmp_path / "pos.bin").exists()
 
+    @pytest.mark.parametrize("fps", [float("inf"), float("nan")])
+    def test_non_finite_fps_rejected(self, tmp_path, capsys, fps):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**SCENE, "fps": fps}))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert f"fps ({fps:g}) must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "pos.bin").exists()
+
     def test_env_seed_override(self, workdir, monkeypatch):
         scene_path = workdir / "scene.json"
         monkeypatch.setenv("PULSEGATE_SEED", "99")
@@ -112,6 +123,24 @@ class TestEstimate:
                      "--out", str(out), "--bandpass", "--resample-fps", "90"]) == 0
         wave = read_waveform(out)
         assert wave.fps == pytest.approx(90.0, rel=1e-3)
+
+    @pytest.mark.parametrize("method", ["green", "chrom", "pos"])
+    def test_infinite_cube_fps_rejected(self, workdir, tmp_path, capsys, method):
+        sidecar = json.loads((workdir / "pos.json").read_text())
+        (tmp_path / "inf.json").write_text(json.dumps({**sidecar, "fps": float("inf")}))
+        (tmp_path / "inf.bin").write_bytes((workdir / "pos.bin").read_bytes())
+        code = main(["estimate", "--method", method, "--in", str(tmp_path / "inf.bin"),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "video cube fps (inf) must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_infinite_resample_fps_rejected(self, workdir, tmp_path, capsys):
+        code = main(["estimate", "--method", "green", "--in", str(workdir / "pos.bin"),
+                     "--out", str(tmp_path / "x.csv"), "--resample-fps", "inf"])
+        assert code == 2
+        assert "target_fps (inf) must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_model_without_path_is_config_error(self, workdir):
         code = main(["estimate", "--method", "model",
@@ -176,6 +205,21 @@ class TestFeaturesAndClassify:
             t_start, decision, label = row.split(",")
             assert np.isfinite([float(t_start), float(decision)]).all()
             assert int(label) in (-1, 1)
+
+    def test_one_class_fit_skips_anomalous_rows(self, workdir, tmp_path):
+        # an unlabeled live file next to a file labelled anomalous
+        for side, label in (("pos", []), ("neg", ["--label", "anomalous"])):
+            wave = tmp_path / f"wave_{side}.csv"
+            assert main(["estimate", "--method", "chrom", "--in", str(workdir / f"{side}.bin"),
+                         "--out", str(wave)]) == 0
+            assert main(["features", "--in", str(wave),
+                         "--out", str(tmp_path / f"feats_{side}.csv"), *label]) == 0
+        for name, files in (("mixed", ["feats_pos.csv", "feats_neg.csv"]),
+                            ("live", ["feats_pos.csv"])):
+            assert main(["classify", "fit", "--in", *[str(tmp_path / f) for f in files],
+                         "--kind", "one", "--out", str(tmp_path / f"svm_{name}.json")]) == 0
+        assert (tmp_path / "svm_mixed.json").read_bytes() == \
+            (tmp_path / "svm_live.json").read_bytes()
 
     def test_stride_under_one_frame_rejected(self, workdir, tmp_path, capsys):
         wave = tmp_path / "wave.csv"
@@ -292,6 +336,17 @@ class TestPulseRate:
                      "--report", str(tmp_path / "rate.json")]) == 2
         assert "not aligned in time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("truth", [False, True])
+    def test_constant_waveform_has_no_rate(self, workdir, tmp_path, capsys, truth):
+        # 15 s at 30 fps: 151 windows of 10 s, each constant; the truth is never read
+        wave, report = tmp_path / "flat.csv", tmp_path / "rate.json"
+        write_waveform(Waveform(np.full(450, 0.5), 30.0), wave)
+        argv = ["pulse-rate", "--in", str(wave), "--report", str(report)]
+        assert main(argv + (["--truth", str(tmp_path / "missing.csv")] if truth else [])) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: no pulse rate in {wave}: 151 of 151 windows are constant\n")
+        assert not report.exists()
+
     def test_malformed_waveform_rejected(self, tmp_path, capsys):
         wave = tmp_path / "wave.csv"
         wave.write_text("t,value\n0.0,1.0\n0.05,oops\n0.1,0.5\n")
@@ -351,6 +406,28 @@ class TestTrain:
         assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "model.json")]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_divergence_is_one_line(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("pos.bin", "pos.json", "gt.csv"):
+            (corpus / name).write_bytes((workdir / name).read_bytes())
+        dump_json({"samples": [{"cube": "pos.bin", "gt": "gt.csv", "positive": True}]},
+                  corpus / "manifest.json")
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({
+            "clip_len": 200, "batch_size": 2, "steps": 40, "learning_rate": 1e6,
+            "seed": 14, "negative_mix": 0.0, "loss": {"positive_loss": "mse"},
+            "estimator": {"filters": 4, "kernel_len": 31}}))
+        # a numpy warning printed on stderr from the shell is recorded here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(train_cfg), "--corpus", str(corpus),
+                         "--out", str(tmp_path / "model.json")]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert re.fullmatch(r"numerical failure: non-finite training loss (inf|nan) "
+                            r"at step \d+\n", capsys.readouterr().err)
         assert not (tmp_path / "model.json").exists()
 
     def test_zero_steps_rejected(self, tmp_path, capsys):
@@ -556,6 +633,12 @@ class TestExperiment:
         # smoke runs at 20 fps: 0.02 s rounds to no frame
         ("features.stride_s", 0, "features.stride_s (0 s)"),
         ("features.stride_s", 0.02, "features.stride_s (0.02 s)"),
+        ("fps", float("inf"), "fps (inf) must be positive and finite"),
+        ("fps", float("nan"), "fps (nan) must be positive and finite"),
+        ("rate_eval.resample_fps", float("inf"),
+         "rate_eval.resample_fps (inf) must be positive and finite"),
+        ("rate_eval.resample_fps", float("nan"),
+         "rate_eval.resample_fps (nan) must be positive and finite"),
     ]
 
     @pytest.mark.parametrize("key, value, named", MALFORMED,

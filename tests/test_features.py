@@ -14,7 +14,6 @@ from pulsegate.features import (
     snr_rows,
 )
 from pulsegate.signal_core import (
-    DEFAULT_BAND_BPM,
     Waveform,
     band_bin_mask,
     hilbert_envelope,
@@ -103,13 +102,13 @@ class TestSnr:
         t = np.arange(900) / fps
         tone = np.sin(2 * np.pi * 1.5 * t)[None]
         # on the native grid the tone occupies a single bin
-        assert snr_rows(tone, fps, 900, DEFAULT_BAND_BPM)[0] >= 30.0
+        assert snr_rows(tone, fps, 900)[0] >= 30.0
         # zero-padding spreads rect-window sidelobes across the band, which
         # caps a clean 10 s tone near 10 dB (frozen from the oracle run)
-        assert snr_rows(tone, fps, 5400, DEFAULT_BAND_BPM)[0] == pytest.approx(10.06, abs=0.5)
+        assert snr_rows(tone, fps, 5400)[0] == pytest.approx(10.06, abs=0.5)
 
     def test_flatline_hits_floor(self):
-        assert snr_rows(np.ones((1, 900)), 90.0, 5400, DEFAULT_BAND_BPM)[0] == SNR_FLOOR_DB
+        assert snr_rows(np.ones((1, 900)), 90.0, 5400)[0] == SNR_FLOOR_DB
 
     def test_white_noise_near_template_fraction(self):
         # Monte-Carlo oracle: under a flat spectrum the width-only prediction
@@ -118,7 +117,7 @@ class TestSnr:
         rng = np.random.default_rng(1)
         fps, nfft = 90.0, 5400
         noise = rng.standard_normal((100, 900))
-        values = snr_rows(noise, fps, nfft, DEFAULT_BAND_BPM)
+        values = snr_rows(noise, fps, nfft)
         predictions = []
         for x in noise:
             power = np.abs(np.fft.rfft(x - x.mean(), nfft)) ** 2
@@ -298,7 +297,7 @@ class TestBatchedMatchesPerWindow:
 # each one-row view, and its row function on a one-row stack
 ONE_ROW_VIEWS = {
     "ampd_peaks": (ampd_peaks, lambda x, fps: np.flatnonzero(ampd_rows(x)[0])),
-    "snr_db": (snr_db, lambda x, fps: snr_rows(x, fps, 5400, DEFAULT_BAND_BPM)[0]),
+    "snr_db": (snr_db, lambda x, fps: snr_rows(x, fps, 5400)[0]),
     "hilbert_envelope": (lambda w: hilbert_envelope(w).samples,
                          lambda x, fps: hilbert_envelope_rows(x)[0]),
     "psd_normalized": (lambda w: psd_normalized(w).power,

@@ -134,9 +134,9 @@ class TestSpectralLossGradients:
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = random_standardized(rng)
-            _, grad = loss(w, nfft=512, band_bpm=(40.0, 240.0))
+            _, grad = loss(w, nfft=512)
             fd = finite_difference(
-                lambda z: loss(Waveform(z, 90.0), nfft=512, band_bpm=(40.0, 240.0))[0],
+                lambda z: loss(Waveform(z, 90.0), nfft=512)[0],
                 w.samples)
             assert rel_error(grad, fd) < 1e-4
 

@@ -96,7 +96,7 @@ def cmd_estimate(args):
         wave = bl.ESTIMATORS[args.method](bl.trace_from_cube(cube))
     if args.bandpass:
         wave = bandpass_brickwall(wave)
-    if args.resample_fps:
+    if args.resample_fps is not None:
         wave = resample_cubic(wave, args.resample_fps)
     write_waveform(wave, args.out)
     print(f"wrote {args.out} ({len(wave)} samples at {wave.fps:g} fps)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,29 @@ class ErrorReport:
                 "rmse_bpm": self.rmse_bpm, "pearson_r": self.pearson_r}
 
 
+@lru_cache(maxsize=4)
+def _rate_tables(fps: float, window: int, stride_frames: int, nfft: int, n_windows: int):
+    """`pulse_rate`'s in-band bins, windows per chunk, twiddles and leaks for
+    one window layout, read-only: a study's rate series all share one layout,
+    and building the tables took over a third of each call."""
+    in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, fps, nfft,
+                                           (RATE_BAND_HZ[0] * 60.0, RATE_BAND_HZ[1] * 60.0)))
+    per_chunk = min(max(_CHUNK_CELLS // (len(in_band) * stride_frames), 1), n_windows)
+    span = (per_chunk - 1) * stride_frames + window
+    # the twiddle of bin k at sample m of a chunk is table[k·m mod nfft]
+    table = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
+    phases = np.outer(in_band, np.arange(span))
+    phases %= nfft
+    twiddles = table[phases]
+    # D_k·e^{-2πi·ks/nfft} at each window start s of a chunk: what a unit
+    # mean leaks into bin k
+    leaks = (twiddles[:, :window].sum(axis=1, keepdims=True)
+             * twiddles[:, :span - window + 1:stride_frames])
+    for array in (in_band, twiddles, leaks):
+        array.flags.writeable = False
+    return in_band, per_chunk, twiddles, leaks
+
+
 def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
                nfft: int = DEFAULT_NFFT) -> RateSeries:
     """Highest spectral peak in `RATE_BAND_HZ` per sliding window, in bpm.
@@ -63,20 +87,10 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     if nfft < window:
         raise InvalidInputError(f"nfft={nfft} shorter than window of {window} samples")
     resolution_bpm = w.fps * 60.0 / nfft
-    in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, w.fps, nfft,
-                                           (RATE_BAND_HZ[0] * 60.0, RATE_BAND_HZ[1] * 60.0)))
     starts = np.arange(0, len(w) - window + 1, stride_frames)
-    per_chunk = min(max(_CHUNK_CELLS // (len(in_band) * stride_frames), 1), len(starts))
-    span = (per_chunk - 1) * stride_frames + window
-    # the twiddle of bin k at sample m of a chunk is table[k·m mod nfft]
-    table = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
-    phases = np.outer(in_band, np.arange(span))
-    phases %= nfft
-    twiddles = table[phases]
-    # D_k·e^{-2πi·ks/nfft} at each window start s of a chunk: what a unit
-    # mean leaks into bin k
-    leaks = (twiddles[:, :window].sum(axis=1, keepdims=True)
-             * twiddles[:, :span - window + 1:stride_frames])
+    in_band, per_chunk, twiddles, leaks = _rate_tables(w.fps, window, stride_frames, nfft,
+                                                       len(starts))
+    span = twiddles.shape[1]
     prefix = np.zeros((len(in_band), span + 1), dtype=complex)
     # the signal's mean keeps the prefix sums small; each window's own mean
     # comes off through the Dirichlet term

@@ -46,6 +46,7 @@ from .signal_core import (
     Waveform,
     psd_rows,
     resample_cubic,
+    spatial_mean_trace,
     standardize_rows,
     stitch_overlap_add,
 )
@@ -239,9 +240,9 @@ def _child_seed(seeds: np.random.Generator) -> int:
     return int(seeds.integers(0, 2 ** 62))
 
 
-def _scene(cfg: ExperimentConfig, seeds: np.random.Generator, duration, noise):
-    seed = _child_seed(seeds)
-    rng = np.random.default_rng(_child_seed(seeds))
+def _scene(cfg: ExperimentConfig, scene_seeds: tuple[int, int], duration, noise):
+    seed, trajectory_seed = scene_seeds
+    rng = np.random.default_rng(trajectory_seed)
     trajectory = hrv_trajectory(rng, duration, cfg.hr_range_bpm[0], cfg.hr_range_bpm[1],
                                 cfg.hrv_step_bpm, cfg.hrv_clamp_bpm, cfg.hrv_knot_spacing_s)
     scene_cfg = SceneConfig(duration_s=duration, fps=cfg.fps, dims=cfg.dims,
@@ -259,10 +260,37 @@ class Video(NamedTuple):
     truth: Waveform | None
 
 
-def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Video]]:
-    """The train, val_model (checkpoint), val (SVM) and test sets, generated in
-    one fixed seed order: per set, its positive scenes, its negatives' source
-    scenes (its own positives for train and val_model), then the negatives."""
+def _pooled(video: Video) -> Video:
+    """`video` with the (T, 1, 1, C) cube of its per-frame spatial means.  Every
+    consumer reads only its `spatial_mean_trace`, which that keeps bit for bit."""
+    return video._replace(cube=VideoCube(spatial_mean_trace(video.cube)[:, None, None, :],
+                                         video.cube.fps))
+
+
+def _scene_videos(cfg, scene_seeds, scene, positive, negative, corpus_dir) -> list[Video]:
+    """The positive named `positive` (unless None) and the negative that the
+    (name, NegativeTransform) pair `negative` (unless None) makes of one scene,
+    `_pooled`; with a `corpus_dir`, their full cubes and truth are written there."""
+    cube, truth = _scene(cfg, scene_seeds, *scene)
+    made = [] if positive is None else [Video(positive, cube, truth)]
+    if negative is not None:
+        made.append(Video(negative[0], make_negative(cube, negative[1]), None))
+    if corpus_dir is not None:
+        for video in made:
+            write_cube(video.cube, corpus_dir / f"{video.name}.bin")
+            if video.truth is not None:
+                write_waveform(video.truth, corpus_dir / f"{video.name}_gt.csv")
+    return [_pooled(video) for video in made]
+
+
+def build_corpora(cfg: ExperimentConfig, corpus_dir: Path) -> dict[str, list[Video]]:
+    """The train, val_model (checkpoint), val (SVM) and test sets, seeded in
+    one fixed order: per set, its positive scenes, its negatives' source
+    scenes (its own positives for train and val_model), then the negatives.
+
+    The train set is written to `corpus_dir` and every video handed on
+    `_pooled`, one scene at a time: at most two full cubes are alive at once.
+    """
     seeds = np.random.default_rng(cfg.seed)
     train = (cfg.train_duration_s, cfg.train_sensor_noise)
     evaluation = (cfg.eval_duration_s, cfg.eval_sensor_noise)
@@ -270,34 +298,31 @@ def build_corpora(cfg: ExperimentConfig) -> dict[str, list[Video]]:
               "val_model": (cfg.n_val_model, None, train),
               "val": (cfg.n_val_svm_pos, cfg.n_val_svm_neg, evaluation),
               "test": (cfg.n_test_pos, cfg.n_test_neg, evaluation)}
+    corpus_dir.mkdir(parents=True, exist_ok=True)
     sets = {}
     for name, (n_pos, n_neg, scene) in layout.items():
-        positives = [_scene(cfg, seeds, *scene) for _ in range(n_pos)]
-        sources = positives if n_neg is None else [_scene(cfg, seeds, *scene)
-                                                    for _ in range(n_neg)]
-        videos = [Video(f"{name}_pos_{i:02d}", cube, truth)
-                  for i, (cube, truth) in enumerate(positives)]
-        for i, (cube, _) in enumerate(sources):
-            kind = cfg.negative_kinds[i % len(cfg.negative_kinds)]
-            transform = NegativeTransform(kind=kind, normal_sigma=cfg.normal_sigma,
-                                          uniform_bounds=cfg.uniform_bounds,
-                                          seed=_child_seed(seeds))
-            videos.append(Video(f"{name}_neg_{i:02d}_{kind}", make_negative(cube, transform), None))
-        sets[name] = videos
+        own = n_neg is None  # the negatives are made from the set's own positives
+        n_neg = n_pos if own else n_neg
+        scene_seeds = [(_child_seed(seeds), _child_seed(seeds))
+                       for _ in range(n_pos if own else n_pos + n_neg)]
+        transforms = [NegativeTransform(kind=cfg.negative_kinds[j % len(cfg.negative_kinds)],
+                                        normal_sigma=cfg.normal_sigma,
+                                        uniform_bounds=cfg.uniform_bounds,
+                                        seed=_child_seed(seeds)) for j in range(n_neg)]
+        positives, negatives = [], []
+        for i, pair in enumerate(scene_seeds):
+            j = i if own else i - n_pos  # the negative made from scene i, if j >= 0
+            for video in _scene_videos(
+                    cfg, pair, scene, f"{name}_pos_{i:02d}" if i < n_pos else None,
+                    (f"{name}_neg_{j:02d}_{transforms[j].kind}", transforms[j]) if j >= 0
+                    else None, corpus_dir if name == "train" else None):
+                (negatives if video.truth is None else positives).append(video)
+        sets[name] = positives + negatives
+    dump_json({"samples": [{"cube": f"{video.name}.bin",
+                            "gt": None if video.truth is None else f"{video.name}_gt.csv",
+                            "positive": video.truth is not None} for video in sets["train"]]},
+              corpus_dir / "manifest.json")
     return sets
-
-
-def _write_corpus(out_dir: Path, train: list[Video]):
-    corpus_dir = out_dir / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for video in train:
-        gt = None if video.truth is None else f"{video.name}_gt.csv"
-        write_cube(video.cube, corpus_dir / f"{video.name}.bin")
-        if gt:
-            write_waveform(video.truth, corpus_dir / gt)
-        manifest.append({"cube": f"{video.name}.bin", "gt": gt, "positive": gt is not None})
-    dump_json({"samples": manifest}, corpus_dir / "manifest.json")
 
 
 def _median(values) -> float:
@@ -317,8 +342,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for sub in ("models", "waves", "features", "svm", "plots"):
         (out_dir / sub).mkdir(exist_ok=True)
 
-    sets = _stage("synth", build_corpora, cfg)
-    _stage("write-corpus", _write_corpus, out_dir, sets["train"])
+    sets = _stage("synth", build_corpora, cfg, out_dir / "corpus")
     test_pos = [video for video in sets["test"] if video.truth is not None]
     rate_truth = {video.name: _rates(cfg, video.truth) for video in test_pos}
 

@@ -44,6 +44,11 @@ class SceneConfig:
         if np.shape(self.dims) != (2,) or not all(
                 isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
             raise InvalidInputError(f"dims {self.dims} must be two positive integers")
+        frames = np.round(self.duration_s * self.fps)
+        if not frames * self.dims[0] * self.dims[1] * 3 <= np.iinfo(np.intp).max:
+            raise InvalidInputError(
+                f"duration_s ({self.duration_s:g}) at fps ({self.fps:g}) makes {frames:.4g} "
+                f"frames of {self.dims[0]}x{self.dims[1]}x3 values, more than an array can index")
         lo, hi = np.min(self.hr_bpm_knots()[1]), np.max(self.hr_bpm_knots()[1])
         if lo < 40.0 or hi > 240.0:
             raise InvalidInputError("hr trajectory must stay within [40, 240] bpm")
@@ -91,8 +96,11 @@ def generate_positive(cfg: SceneConfig) -> tuple[VideoCube, Waveform]:
     modulation = 1.0 + cfg.pulse_amplitude * gains[None, :] * modulator[:, None]
     cube = channel_base[None, :, :, :] * modulation[:, None, None, :]
     if cfg.sensor_noise_sigma > 0:
-        noise = rng.normal(0.0, cfg.sensor_noise_sigma, size=cube.shape)
-        cube = np.clip(cube * 255.0 + noise, 0.0, 255.0) / 255.0
+        # in place: the same arithmetic as np.clip(cube * 255 + noise, 0, 255) / 255
+        cube *= 255.0
+        cube += rng.normal(0.0, cfg.sensor_noise_sigma, size=cube.shape)
+        np.clip(cube, 0.0, 255.0, out=cube)
+        cube /= 255.0
     return VideoCube(cube, cfg.fps), Waveform(truth, cfg.fps)
 
 
@@ -132,5 +140,8 @@ def make_negative(v: VideoCube, transform: NegativeTransform) -> VideoCube:
     else:
         low, high = transform.uniform_bounds
         noise = rng.uniform(low, high, size=v.data.shape)
-    stacked = np.clip(frame[None, :, :, :] + noise, 0.0, 255.0) / 255.0
-    return VideoCube(stacked, v.fps)
+    # in place: the same arithmetic as np.clip(frame + noise, 0, 255) / 255
+    noise += frame[None, :, :, :]
+    np.clip(noise, 0.0, 255.0, out=noise)
+    noise /= 255.0
+    return VideoCube(noise, v.fps)

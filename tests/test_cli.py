@@ -26,7 +26,7 @@ from pulsegate.fileio import (
     write_features,
     write_waveform,
 )
-from pulsegate.signal_core import Waveform
+from pulsegate.signal_core import Waveform, spatial_mean_trace
 
 SCENE = {"duration_s": 16.0, "fps": 30.0, "dims": [8, 8], "hr_trajectory": 75.0,
          "pulse_amplitude": 0.02, "dicrotic_ratio": 0.2,
@@ -98,6 +98,14 @@ class TestSynth:
         assert f"fps ({fps:g}) must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "pos.bin").exists()
 
+    def test_unindexable_scene_rejected(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**SCENE, "fps": 1e300}))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert "duration_s (16) at fps (1e+300) makes 1.6e+301 frames" in capsys.readouterr().err
+        assert not (tmp_path / "pos.bin").exists()
+
     def test_env_seed_override(self, workdir, monkeypatch):
         scene_path = workdir / "scene.json"
         monkeypatch.setenv("PULSEGATE_SEED", "99")
@@ -140,6 +148,13 @@ class TestEstimate:
                      "--out", str(tmp_path / "x.csv"), "--resample-fps", "inf"])
         assert code == 2
         assert "target_fps (inf) must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_resample_fps_rejected(self, workdir, tmp_path, capsys):
+        code = main(["estimate", "--method", "green", "--in", str(workdir / "pos.bin"),
+                     "--out", str(tmp_path / "x.csv"), "--resample-fps", "0"])
+        assert code == 2
+        assert "target_fps (0) must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_model_without_path_is_config_error(self, workdir):
@@ -523,6 +538,36 @@ class TestExperiment:
                                          "estimator": {"filters": 2, "kernel_len": 11}}))
         assert main(["train", "--config", str(train_cfg), "--corpus", str(out1 / "corpus"),
                      "--out", str(tmp_path / "model.json")]) == 0
+
+    def test_corpora_hold_spatial_means(self, tmp_path):
+        cfg = experiment.ExperimentConfig.from_dict(
+            json.loads(Path("configs/smoke.json").read_text()))
+        sets = experiment.build_corpora(cfg, tmp_path / "corpus")
+        kinds = ("normal", "uniform", "shuffle")
+        # smoke: 12 s training scenes and 16 s evaluation scenes at 20 fps
+        for name, n_pos, n_neg, frames in (("train", 3, 3, 240), ("val_model", 2, 2, 240),
+                                           ("val", 4, 3, 320), ("test", 2, 3, 320)):
+            assert [video.name for video in sets[name]] == (
+                [f"{name}_pos_{i:02d}" for i in range(n_pos)]
+                + [f"{name}_neg_{i:02d}_{kinds[i % 3]}" for i in range(n_neg)])
+            for video in sets[name]:
+                assert video.cube.data.shape == (frames, 1, 1, 3)
+                assert (video.truth is None) == ("_neg_" in video.name)
+        samples = json.loads((tmp_path / "corpus" / "manifest.json").read_text())["samples"]
+        assert samples == (
+            [{"cube": f"train_pos_{i:02d}.bin", "gt": f"train_pos_{i:02d}_gt.csv",
+              "positive": True} for i in range(3)]
+            + [{"cube": f"train_neg_{i:02d}_{kinds[i]}.bin", "gt": None, "positive": False}
+               for i in range(3)])
+        # the corpus keeps the full f32 cubes, whose traces are the pooled ones
+        for video, sample in zip(sets["train"], samples):
+            full = read_cube(tmp_path / "corpus" / sample["cube"])
+            assert full.data.shape == (240, 8, 8, 3)
+            np.testing.assert_allclose(spatial_mean_trace(full), video.cube.data[:, 0, 0],
+                                       rtol=0.0, atol=1e-7)
+            if sample["gt"]:
+                truth = read_waveform(tmp_path / "corpus" / sample["gt"])
+                assert np.array_equal(truth.samples, video.truth.samples)
 
     def test_plot_times_exact_at_30_fps(self, tmp_path):
         # 24 s scenes at 30 fps: (720 - 300) frames is 7 strides of 60

@@ -13,6 +13,7 @@ from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import (
     RATE_BAND_HZ,
     ErrorReport,
+    _rate_tables,
     error_metrics,
     pulse_rate,
 )
@@ -152,6 +153,36 @@ class TestPulseRate:
     def test_window_under_two_samples_rejected(self, window_s):
         with pytest.raises(InvalidInputError, match="at least 2"):
             pulse_rate(sine(1.5, 90.0, 15.0), window_s=window_s)
+
+    def test_cached_tables_give_the_same_rates(self):
+        # a: the reference layout; b: more windows; c: only the fps differs
+        waves = {"a": (sine(1.3, 90.0, 14.0), 10.0), "b": (sine(1.7, 90.0, 17.0), 10.0),
+                 "c": (sine(1.3, 60.0, 21.0), 15.0)}
+
+        def rates(name):
+            wave, window_s = waves[name]
+            return pulse_rate(wave, window_s=window_s, stride_frames=7)
+
+        _rate_tables.cache_clear()
+        cold = {name: rates(name) for name in waves}
+        assert _rate_tables.cache_info().currsize == 3
+        for name in ("b", "a", "c", "a", "c", "b"):
+            np.testing.assert_array_equal(rates(name).bpm, cold[name].bpm)
+        for name in waves:
+            _rate_tables.cache_clear()
+            np.testing.assert_array_equal(rates(name).bpm, cold[name].bpm)
+            np.testing.assert_array_equal(rates(name).times_s, cold[name].times_s)
+
+    def test_cached_tables_are_read_only(self):
+        _rate_tables.cache_clear()
+        pulse_rate(sine(1.5, 90.0, 15.0), stride_frames=9)
+        tables = _rate_tables(90.0, 900, 9, DEFAULT_NFFT, 51)
+        assert _rate_tables.cache_info().hits == 1
+        for table in tables:
+            if isinstance(table, np.ndarray):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0
 
     def test_times_strictly_increasing_and_in_band(self):
         rates = pulse_rate(sine(2.0, 90.0, 13.0), stride_frames=7)

@@ -194,6 +194,14 @@ class TestSpatialMeanTrace:
         cube = VideoCube(np.ones((20, 3, 3, 1)) * g[:, None, None, None], 30.0)
         np.testing.assert_allclose(spatial_mean_trace(cube)[:, 0], g)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pooled_cube_keeps_the_trace(self, channels):
+        # a study keeps each video as the (T, 1, 1, C) cube of its trace
+        cube = VideoCube(np.random.default_rng(channels).random((40, 7, 5, channels)), 30.0)
+        trace = spatial_mean_trace(cube)
+        pooled = VideoCube(trace[:, None, None, :], cube.fps)
+        assert np.array_equal(spatial_mean_trace(pooled), trace)
+
 
 def test_bandpass_brickwall_removes_out_of_band():
     fps = 90.0

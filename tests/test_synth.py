@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,17 @@ class TestGeneratePositive:
     def test_dims_not_two_positive_integers_rejected(self, dims):
         with pytest.raises(InvalidInputError, match="dims"):
             scene(dims=dims)
+
+    @pytest.mark.parametrize("duration_s, fps, dims", [
+        (24.0, 1e300, (16, 16)), (1.0, 1e15, (64, 64)), (float("inf"), 30.0, (8, 8))])
+    def test_unindexable_scene_rejected(self, duration_s, fps, dims):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"duration_s ({duration_s:g}) at fps ({fps:g}) makes")):
+            scene(duration_s=duration_s, fps=fps, dims=dims)
+
+    def test_largest_indexable_scenes_accepted(self):
+        # 1e15 frames of 32 x 32 x 3 values is under 2**63; nothing is allocated
+        scene(duration_s=1.0, fps=1e15, dims=(32, 32))
 
     def test_negative_sensor_noise_rejected(self):
         with pytest.raises(InvalidInputError, match=r"sensor_noise_sigma \(-1\)"):

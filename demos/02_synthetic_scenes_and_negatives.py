@@ -18,7 +18,7 @@ from pulsegate.signal_core import psd_rows
 
 
 def trace_summary(name, cube):
-    green = spatial_mean_trace(cube)[:, 1]
+    green = spatial_mean_trace(cube).values[:, 1]
     power, _ = psd_rows(green, cube.fps, 5400)
     peak = np.argmax(power)
     print(f"{name:10s} trace std {green.std() * 255:6.3f} (8-bit)   "

@@ -8,15 +8,15 @@ CHROM/POS cancel the common-mode component; GREEN does not.
 import numpy as np
 
 from pulsegate import (
-    RgbTrace,
     SceneConfig,
+    Trace,
     estimate_chrom,
     estimate_green,
     estimate_pos,
     generate_positive,
     pulse_rate,
     resample_cubic,
-    trace_from_cube,
+    spatial_mean_trace,
 )
 
 ESTIMATORS = {"green": estimate_green, "chrom": estimate_chrom, "pos": estimate_pos}
@@ -33,7 +33,7 @@ def main():
                       pulse_amplitude=0.02, dicrotic_ratio=0.25,
                       sensor_noise_sigma=1.0, seed=8)
     cube, _ = generate_positive(cfg)
-    trace = trace_from_cube(cube)
+    trace = spatial_mean_trace(cube)
 
     print("clean synthetic scene at 72 bpm:")
     for name, estimator in ESTIMATORS.items():
@@ -42,7 +42,7 @@ def main():
     # add 20% common-mode flicker at 48 bpm (in-band!)
     t = np.arange(len(trace)) / trace.fps
     flicker = 1.0 + 0.2 * np.sin(2 * np.pi * 0.8 * t)
-    flickered = RgbTrace(trace.values * flicker[:, None], trace.fps)
+    flickered = Trace(trace.values * flicker[:, None], trace.fps)
     print("\nsame scene with 20% common-mode flicker at 48 bpm:")
     for name, estimator in ESTIMATORS.items():
         print(f"  {name:6s} median rate {rate_of(estimator(flickered)):6.1f} bpm")

@@ -23,6 +23,7 @@ from pulsegate import (
     feature_matrix,
     generate_positive,
     make_negative,
+    spatial_mean_trace,
     train,
 )
 from pulsegate.signal_core import stitch_overlap_add
@@ -42,12 +43,12 @@ def scene(seed, duration, noise):
         dicrotic_ratio=0.25, sensor_noise_sigma=noise, seed=seed))
 
 
-def median_snr(model, cubes):
+def median_snr(model, traces):
     values = []
-    for cube in cubes:
+    for trace in traces:
         # raw clip amplitudes: a flatline must stay a flatline for the SNR
-        outputs, starts = clip_predictions(model, cube, CLIP, overlap=0.5)
-        wave = Waveform(stitch_overlap_add(outputs, starts, cube.data.shape[0]), cube.fps)
+        outputs, starts = clip_predictions(model, trace, CLIP, overlap=0.5)
+        wave = Waveform(stitch_overlap_add(outputs, starts, len(trace)), trace.fps)
         values += list(feature_matrix(extract_features(wave, 10.0, 2.0, NFFT))[:, 0])
     return float(np.median(values))
 
@@ -58,12 +59,14 @@ def main():
     kinds = ("normal", "uniform", "shuffle")
     train_neg = [make_negative(cube, NegativeTransform(kind=kinds[i % 3], seed=i))
                  for i, (cube, _) in enumerate(train_pos)]
-    corpus = [(c, gt, True) for c, gt in train_pos] + \
-             [(c, None, False) for c in train_neg]
+    # the estimator reads each video's per-frame spatial mean
+    corpus = [(spatial_mean_trace(c), gt, True) for c, gt in train_pos] + \
+             [(spatial_mean_trace(c), None, False) for c in train_neg]
 
-    test_pos = [scene(300 + i, 30.0, 6.0)[0] for i in range(4)]
-    test_neg = [make_negative(scene(400 + i, 30.0, 6.0)[0],
-                              NegativeTransform(kind=kinds[i % 3], seed=50 + i))
+    test_pos = [spatial_mean_trace(scene(300 + i, 30.0, 6.0)[0]) for i in range(4)]
+    test_neg = [spatial_mean_trace(make_negative(scene(400 + i, 30.0, 6.0)[0],
+                                                 NegativeTransform(kind=kinds[i % 3],
+                                                                   seed=50 + i)))
                 for i in range(6)]
 
     for label, negative_loss, mix in [("positives-only", "none", 0.0),

@@ -20,13 +20,13 @@ from pulsegate import (
     generate_positive,
     make_negative,
     predict,
-    trace_from_cube,
+    spatial_mean_trace,
 )
 from pulsegate.features import FEATURE_NAMES
 
 
 def chrom_features(cube):
-    wave = estimate_chrom(trace_from_cube(cube))
+    wave = estimate_chrom(spatial_mean_trace(cube))
     return feature_matrix(extract_features(wave, window_s=10.0, stride_s=2.0,
                                            nfft=5400))
 

@@ -6,7 +6,7 @@ spectral training losses with analytic gradients, AMPD-based waveform
 features, one/two-class RBF SVMs, and pulse-rate evaluation.
 """
 
-from .baselines import RgbTrace, estimate_chrom, estimate_green, estimate_pos, trace_from_cube
+from .baselines import estimate_chrom, estimate_green, estimate_pos
 from .classify import (
     ANOMALOUS,
     LIVE,
@@ -39,6 +39,7 @@ from .losses import (
     loss_std,
 )
 from .signal_core import (
+    Trace,
     VideoCube,
     Waveform,
     hilbert_envelope,
@@ -53,8 +54,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANOMALOUS", "ErrorReport", "LIVE", "LossSpec", "NegativeTransform",
-    "PulseFeatureVector", "PulsegateError", "RateSeries", "RgbTrace",
-    "SceneConfig", "SvmModel", "ToyEstimator", "TrainConfig", "VideoCube",
+    "PulseFeatureVector", "PulsegateError", "RateSeries", "SceneConfig",
+    "SvmModel", "ToyEstimator", "Trace", "TrainConfig", "VideoCube",
     "Waveform", "ampd_peaks", "backward", "clip_predictions", "combined_loss",
     "decision_values", "error_metrics", "estimate_chrom", "estimate_green",
     "estimate_pos", "extract_features", "feature_matrix", "fit_one_class",
@@ -62,6 +63,5 @@ __all__ = [
     "hilbert_envelope", "infer_video", "loss_mse_flatline", "loss_neg_pearson",
     "loss_spectral_entropy", "loss_spectral_flatness", "loss_std",
     "make_negative", "predict", "psd_normalized", "pulse_rate",
-    "resample_cubic", "snr_db", "spatial_mean_trace", "standardize",
-    "trace_from_cube", "train",
+    "resample_cubic", "snr_db", "spatial_mean_trace", "standardize", "train",
 ]

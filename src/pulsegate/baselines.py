@@ -1,69 +1,42 @@
 """Classical color-transformation pulse estimators: GREEN, CHROM and POS.
 
-All three operate on spatially averaged RGB traces.  CHROM and POS process
-overlapping short windows whose outputs are stitched by Hann-weighted
-overlap-add, following the original chrominance / plane-orthogonal-to-skin
-formulations.
+All three take the spatially averaged RGB `Trace` of a video and reject one
+of another channel count.  CHROM and POS process overlapping short windows
+whose outputs are stitched by Hann-weighted overlap-add, following the
+original chrominance / plane-orthogonal-to-skin formulations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal_core import (
-    VideoCube,
-    Waveform,
-    spatial_mean_trace,
-    standardize,
-    stitch_overlap_add,
-    window_starts,
-)
+from .signal_core import Trace, Waveform, standardize, stitch_overlap_add, window_starts
 
 CHROM_POS_WINDOW_S = 1.6
 
 
-@dataclass(frozen=True)
-class RgbTrace:
-    """Per-frame RGB channel means, shape (T, 3)."""
-
-    values: np.ndarray
-    fps: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != 3 or values.shape[0] < 2:
-            raise InvalidInputError("rgb trace must be a (T, 3) array with T >= 2")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("rgb trace values must be finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "fps", float(self.fps))
-
-    def __len__(self):
-        return self.values.shape[0]
+def _rgb(trace: Trace) -> np.ndarray:
+    """The (T, 3) values of a colour trace."""
+    if trace.values.shape[1] != 3:
+        raise InvalidInputError(
+            f"color baselines need a 3-channel trace, not {trace.values.shape[1]}")
+    return trace.values
 
 
-def trace_from_cube(v: VideoCube) -> RgbTrace:
-    if v.data.shape[3] != 3:
-        raise InvalidInputError("color baselines need a 3-channel cube")
-    return RgbTrace(spatial_mean_trace(v), v.fps)
-
-
-def estimate_green(trace: RgbTrace) -> Waveform:
+def estimate_green(trace: Trace) -> Waveform:
     """Green-channel estimator; darker green (more absorption) maps to positive pulse."""
-    return standardize(Waveform(-trace.values[:, 1], trace.fps))
+    return standardize(Waveform(-_rgb(trace)[:, 1], trace.fps))
 
 
-def _windowed_projection(trace: RgbTrace, project) -> Waveform:
+def _windowed_projection(trace: Trace, project) -> Waveform:
     """Shared CHROM/POS machinery: per-window projection + Hann overlap-add.
 
     `project` maps window-mean-normalized channels (Rn, Gn, Bn) to a 1-D chunk
     or None when the window is degenerate (zero projection variance or
     non-positive channel means); degenerate windows contribute zeros.
     """
-    total = len(trace)
+    values, total = _rgb(trace), len(trace)
     length = max(int(round(CHROM_POS_WINDOW_S * trace.fps)), 2)
     if total < length:
         raise InvalidInputError(
@@ -71,14 +44,14 @@ def _windowed_projection(trace: RgbTrace, project) -> Waveform:
     starts = window_starts(total, length, length // 2)
     chunks = []
     for start in starts:
-        seg = trace.values[start:start + length]
+        seg = values[start:start + length]
         mean = seg.mean(axis=0)
         chunk = project(*(seg / mean).T) if np.all(mean > 0) else None
         chunks.append(np.zeros(length) if chunk is None else chunk - chunk.mean())
     return standardize(Waveform(stitch_overlap_add(chunks, starts, total), trace.fps))
 
 
-def estimate_chrom(trace: RgbTrace) -> Waveform:
+def estimate_chrom(trace: Trace) -> Waveform:
     """Chrominance estimator: s = Xc - (std(Xc)/std(Yc)) * Yc per window."""
 
     def project(rn, gn, bn):
@@ -92,7 +65,7 @@ def estimate_chrom(trace: RgbTrace) -> Waveform:
     return _windowed_projection(trace, project)
 
 
-def estimate_pos(trace: RgbTrace) -> Waveform:
+def estimate_pos(trace: Trace) -> Waveform:
     """Plane-orthogonal-to-skin estimator: h = S1 + (std(S1)/std(S2)) * S2 per window."""
 
     def project(rn, gn, bn):

@@ -42,6 +42,7 @@ from .signal_core import (
     DEFAULT_NFFT,
     bandpass_brickwall,
     resample_cubic,
+    spatial_mean_trace,
 )
 from .synth import NegativeTransform, SceneConfig, generate_positive, make_negative
 
@@ -85,15 +86,15 @@ def cmd_synth(args):
 
 
 def cmd_estimate(args):
-    cube = read_cube(args.infile)
+    trace = spatial_mean_trace(read_cube(args.infile))
     if args.method == "model":
         if not args.model:
             raise InvalidInputError("--model is required for --method model")
         model = ToyEstimator.from_dict(_load_json(args.model))
-        clip_len = min(args.clip_len, cube.data.shape[0])
-        wave = infer_video(model, cube, clip_len, overlap=args.overlap)
+        clip_len = min(args.clip_len, len(trace))
+        wave = infer_video(model, trace, clip_len, overlap=args.overlap)
     else:
-        wave = bl.ESTIMATORS[args.method](bl.trace_from_cube(cube))
+        wave = bl.ESTIMATORS[args.method](trace)
     if args.bandpass:
         wave = bandpass_brickwall(wave)
     if args.resample_fps is not None:
@@ -109,9 +110,9 @@ def _read_corpus_dir(corpus_dir):
     samples = []
     with parsing(corpus_dir / "manifest.json"):
         for entry in manifest["samples"]:
-            cube = read_cube(corpus_dir / entry["cube"])
+            trace = spatial_mean_trace(read_cube(corpus_dir / entry["cube"]))
             truth = read_waveform(corpus_dir / entry["gt"]) if entry.get("gt") else None
-            samples.append((cube, truth, bool(entry["positive"])))
+            samples.append((trace, truth, bool(entry["positive"])))
     return samples
 
 

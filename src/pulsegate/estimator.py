@@ -1,6 +1,6 @@
 """A small trainable temporal pulse estimator with manual backpropagation.
 
-The model maps the spatial-mean RGB trace of a clip through two temporal
+The model maps the spatial-mean RGB `Trace` of a clip through two temporal
 convolutions (tanh between them) with edge-replication padding, so a
 temporally constant input produces a constant output with no boundary
 transients.  Training steps, validation and inference each run one (B, C, T)
@@ -18,9 +18,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError, parsing
 from .losses import LossSpec, batch_loss
 from .signal_core import (
-    VideoCube,
+    Trace,
     Waveform,
-    spatial_mean_trace,
     standardize_rows,
     stitch_overlap_add,
     window_starts,
@@ -183,13 +182,12 @@ def _backward(model: ToyEstimator, cache, upstream: np.ndarray) -> np.ndarray:
     return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
-def _trace(model: ToyEstimator, video: VideoCube) -> np.ndarray:
-    """The (C, T) spatial-mean trace of a video, checked against the model."""
-    trace = spatial_mean_trace(video).T
-    if trace.shape[0] != model.in_channels:
+def _trace(model: ToyEstimator, trace: Trace) -> np.ndarray:
+    """The (C, T) values of a trace, checked against the model."""
+    if trace.values.shape[1] != model.in_channels:
         raise InvalidInputError(
-            f"clip has {trace.shape[0]} channels, model expects {model.in_channels}")
-    return trace
+            f"clip has {trace.values.shape[1]} channels, model expects {model.in_channels}")
+    return trace.values.T
 
 
 def _crops(traces, starts, clip_len: int) -> np.ndarray:
@@ -198,16 +196,15 @@ def _crops(traces, starts, clip_len: int) -> np.ndarray:
                                       for trace, start in zip(traces, starts)]))
 
 
-def forward(model: ToyEstimator, clip: VideoCube) -> Waveform:
+def forward(model: ToyEstimator, clip: Trace) -> Waveform:
     """Predict a waveform for one clip (length equals the clip length)."""
-    trace = _trace(model, clip)
-    if trace.shape[1] < model.receptive_field:
+    if len(clip) < model.receptive_field:
         raise InvalidInputError("clip shorter than the model's receptive field")
-    out, _ = _forward(model, standardize_rows(trace)[None])
+    out, _ = _forward(model, standardize_rows(_trace(model, clip))[None])
     return Waveform(out[0], clip.fps)
 
 
-def backward(model: ToyEstimator, clip: VideoCube, upstream: np.ndarray):
+def backward(model: ToyEstimator, clip: Trace, upstream: np.ndarray):
     """Exact parameter gradients of the forward map for a given upstream dL/dy,
     keyed like the parameters."""
     _, cache = _forward(model, standardize_rows(_trace(model, clip))[None])
@@ -232,25 +229,28 @@ class TrainConfig:
         for name in ("clip_len", "batch_size", "steps", "val_every"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"train.{name} ({getattr(self, name)}) must be at least 1")
+        for name in ("learning_rate", "momentum"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"train.{name} ({getattr(self, name):g}) must be finite")
 
 
-def _split_corpus(corpus, clip_len: int):
-    """Positives and negatives as lists of ((C, T) trace, target samples or
-    None), plus the frame rate all clips share."""
+def _split_corpus(model: ToyEstimator, corpus, clip_len: int):
+    """Positives and negatives as lists of ((C, T) trace values, target samples
+    or None), plus the frame rate all clips share."""
     positives, negatives = [], []
     fps = None
     for clip, target, is_positive in corpus:
         fps = clip.fps if fps is None else fps
         if clip.fps != fps:
             raise InvalidInputError("all corpus clips must share one frame rate")
-        n_frames = clip.data.shape[0]
+        n_frames = len(clip)
         if n_frames < clip_len:
             raise InvalidInputError(
                 f"corpus clip of {n_frames} frames shorter than clip_len={clip_len}")
         if is_positive and (target is None or len(target) != n_frames):
             raise InvalidInputError(
                 "positive corpus clips need a target waveform of their own length")
-        trace = np.ascontiguousarray(spatial_mean_trace(clip).T)
+        trace = np.ascontiguousarray(_trace(model, clip))
         (positives if is_positive else negatives).append(
             (trace, target.samples if is_positive else None))
     return positives, negatives, fps
@@ -292,7 +292,7 @@ def _validation_metric(model, val_samples, fps, cfg):
 def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None):
     """SGD with momentum on the combined loss over a labeled clip corpus.
 
-    `corpus` and `val_corpus` are sequences of (VideoCube, Waveform | None,
+    `corpus` and `val_corpus` are sequences of (Trace, Waveform | None,
     is_positive).  Clips longer than clip_len are randomly cropped each draw.
     Negatives are drawn with probability `cfg.negative_mix`, or never when
     `cfg.loss.negative_loss` is "none".
@@ -304,16 +304,16 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
     the step of the returned parameters.  Without one, `validation` is None.
     """
     negative_mix = 0.0 if cfg.loss.negative_loss == "none" else cfg.negative_mix
-    positives, negatives, fps = _split_corpus(corpus, cfg.clip_len)
+    model = ToyEstimator.init(seed=cfg.seed) if model is None else model.copy()
+    positives, negatives, fps = _split_corpus(model, corpus, cfg.clip_len)
     if not positives:
         raise InvalidInputError("training corpus has no positive samples")
     if negative_mix > 0 and not negatives:
         raise InvalidInputError("negative_mix > 0 but corpus has no negatives")
-    model = ToyEstimator.init(seed=cfg.seed) if model is None else model.copy()
 
     validation = None
     if val_corpus:
-        val_pos, val_neg, val_fps = _split_corpus(val_corpus, cfg.clip_len)
+        val_pos, val_neg, val_fps = _split_corpus(model, val_corpus, cfg.clip_len)
         if not val_pos:
             raise InvalidInputError("validation corpus has no positive samples")
         val_samples = val_pos + (val_neg if negative_mix > 0 else [])
@@ -358,7 +358,7 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
     return model, history, validation
 
 
-def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
+def clip_predictions(model: ToyEstimator, video: Trace, clip_len: int,
                      overlap: float = 0.5):
     """Run each overlapping clip of a video through the model, as one batch.
 
@@ -367,7 +367,7 @@ def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
     standardized per clip, and read amplitudes (per-clip std) from them
     directly.
     """
-    n_frames = video.data.shape[0]
+    n_frames = len(video)
     if clip_len < 1:
         raise InvalidInputError(f"clip_len ({clip_len}) must be at least 1")
     if n_frames < clip_len:
@@ -381,7 +381,7 @@ def clip_predictions(model: ToyEstimator, video: VideoCube, clip_len: int,
     return outputs, starts
 
 
-def infer_video(model: ToyEstimator, video: VideoCube, clip_len: int,
+def infer_video(model: ToyEstimator, video: Trace, clip_len: int,
                 overlap: float = 0.5) -> Waveform:
     """Whole-video inference by overlap-added, per-clip standardized predictions.
 
@@ -389,5 +389,5 @@ def infer_video(model: ToyEstimator, video: VideoCube, clip_len: int,
     carry no meaning here; `clip_predictions` keeps them.
     """
     outputs, starts = clip_predictions(model, video, clip_len, overlap)
-    return Waveform(stitch_overlap_add(standardize_rows(outputs), starts,
-                                       video.data.shape[0]), video.fps)
+    return Waveform(stitch_overlap_add(standardize_rows(outputs), starts, len(video)),
+                    video.fps)

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask
+from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask, window_samples
 
 RATE_BAND_HZ = (0.66, 4.0)
 # in-band bins × windows per chunk: bounds the working memory of pulse_rate
@@ -74,7 +74,7 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     μ_s is the window mean and D_k = Σ_{n<W} e^{-2πi·kn/nfft} the Dirichlet
     term.
     """
-    window = int(round(window_s * w.fps))
+    window = window_samples(window_s, w.fps, "window_s")
     if stride_frames < 1:
         raise InvalidInputError(f"stride_frames={stride_frames} must be at least 1")
     if window < 2:

@@ -32,7 +32,7 @@ from .classify import (
 from .errors import InvalidInputError, PulsegateError, check_keys, from_json
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
-from .features import extract_features, feature_matrix, feature_windows
+from .features import AMPD_MIN_SAMPLES, extract_features, feature_matrix, feature_windows
 from .fileio import (
     dump_json,
     sha256_file,
@@ -42,13 +42,14 @@ from .fileio import (
 )
 from .losses import LossSpec
 from .signal_core import (
-    VideoCube,
+    Trace,
     Waveform,
     psd_rows,
     resample_cubic,
     spatial_mean_trace,
     standardize_rows,
     stitch_overlap_add,
+    window_samples,
 )
 from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_positive, make_negative
 
@@ -197,8 +198,12 @@ class ExperimentConfig:
         if self.eval_duration_s < self.feature_window_s:
             raise InvalidInputError("evaluation scenes shorter than one feature window")
         # feature windows start every stride: the last must end on the last frame
-        window = int(round(self.feature_window_s * self.fps))
-        stride = int(round(self.feature_stride_s * self.fps))
+        window = window_samples(self.feature_window_s, self.fps, "features.window_s")
+        stride = window_samples(self.feature_stride_s, self.fps, "features.stride_s")
+        if window < AMPD_MIN_SAMPLES:
+            raise InvalidInputError(
+                f"features.window_s ({self.feature_window_s:g} s) holds {window} samples at "
+                f"fps {self.fps:g}; a feature window needs {AMPD_MIN_SAMPLES}")
         if stride < 1:
             raise InvalidInputError(f"features.stride_s ({self.feature_stride_s:g} s) is "
                                        f"under one frame at fps {self.fps:g}")
@@ -215,7 +220,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"rate_eval.resample_fps ({self.rate_resample_fps:g}) "
                                     "must be positive and finite")
         # rates come from scenes resampled over their span of (frames - 1) / fps
-        rate_window = int(round(self.rate_window_s * self.rate_resample_fps))
+        rate_window = window_samples(self.rate_window_s, self.rate_resample_fps,
+                                     "rate_eval.window_s")
         if not 2 <= rate_window <= self.nfft or \
                 self.rate_window_s > (frames - 1) / self.fps:
             raise InvalidInputError(
@@ -256,31 +262,25 @@ class Video(NamedTuple):
     """One labeled scene of a corpus; `truth` is None for a pulseless negative."""
 
     name: str
-    cube: VideoCube
+    trace: Trace
     truth: Waveform | None
-
-
-def _pooled(video: Video) -> Video:
-    """`video` with the (T, 1, 1, C) cube of its per-frame spatial means.  Every
-    consumer reads only its `spatial_mean_trace`, which that keeps bit for bit."""
-    return video._replace(cube=VideoCube(spatial_mean_trace(video.cube)[:, None, None, :],
-                                         video.cube.fps))
 
 
 def _scene_videos(cfg, scene_seeds, scene, positive, negative, corpus_dir) -> list[Video]:
     """The positive named `positive` (unless None) and the negative that the
     (name, NegativeTransform) pair `negative` (unless None) makes of one scene,
-    `_pooled`; with a `corpus_dir`, their full cubes and truth are written there."""
+    as traces; with a `corpus_dir`, their full cubes and truth are written there."""
     cube, truth = _scene(cfg, scene_seeds, *scene)
-    made = [] if positive is None else [Video(positive, cube, truth)]
+    made = [] if positive is None else [(positive, cube, truth)]
     if negative is not None:
-        made.append(Video(negative[0], make_negative(cube, negative[1]), None))
+        made.append((negative[0], make_negative(cube, negative[1]), None))
     if corpus_dir is not None:
-        for video in made:
-            write_cube(video.cube, corpus_dir / f"{video.name}.bin")
-            if video.truth is not None:
-                write_waveform(video.truth, corpus_dir / f"{video.name}_gt.csv")
-    return [_pooled(video) for video in made]
+        for name, video_cube, video_truth in made:
+            write_cube(video_cube, corpus_dir / f"{name}.bin")
+            if video_truth is not None:
+                write_waveform(video_truth, corpus_dir / f"{name}_gt.csv")
+    return [Video(name, spatial_mean_trace(video_cube), video_truth)
+            for name, video_cube, video_truth in made]
 
 
 def build_corpora(cfg: ExperimentConfig, corpus_dir: Path) -> dict[str, list[Video]]:
@@ -288,8 +288,8 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path) -> dict[str, list[Vid
     one fixed order: per set, its positive scenes, its negatives' source
     scenes (its own positives for train and val_model), then the negatives.
 
-    The train set is written to `corpus_dir` and every video handed on
-    `_pooled`, one scene at a time: at most two full cubes are alive at once.
+    The train set is written to `corpus_dir` and every video handed on as its
+    trace, one scene at a time: at most two full cubes are alive at once.
     """
     seeds = np.random.default_rng(cfg.seed)
     train = (cfg.train_duration_s, cfg.train_sensor_noise)
@@ -419,7 +419,7 @@ def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
     train_cfg = replace(cfg.train_cfg, loss=replace(cfg.train_cfg.loss, negative_loss=variant))
     init = ToyEstimator.init(filters=cfg.filters, kernel_len=cfg.kernel_len,
                              init_scale=cfg.init_scale, seed=train_cfg.seed)
-    corpus, val_corpus = ([(v.cube, v.truth, v.truth is not None) for v in videos]
+    corpus, val_corpus = ([(v.trace, v.truth, v.truth is not None) for v in videos]
                           for videos in (train_videos, val_videos))
     model, history, validation = train(train_cfg, corpus, val_corpus=val_corpus, model=init)
     dump_json(model.to_dict(), out_dir / "models" / f"model_{variant}.json")
@@ -445,10 +445,10 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
         rows, labels = [], []
         for video in videos:
             side = "pos" if video.truth is not None else "neg"
-            outputs, clip_starts = clip_predictions(model, video.cube, cfg.train_cfg.clip_len,
+            outputs, clip_starts = clip_predictions(model, video.trace, cfg.train_cfg.clip_len,
                                                     overlap=0.5)
-            wave = Waveform(stitch_overlap_add(outputs, clip_starts, video.cube.data.shape[0]),
-                            video.cube.fps)
+            wave = Waveform(stitch_overlap_add(outputs, clip_starts, len(video.trace)),
+                            video.trace.fps)
             windows = extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft)
             matrix = feature_matrix(windows)
             degenerate[side] += sum(v.degenerate_peaks for _, v in windows)
@@ -479,7 +479,7 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
         clip_stds[side].extend(float(out.std()) for out in outputs)
 
         centers = starts + cfg.feature_window_s / 2.0
-        frame_labels = np.full(video.cube.data.shape[0], LIVE if side == "pos" else ANOMALOUS)
+        frame_labels = np.full(len(video.trace), LIVE if side == "pos" else ANOMALOUS)
         frames[side] += frame_labels.size
         for kind, svm in svms.items():
             correct[kind, side] += frame_accuracy(predict(svm, matrix)[0], centers, frame_labels,
@@ -520,7 +520,7 @@ def _evaluate_baseline(cfg, name, test_pos, rate_truth, out_dir):
     wave_dir.mkdir(parents=True, exist_ok=True)
     preds, truths = [], []
     for video in test_pos:
-        wave = estimator(bl.trace_from_cube(video.cube))
+        wave = estimator(video.trace)
         write_waveform(wave, wave_dir / f"{video.name}.csv")
         preds.append(_rates(cfg, wave))
         truths.append(rate_truth[video.name])

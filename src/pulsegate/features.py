@@ -13,6 +13,7 @@ from .signal_core import (
     Waveform,
     band_power_rows,
     hilbert_envelope_rows,
+    window_samples,
 )
 
 FEATURE_NAMES = ("snr_db", "sigma", "env_mean", "ibi_mean",
@@ -21,6 +22,8 @@ FEATURE_NAMES = ("snr_db", "sigma", "env_mean", "ibi_mean",
 SNR_FLOOR_DB = -60.0
 PEAK_HALFWIDTH_BPM = 6.0
 HARMONIC_HALFWIDTH_BPM = 12.0
+# the fewest samples AMPD takes, and so the fewest a feature window holds
+AMPD_MIN_SAMPLES = 8
 # cells of the (windows, scales, W) AMPD tensor per chunk: ten 10 s windows at 90 fps
 _AMPD_CHUNK_CELLS = 1 << 22
 
@@ -61,8 +64,8 @@ def ampd_rows(x: np.ndarray) -> np.ndarray:
     taken in chunks that bound the (rows, scales, n) tensor.
     """
     rows, n = x.shape
-    if n < 8:
-        raise InvalidInputError("AMPD needs at least 8 samples")
+    if n < AMPD_MIN_SAMPLES:
+        raise InvalidInputError(f"AMPD needs at least {AMPD_MIN_SAMPLES} samples")
     t = np.arange(n) - (n - 1) / 2.0
     centred = x - x.mean(axis=1, keepdims=True)
     detrended = centred - (np.sum(centred * t, axis=1, keepdims=True) / np.sum(t * t)) * t
@@ -126,11 +129,14 @@ def _peak_interval_features(trough_indices: np.ndarray, fps: float):
 
 def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: float):
     """Start indices and the read-only (windows, W) stack of the sliding feature windows."""
-    window = int(round(window_s * fps))
+    window = window_samples(window_s, fps, "window_s")
+    if window < AMPD_MIN_SAMPLES:
+        raise InvalidInputError(f"window_s ({window_s:g} s) holds {window} samples at "
+                                f"{fps:g} fps; a feature window needs {AMPD_MIN_SAMPLES}")
     if samples.size < window:
         raise InvalidInputError(
             f"waveform of {samples.size} samples is shorter than one {window_s} s window")
-    hop = int(round(stride_s * fps))
+    hop = window_samples(stride_s, fps, "stride_s")
     if hop < 1:
         raise InvalidInputError(f"stride_s ({stride_s:g} s) is under one frame at {fps:g} fps")
     return (range(0, samples.size - window + 1, hop),

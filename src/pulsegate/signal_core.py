@@ -65,6 +65,30 @@ class VideoCube:
         object.__setattr__(self, "fps", float(self.fps))
 
 
+@dataclass(frozen=True)
+class Trace:
+    """Per-frame channel means of a video, shape (T, C): the input of every
+    pulse estimator.  Channel order is R,G,B for C=3."""
+
+    values: np.ndarray
+    fps: float
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] not in (1, 3):
+            raise InvalidInputError(
+                f"trace must be a (T, C) array with T >= 2 and C 1 or 3, not {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("trace values must be finite")
+        if not 0 < self.fps < np.inf:
+            raise InvalidInputError(f"trace fps ({self.fps:g}) must be positive and finite")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "fps", float(self.fps))
+
+    def __len__(self):
+        return self.values.shape[0]
+
+
 def band_bin_mask(n_bins: int, fps: float, nfft: int, band_bpm) -> np.ndarray:
     """Boolean mask of one-sided bins whose frequency lies in [low, high] bpm inclusive."""
     freqs = np.arange(n_bins) * (fps * 60.0 / nfft)
@@ -213,9 +237,9 @@ def standardize(w: Waveform) -> Waveform:
     return Waveform(standardize_rows(w.samples), w.fps)
 
 
-def spatial_mean_trace(v: VideoCube) -> np.ndarray:
-    """Per-frame channel means over the spatial dimensions, shape (T, C)."""
-    return v.data.mean(axis=(1, 2))
+def spatial_mean_trace(v: VideoCube) -> Trace:
+    """The trace of a cube: its per-frame channel means over the spatial dimensions."""
+    return Trace(v.data.mean(axis=(1, 2)), v.fps)
 
 
 def bandpass_brickwall(w: Waveform) -> Waveform:
@@ -225,6 +249,15 @@ def bandpass_brickwall(w: Waveform) -> Waveform:
     mask = band_bin_mask(spectrum.size, w.fps, n, DEFAULT_BAND_BPM)
     filtered = np.fft.irfft(np.where(mask, spectrum, 0.0), n)
     return Waveform(filtered, w.fps)
+
+
+def window_samples(seconds: float, fps: float, name: str) -> int:
+    """The whole number of samples that `seconds` spans at `fps`; `name` is the
+    setting that an error names."""
+    if not np.isfinite(seconds * fps):
+        raise InvalidInputError(
+            f"{name} ({seconds:g} s) holds no finite number of samples at {fps:g} fps")
+    return int(round(seconds * fps))
 
 
 def positive_hann(length: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from pulsegate.signal_core import (
     band_bin_mask,
     power_spectrum,
     psd_normalized,
+    spatial_mean_trace,
     standardize,
 )
 
@@ -323,7 +324,7 @@ def test_criterion_10_no_harm_to_positives(desk_run):
 def test_criterion_11_edge_padding_regression():
     model = ToyEstimator.init(seed=5)
     cube = VideoCube(np.full((300, 4, 4, 3), 0.4), 30.0)
-    out = forward(model, cube)
+    out = forward(model, spatial_mean_trace(cube))
     nfft = 512
     power = power_spectrum(out.samples, nfft)
     in_band = band_bin_mask(power.size, out.fps, nfft, (40.0, 240.0))

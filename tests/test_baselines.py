@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from pulsegate.baselines import (
-    RgbTrace,
-    estimate_chrom,
-    estimate_green,
-    estimate_pos,
-    trace_from_cube,
-)
+from pulsegate.baselines import estimate_chrom, estimate_green, estimate_pos
 from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import pulse_rate
 from pulsegate.features import snr_rows
-from pulsegate.signal_core import Waveform, power_spectrum, band_bin_mask
+from pulsegate.signal_core import (
+    Trace,
+    Waveform,
+    band_bin_mask,
+    power_spectrum,
+    spatial_mean_trace,
+)
 from pulsegate.synth import SceneConfig, generate_positive
 
 
@@ -20,11 +20,11 @@ def synthetic_trace(fps=30.0, duration_s=20.0, hr_bpm=72.0, seed=0):
                       hr_trajectory=hr_bpm, pulse_amplitude=0.02,
                       sensor_noise_sigma=0.0, seed=seed)
     cube, truth = generate_positive(cfg)
-    return trace_from_cube(cube), truth
+    return spatial_mean_trace(cube), truth
 
 
 def constant_trace(fps=30.0, n=200):
-    return RgbTrace(np.full((n, 3), 0.5), fps)
+    return Trace(np.full((n, 3), 0.5), fps)
 
 
 class TestGreen:
@@ -34,7 +34,7 @@ class TestGreen:
         values = np.column_stack([np.full(n, 0.6),
                                   1.0 + 0.01 * np.sin(2 * np.pi * freq * t),
                                   np.full(n, 0.4)])
-        wave = estimate_green(RgbTrace(values, fps))
+        wave = estimate_green(Trace(values, fps))
         rates = pulse_rate(wave, window_s=10.0, stride_frames=600, nfft=5400)
         assert rates.bpm[0] == pytest.approx(freq * 60.0, abs=1.0)
 
@@ -52,7 +52,7 @@ class TestGreen:
         t = np.arange(n) / fps
         dip = 1.0 - 0.05 * np.exp(-0.5 * ((t - 5.0) / 0.3) ** 2)
         values = np.column_stack([np.full(n, 0.6), dip, np.full(n, 0.4)])
-        wave = estimate_green(RgbTrace(values, fps))
+        wave = estimate_green(Trace(values, fps))
         assert wave.samples[np.argmin(dip)] > 0
 
 
@@ -74,7 +74,7 @@ class TestChrom:
         values = base[None, :] * (1.0 + gains[None, :] * pulse[:, None])
         flicker = 1.0 + 0.1 * np.sin(2 * np.pi * 0.8 * t)
         values = values * flicker[:, None]
-        wave = estimate_chrom(RgbTrace(values, fps))
+        wave = estimate_chrom(Trace(values, fps))
         power = power_spectrum(wave.samples, 5400)
         freqs = np.arange(power.size) * fps * 60.0 / 5400
         pulse_power = power[np.abs(freqs - 72.0) <= 3.0].sum()
@@ -86,7 +86,7 @@ class TestChrom:
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError, match="shorter than one"):
-            estimate_chrom(RgbTrace(np.full((10, 3), 0.5), 30.0))
+            estimate_chrom(Trace(np.full((10, 3), 0.5), 30.0))
 
 
 class TestPos:
@@ -105,7 +105,7 @@ class TestPos:
         rng = np.random.default_rng(13)
         fps, n = 30.0, 900
         values = 0.5 + 0.01 * rng.standard_normal((n, 3))
-        wave = estimate_pos(RgbTrace(values, fps))
+        wave = estimate_pos(Trace(values, fps))
         power = power_spectrum(wave.samples, n)
         in_band = band_bin_mask(power.size, fps, n, (40.0, 240.0))
         outside = power[~in_band].sum() / power.sum()
@@ -116,7 +116,7 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("estimator", [estimate_green, estimate_chrom, estimate_pos])
     def test_global_scaling_invariant(self, estimator):
         trace, _ = synthetic_trace(seed=2)
-        scaled = RgbTrace(trace.values * 3.7, trace.fps)
+        scaled = Trace(trace.values * 3.7, trace.fps)
         a = estimator(trace)
         b = estimator(scaled)
         np.testing.assert_allclose(a.samples, b.samples, atol=1e-9)

@@ -23,10 +23,11 @@ from pulsegate.fileio import (
     read_cube,
     read_features,
     read_waveform,
+    write_cube,
     write_features,
     write_waveform,
 )
-from pulsegate.signal_core import Waveform, spatial_mean_trace
+from pulsegate.signal_core import VideoCube, Waveform, spatial_mean_trace
 
 SCENE = {"duration_s": 16.0, "fps": 30.0, "dims": [8, 8], "hr_trajectory": 75.0,
          "pulse_amplitude": 0.02, "dicrotic_ratio": 0.2,
@@ -157,6 +158,16 @@ class TestEstimate:
         assert "target_fps (0) must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("method", ["green", "chrom", "pos"])
+    def test_one_channel_cube_rejected_by_color_baselines(self, tmp_path, capsys, method):
+        cube = VideoCube(np.random.default_rng(1).uniform(0.3, 0.7, (90, 4, 4, 1)), 30.0)
+        write_cube(cube, tmp_path / "gray.bin")
+        code = main(["estimate", "--method", method, "--in", str(tmp_path / "gray.bin"),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: color baselines need a 3-channel trace, not 1\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_model_without_path_is_config_error(self, workdir):
         code = main(["estimate", "--method", "model",
                      "--in", str(workdir / "pos.bin"), "--out", str(workdir / "x.csv")])
@@ -243,6 +254,27 @@ class TestFeaturesAndClassify:
         assert main(["features", "--in", str(wave), "--out", str(tmp_path / "feats.csv"),
                      "--stride-s", "0"]) == 2
         assert "stride_s (0 s) is under one frame" in capsys.readouterr().err
+        assert not (tmp_path / "feats.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--window-s", "nan", "window_s (nan s) holds no finite number of samples"),
+        ("--window-s", "inf", "window_s (inf s) holds no finite number of samples"),
+        ("--stride-s", "nan", "stride_s (nan s) holds no finite number of samples"),
+        ("--window-s", "0", "window_s (0 s) holds 0 samples at 30 fps"),
+        ("--window-s", "0.2", "window_s (0.2 s) holds 6 samples at 30 fps")])
+    def test_bad_window_flag_rejected(self, workdir, tmp_path, capsys, flag, value, named):
+        wave = tmp_path / "wave.csv"
+        assert main(["estimate", "--method", "green", "--in", str(workdir / "pos.bin"),
+                     "--out", str(wave)]) == 0
+        capsys.readouterr()
+        # a numpy warning printed on stderr from the shell is recorded here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["features", "--in", str(wave), "--out", str(tmp_path / "feats.csv"),
+                         flag, value]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
         assert not (tmp_path / "feats.csv").exists()
 
     def test_model_with_unknown_key_rejected(self, tmp_path, capsys):
@@ -341,6 +373,15 @@ class TestPulseRate:
                      "--" + key.replace("_", "-"), value])
         assert code == 2
         assert f"{key}=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_window_rejected(self, workdir, tmp_path, capsys, value):
+        code = main(["pulse-rate", "--in", str(workdir / "gt.csv"),
+                     "--report", str(tmp_path / "rate.json"), f"--window-s={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: window_s ({value} s) holds no finite "
+                                           "number of samples at 30 fps\n")
+        assert not (tmp_path / "rate.json").exists()
 
     def test_misaligned_truth_rejected(self, workdir, tmp_path, capsys):
         # a truth 40 frames shorter gives rate windows at other times
@@ -463,6 +504,32 @@ class TestTrain:
         assert f"{key!r} in train config" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("learning_rate", float("nan")),
+                                            ("momentum", float("inf"))])
+    def test_non_finite_rate_rejected(self, tmp_path, capsys, key, value):
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "steps": 2, key: value}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert capsys.readouterr().err == f"error: train.{key} ({value:g}) must be finite\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_one_channel_corpus_rejected(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        cube = VideoCube(np.random.default_rng(2).uniform(0.3, 0.7, (300, 4, 4, 1)), 30.0)
+        write_cube(cube, corpus / "gray.bin")
+        write_waveform(Waveform(np.sin(np.arange(300) / 5.0), 30.0), corpus / "gt.csv")
+        dump_json({"samples": [{"cube": "gray.bin", "gt": "gt.csv", "positive": True}]},
+                  corpus / "manifest.json")
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "batch_size": 2, "steps": 2,
+                                         "estimator": {"filters": 2, "kernel_len": 11}}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert capsys.readouterr().err == "error: clip has 1 channels, model expects 3\n"
+        assert not (tmp_path / "model.json").exists()
+
     # the estimator key, its bad value, and what stderr must say: the key and the value
     BAD_ESTIMATOR = [("filters", 0, "filters (0)"), ("filters", -1, "filters (-1)"),
                      ("kernel_len", -1, "kernel_len (-1)"),
@@ -551,7 +618,7 @@ class TestExperiment:
                 [f"{name}_pos_{i:02d}" for i in range(n_pos)]
                 + [f"{name}_neg_{i:02d}_{kinds[i % 3]}" for i in range(n_neg)])
             for video in sets[name]:
-                assert video.cube.data.shape == (frames, 1, 1, 3)
+                assert video.trace.values.shape == (frames, 3)
                 assert (video.truth is None) == ("_neg_" in video.name)
         samples = json.loads((tmp_path / "corpus" / "manifest.json").read_text())["samples"]
         assert samples == (
@@ -559,11 +626,11 @@ class TestExperiment:
               "positive": True} for i in range(3)]
             + [{"cube": f"train_neg_{i:02d}_{kinds[i]}.bin", "gt": None, "positive": False}
                for i in range(3)])
-        # the corpus keeps the full f32 cubes, whose traces are the pooled ones
+        # the corpus keeps the full f32 cubes, whose traces are the study's
         for video, sample in zip(sets["train"], samples):
             full = read_cube(tmp_path / "corpus" / sample["cube"])
             assert full.data.shape == (240, 8, 8, 3)
-            np.testing.assert_allclose(spatial_mean_trace(full), video.cube.data[:, 0, 0],
+            np.testing.assert_allclose(spatial_mean_trace(full).values, video.trace.values,
                                        rtol=0.0, atol=1e-7)
             if sample["gt"]:
                 truth = read_waveform(tmp_path / "corpus" / sample["gt"])
@@ -684,6 +751,15 @@ class TestExperiment:
          "rate_eval.resample_fps (inf) must be positive and finite"),
         ("rate_eval.resample_fps", float("nan"),
          "rate_eval.resample_fps (nan) must be positive and finite"),
+        ("features.window_s", float("nan"), "features.window_s (nan s) holds no finite number"),
+        ("features.window_s", 0, "features.window_s (0 s) holds 0 samples"),
+        # 0.35 s is 7 samples at 20 fps, one short of what AMPD takes
+        ("features.window_s", 0.35, "features.window_s (0.35 s) holds 7 samples"),
+        ("features.stride_s", float("inf"), "features.stride_s (inf s) holds no finite number"),
+        ("rate_eval.window_s", float("nan"), "rate_eval.window_s (nan s) holds no finite number"),
+        ("rate_eval.window_s", float("inf"), "rate_eval.window_s (inf s) holds no finite number"),
+        ("train.learning_rate", float("nan"), "train.learning_rate (nan) must be finite"),
+        ("train.momentum", float("inf"), "train.momentum (inf) must be finite"),
     ]
 
     @pytest.mark.parametrize("key, value, named", MALFORMED,

@@ -18,10 +18,12 @@ from pulsegate.estimator import (
 )
 from pulsegate.losses import LossSpec, combined_loss
 from pulsegate.signal_core import (
+    Trace,
     VideoCube,
     Waveform,
     band_bin_mask,
     power_spectrum,
+    spatial_mean_trace,
     standardize_rows,
     stitch_overlap_add,
 )
@@ -33,6 +35,12 @@ def tone_cube(fps=30.0, duration_s=10.0, hr_bpm=72.0, seed=0, noise=0.0):
                       hr_trajectory=hr_bpm, pulse_amplitude=0.02,
                       sensor_noise_sigma=noise, seed=seed)
     return generate_positive(cfg)
+
+
+def tone_trace(**scene):
+    """The trace of a `tone_cube` scene, and its ground truth."""
+    cube, truth = tone_cube(**scene)
+    return spatial_mean_trace(cube), truth
 
 
 def forward_one(model, x):
@@ -134,21 +142,21 @@ class TestForward:
         model = ToyEstimator.init(seed=0)
         model.w2[...] = 0.0
         model.b2[...] = 0.0
-        cube, _ = tone_cube()
-        np.testing.assert_array_equal(forward(model, cube).samples, 0.0)
+        trace, _ = tone_trace()
+        np.testing.assert_array_equal(forward(model, trace).samples, 0.0)
 
     def test_constant_clip_gives_constant_output(self):
         model = ToyEstimator.init(seed=1)
-        cube = VideoCube(np.full((100, 4, 4, 3), 0.5), 30.0)
-        out = forward(model, cube).samples
+        trace = spatial_mean_trace(VideoCube(np.full((100, 4, 4, 3), 0.5), 30.0))
+        out = forward(model, trace).samples
         assert np.ptp(out) < 1e-12
 
     @pytest.mark.parametrize("n_frames", [64, 270, 1000])
     def test_output_length_matches_input(self, n_frames):
         model = ToyEstimator.init(seed=2)
         rng = np.random.default_rng(n_frames)
-        cube = VideoCube(rng.uniform(0.2, 0.8, (n_frames, 4, 4, 3)), 30.0)
-        assert len(forward(model, cube)) == n_frames
+        trace = spatial_mean_trace(VideoCube(rng.uniform(0.2, 0.8, (n_frames, 4, 4, 3)), 30.0))
+        assert len(forward(model, trace)) == n_frames
 
     def test_parameter_shapes_checked(self):
         model = ToyEstimator.init(filters=4, kernel_len=5, seed=0)
@@ -161,16 +169,17 @@ class TestForward:
     def test_channel_mismatch_rejected(self):
         model = ToyEstimator.init(seed=3)
         cube = VideoCube(np.random.default_rng(0).uniform(0, 1, (64, 4, 4, 1)), 30.0)
+        trace = spatial_mean_trace(cube)
         with pytest.raises(InvalidInputError):
-            forward(model, cube)
+            forward(model, trace)
 
     def test_edge_padding_regression_no_inband_energy(self):
         # a temporally constant video must not acquire an artificial temporal
         # response from padding: in-band energy must be a vanishing fraction
         # of the total prediction energy (DC included)
         model = ToyEstimator.init(seed=4)
-        cube = VideoCube(np.full((300, 4, 4, 3), 0.4), 30.0)
-        out = forward(model, cube)
+        trace = spatial_mean_trace(VideoCube(np.full((300, 4, 4, 3), 0.4), 30.0))
+        out = forward(model, trace)
         nfft = 512
         power = power_spectrum(out.samples, nfft)
         in_band = band_bin_mask(power.size, out.fps, nfft, (40.0, 240.0))
@@ -192,8 +201,8 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         model = ToyEstimator.init(seed=7)
-        cube, _ = tone_cube()
-        grads = backward(model, cube, np.zeros(cube.data.shape[0]))
+        trace, _ = tone_trace()
+        grads = backward(model, trace, np.zeros(len(trace)))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
@@ -201,7 +210,8 @@ class TestBackward:
         # no padding: the edge-pad adjoint must not slice the gradient away
         model = ToyEstimator.init(filters=2, kernel_len=1, seed=10)
         cube = VideoCube(np.random.default_rng(10).uniform(0.2, 0.8, (50, 4, 4, 3)), 30.0)
-        grads = backward(model, cube, np.ones(50))
+        trace = spatial_mean_trace(cube)
+        grads = backward(model, trace, np.ones(50))
         assert grads["w1"].shape == (2, 3, 1)
         assert np.all(np.isfinite(np.concatenate([g.ravel() for g in grads.values()])))
         assert np.any(grads["w1"] != 0.0)
@@ -236,14 +246,14 @@ class TestTrain:
     def small_corpus(self, n_pos=3, n_neg=3, fps=30.0, duration=12.0):
         corpus = []
         for i in range(n_pos):
-            cube, truth = tone_cube(fps=fps, duration_s=duration,
-                                    hr_bpm=66.0 + 6 * i, seed=i, noise=2.0)
-            corpus.append((cube, truth, True))
+            trace, truth = tone_trace(fps=fps, duration_s=duration,
+                                      hr_bpm=66.0 + 6 * i, seed=i, noise=2.0)
+            corpus.append((trace, truth, True))
         for i in range(n_neg):
             cube, _ = tone_cube(fps=fps, duration_s=duration, seed=100 + i)
             kind = ("normal", "uniform", "shuffle")[i % 3]
-            corpus.append((make_negative(cube, NegativeTransform(kind=kind, seed=i)),
-                           None, False))
+            negative = make_negative(cube, NegativeTransform(kind=kind, seed=i))
+            corpus.append((spatial_mean_trace(negative), None, False))
         return corpus
 
     def test_determinism(self):
@@ -369,7 +379,8 @@ class TestTrain:
         # a constant negative clip standardizes to zeros, so its prediction is
         # the constant bias: the spectral loss has no in-band energy to score
         corpus = [s for s in self.small_corpus(n_neg=0)]
-        corpus.append((VideoCube(np.full((360, 6, 6, 3), 0.5), 30.0), None, False))
+        corpus.append((spatial_mean_trace(VideoCube(np.full((360, 6, 6, 3), 0.5), 30.0)),
+                       None, False))
         cfg = TrainConfig(clip_len=150, batch_size=4, steps=5, seed=18,
                           loss=LossSpec(negative_loss="spectral_entropy", nfft=512),
                           negative_mix=0.5)
@@ -388,21 +399,21 @@ class TestTrain:
 class TestInference:
     def test_single_clip_equals_standardized_forward(self):
         model = ToyEstimator.init(seed=16)
-        cube, _ = tone_cube(duration_s=10.0)
-        n = cube.data.shape[0]
-        stitched = infer_video(model, cube, clip_len=n, overlap=0.5)
-        direct = standardize_rows(forward(model, cube).samples)
+        trace, _ = tone_trace(duration_s=10.0)
+        n = len(trace)
+        stitched = infer_video(model, trace, clip_len=n, overlap=0.5)
+        direct = standardize_rows(forward(model, trace).samples)
         np.testing.assert_allclose(stitched.samples, direct, atol=1e-12)
 
     def test_zero_overlap_concatenates(self):
         model = ToyEstimator.init(seed=17)
-        cube, _ = tone_cube(duration_s=10.0)
-        n = cube.data.shape[0]
+        trace, _ = tone_trace(duration_s=10.0)
+        n = len(trace)
         assert n % 2 == 0
         half = n // 2
-        stitched = infer_video(model, cube, clip_len=half, overlap=0.0)
-        first = VideoCube(cube.data[:half], cube.fps)
-        second = VideoCube(cube.data[half:], cube.fps)
+        stitched = infer_video(model, trace, clip_len=half, overlap=0.0)
+        first = Trace(trace.values[:half], trace.fps)
+        second = Trace(trace.values[half:], trace.fps)
         expected = np.concatenate([
             standardize_rows(forward(model, first).samples),
             standardize_rows(forward(model, second).samples)])
@@ -424,14 +435,14 @@ class TestInference:
 
     def test_video_shorter_than_clip_rejected(self):
         model = ToyEstimator.init(seed=18)
-        cube, _ = tone_cube(duration_s=5.0)
+        trace, _ = tone_trace(duration_s=5.0)
         with pytest.raises(InvalidInputError, match="shorter than one clip"):
-            infer_video(model, cube, clip_len=10_000)
+            infer_video(model, trace, clip_len=10_000)
 
     def test_clip_predictions_shape(self):
         model = ToyEstimator.init(seed=19)
-        cube, _ = tone_cube(duration_s=10.0)
-        outputs, starts = clip_predictions(model, cube, clip_len=150, overlap=0.5)
+        trace, _ = tone_trace(duration_s=10.0)
+        outputs, starts = clip_predictions(model, trace, clip_len=150, overlap=0.5)
         assert starts == [0, 75, 150]
         assert [out.shape for out in outputs] == [(150,)] * 3
         stds = np.array([out.std() for out in outputs])
@@ -439,22 +450,22 @@ class TestInference:
 
     def test_clip_predictions_stitch_to_infer_video_and_forward(self):
         model = ToyEstimator.init(seed=21)
-        cube, _ = tone_cube(duration_s=10.0)
-        n = cube.data.shape[0]
-        outputs, starts = clip_predictions(model, cube, clip_len=150, overlap=0.5)
+        trace, _ = tone_trace(duration_s=10.0)
+        n = len(trace)
+        outputs, starts = clip_predictions(model, trace, clip_len=150, overlap=0.5)
         standardized = standardize_rows(outputs)
         np.testing.assert_array_equal(stitch_overlap_add(standardized, starts, n),
-                                      infer_video(model, cube, 150, overlap=0.5).samples)
+                                      infer_video(model, trace, 150, overlap=0.5).samples)
         # one clip spanning the video: the raw stitch is the forward pass itself
-        outputs, starts = clip_predictions(model, cube, clip_len=n)
+        outputs, starts = clip_predictions(model, trace, clip_len=n)
         np.testing.assert_allclose(stitch_overlap_add(outputs, starts, n),
-                                   forward(model, cube).samples, rtol=1e-12, atol=1e-14)
+                                   forward(model, trace).samples, rtol=1e-12, atol=1e-14)
 
     def test_bad_overlap_rejected(self):
         model = ToyEstimator.init(seed=22)
-        cube, _ = tone_cube(duration_s=10.0)
+        trace, _ = tone_trace(duration_s=10.0)
         with pytest.raises(InvalidInputError, match="overlap must be"):
-            clip_predictions(model, cube, clip_len=150, overlap=1.0)
+            clip_predictions(model, trace, clip_len=150, overlap=1.0)
 
 
 class TestSerialization:
@@ -462,9 +473,9 @@ class TestSerialization:
         model = ToyEstimator.init(seed=20, filters=6, kernel_len=7)
         restored = ToyEstimator.from_dict(model.to_dict())
         np.testing.assert_array_equal(model.flat, restored.flat)
-        cube, _ = tone_cube()
-        np.testing.assert_array_equal(forward(model, cube).samples,
-                                      forward(restored, cube).samples)
+        trace, _ = tone_trace()
+        np.testing.assert_array_equal(forward(model, trace).samples,
+                                      forward(restored, trace).samples)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(Exception):

@@ -3,6 +3,7 @@ import pytest
 
 from pulsegate.errors import InvalidInputError
 from pulsegate.signal_core import (
+    Trace,
     VideoCube,
     Waveform,
     bandpass_brickwall,
@@ -36,6 +37,30 @@ class TestTypes:
             VideoCube(np.zeros((4, 4, 4, 2)), 30.0)
         with pytest.raises(InvalidInputError):
             VideoCube(np.full((4, 4, 4, 3), np.inf), 30.0)
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 1, 1), (1, 3), (0, 3), (10, 0), (10, 2),
+                                       (10, 4)], ids=str)
+    def test_trace_rejects_bad_shapes(self, shape):
+        with pytest.raises(InvalidInputError, match="trace must be a"):
+            Trace(np.zeros(shape), 30.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_trace_rejects_non_finite_values(self, value):
+        values = np.full((10, 3), 0.5)
+        values[4, 1] = value
+        with pytest.raises(InvalidInputError, match="trace values must be finite"):
+            Trace(values, 30.0)
+
+    @pytest.mark.parametrize("fps", [0.0, -30.0, np.nan, np.inf])
+    def test_trace_rejects_bad_fps(self, fps):
+        with pytest.raises(InvalidInputError, match="must be positive and finite"):
+            Trace(np.full((10, 1), 0.5), fps)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_trace_accepts_one_or_three_channels(self, channels):
+        trace = Trace(np.arange(2 * channels).reshape(2, channels), 30)
+        assert len(trace) == 2
+        assert trace.values.dtype == float and trace.fps == 30.0
 
 
 class TestPsdNormalized:
@@ -181,26 +206,26 @@ class TestSpatialMeanTrace:
     def test_uniform_frames(self):
         cube = VideoCube(np.full((5, 4, 4, 3), 0.5), 30.0)
         trace = spatial_mean_trace(cube)
-        assert trace.shape == (5, 3)
-        np.testing.assert_allclose(trace, 0.5)
+        assert trace.values.shape == (5, 3)
+        np.testing.assert_allclose(trace.values, 0.5)
 
     def test_half_half_frame(self):
         frame = np.array([[0.0, 0.0], [1.0, 1.0]])[:, :, None]
         cube = VideoCube(np.stack([frame, frame]), 30.0)
-        np.testing.assert_allclose(spatial_mean_trace(cube), 0.5)
+        np.testing.assert_allclose(spatial_mean_trace(cube).values, 0.5)
 
     def test_global_signal_passes_through(self):
         g = np.linspace(0.2, 0.8, 20)
         cube = VideoCube(np.ones((20, 3, 3, 1)) * g[:, None, None, None], 30.0)
-        np.testing.assert_allclose(spatial_mean_trace(cube)[:, 0], g)
+        np.testing.assert_allclose(spatial_mean_trace(cube).values[:, 0], g)
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_pooled_cube_keeps_the_trace(self, channels):
-        # a study keeps each video as the (T, 1, 1, C) cube of its trace
-        cube = VideoCube(np.random.default_rng(channels).random((40, 7, 5, channels)), 30.0)
+    def test_trace_is_the_spatial_mean(self, channels):
+        # the estimators read the study's traces as they read a cube's
+        cube = VideoCube(np.random.default_rng(channels).random((40, 7, 5, channels)), 25.0)
         trace = spatial_mean_trace(cube)
-        pooled = VideoCube(trace[:, None, None, :], cube.fps)
-        assert np.array_equal(spatial_mean_trace(pooled), trace)
+        assert np.array_equal(trace.values, cube.data.mean(axis=(1, 2)))
+        assert trace.fps == 25.0
 
 
 def test_bandpass_brickwall_removes_out_of_band():

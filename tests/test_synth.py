@@ -50,7 +50,7 @@ class TestGeneratePositive:
 
     def test_green_trace_correlates_with_truth(self):
         cube, truth = generate_positive(scene(sensor_noise_sigma=0.0))
-        green = spatial_mean_trace(cube)[:, 1]
+        green = spatial_mean_trace(cube).values[:, 1]
         r = np.corrcoef(green, truth.samples)[0, 1]
         assert r > 0.95
 
@@ -91,8 +91,8 @@ class TestMakeNegative:
     def test_shuffle_trace_is_permutation(self):
         cube, _ = generate_positive(scene())
         out = make_negative(cube, NegativeTransform(kind="shuffle", seed=3))
-        a = np.sort(spatial_mean_trace(cube)[:, 1])
-        b = np.sort(spatial_mean_trace(out)[:, 1])
+        a = np.sort(spatial_mean_trace(cube).values[:, 1])
+        b = np.sort(spatial_mean_trace(out).values[:, 1])
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_normal_residual_std_near_three(self):

@@ -8,11 +8,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask, window_samples
+from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask, check_cells, window_samples
 
 RATE_BAND_HZ = (0.66, 4.0)
-# in-band bins × windows per chunk: bounds the working memory of pulse_rate
+# in-band bins × windows per chunk: bounds the columns of pulse_rate's
+# scratch, a chunk's windows and its span; the prefix sums restart at each
+# chunk, so it also fixes their rounding
 _CHUNK_CELLS = 2 ** 17
+# in-band bins per block: bounds the rows of pulse_rate's scratch, a block's
+# prefix sums over a chunk's span and its spectra over a chunk's windows
+_BLOCK_BINS = 32
 
 
 @dataclass(frozen=True)
@@ -37,25 +42,26 @@ class ErrorReport:
 
 @lru_cache(maxsize=4)
 def _rate_tables(fps: float, window: int, stride_frames: int, nfft: int, n_windows: int):
-    """`pulse_rate`'s in-band bins, windows per chunk, twiddles and leaks for
-    one window layout, read-only: a study's rate series all share one layout,
-    and building the tables took over a third of each call."""
+    """`pulse_rate`'s in-band bins, windows per chunk, twiddles and Dirichlet
+    terms for one window layout, read-only: a study's rate series all share
+    one layout, and building the tables took over a third of each call."""
+    check_cells(nfft, f"nfft={nfft}")
     in_band = np.flatnonzero(band_bin_mask(nfft // 2 + 1, fps, nfft,
                                            (RATE_BAND_HZ[0] * 60.0, RATE_BAND_HZ[1] * 60.0)))
     per_chunk = min(max(_CHUNK_CELLS // (len(in_band) * stride_frames), 1), n_windows)
     span = (per_chunk - 1) * stride_frames + window
+    check_cells(len(in_band) * span, f"nfft={nfft} with a {window}-sample window")
     # the twiddle of bin k at sample m of a chunk is table[k·m mod nfft]
     table = np.exp(-2j * np.pi * np.arange(nfft) / nfft)
-    phases = np.outer(in_band, np.arange(span))
-    phases %= nfft
-    twiddles = table[phases]
-    # D_k·e^{-2πi·ks/nfft} at each window start s of a chunk: what a unit
-    # mean leaks into bin k
-    leaks = (twiddles[:, :window].sum(axis=1, keepdims=True)
-             * twiddles[:, :span - window + 1:stride_frames])
-    for array in (in_band, twiddles, leaks):
+    twiddles = np.empty((len(in_band), span), dtype=complex)
+    for lo in range(0, len(in_band), _BLOCK_BINS):
+        phases = np.outer(in_band[lo:lo + _BLOCK_BINS], np.arange(span))
+        phases %= nfft
+        twiddles[lo:lo + _BLOCK_BINS] = table[phases]
+    dirichlet = twiddles[:, :window].sum(axis=1, keepdims=True)
+    for array in (in_band, twiddles, dirichlet):
         array.flags.writeable = False
-    return in_band, per_chunk, twiddles, leaks
+    return in_band, per_chunk, twiddles, dirichlet
 
 
 def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
@@ -73,6 +79,12 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     the spectral magnitude |P_k(s+W) - P_k(s) - μ_s·D_k·e^{-2πi·ks/nfft}|:
     μ_s is the window mean and D_k = Σ_{n<W} e^{-2πi·kn/nfft} the Dirichlet
     term.
+
+    The windows go in chunks of about `_CHUNK_CELLS` / in-band bins, and
+    each chunk's bins in blocks of `_BLOCK_BINS`.  So the scratch is one
+    block's prefix sums over a chunk's span and one block's spectra over a
+    chunk's windows, whatever the bin count; a running maximum per window
+    keeps the lowest of equal peaks, as one argmax over every bin would.
     """
     window = window_samples(window_s, w.fps, "window_s")
     if stride_frames < 1:
@@ -88,10 +100,17 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
         raise InvalidInputError(f"nfft={nfft} shorter than window of {window} samples")
     resolution_bpm = w.fps * 60.0 / nfft
     starts = np.arange(0, len(w) - window + 1, stride_frames)
-    in_band, per_chunk, twiddles, leaks = _rate_tables(w.fps, window, stride_frames, nfft,
-                                                       len(starts))
+    in_band, per_chunk, twiddles, dirichlet = _rate_tables(w.fps, window, stride_frames, nfft,
+                                                           len(starts))
     span = twiddles.shape[1]
-    prefix = np.zeros((len(in_band), span + 1), dtype=complex)
+    block = min(_BLOCK_BINS, len(in_band))
+    # one set of buffers for every block of every chunk: fresh temporaries per
+    # block made a ten-minute signal about 15% slower
+    prefix = np.zeros((block, span + 1), dtype=complex)
+    spectra = np.empty((block, per_chunk), dtype=complex)
+    leaks = np.empty_like(spectra)
+    magnitudes = np.empty((block, per_chunk))
+    columns = np.arange(per_chunk)
     # the signal's mean keeps the prefix sums small; each window's own mean
     # comes off through the Dirichlet term
     mean = w.samples.mean()
@@ -103,17 +122,32 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
         tails = slice(window, heads.stop + window, stride_frames)
         seg = w.samples[starts[lo]:starts[lo] + heads.stop - 1 + window]
         centered = seg - mean
-        region = prefix[:, 1:len(seg) + 1]
-        np.multiply(twiddles[:, :len(seg)], centered, out=region)
-        np.cumsum(region, axis=1, out=region)
         totals = np.concatenate(([0.0], np.cumsum(centered)))
-        spectra = prefix[:, tails] - prefix[:, heads]
-        spectra -= leaks[:, :count] * ((totals[tails] - totals[heads]) / window)
+        means = (totals[tails] - totals[heads]) / window
+        best = np.full(count, -1.0)
+        best_bin = np.zeros(count, dtype=np.intp)
+        for first in range(0, len(in_band), block):
+            rows = min(block, len(in_band) - first)
+            tw = twiddles[first:first + rows]
+            region = prefix[:rows, 1:len(seg) + 1]
+            np.multiply(tw[:, :len(seg)], centered, out=region)
+            np.cumsum(region, axis=1, out=region)
+            spectrum = np.subtract(prefix[:rows, tails], prefix[:rows, heads],
+                                   out=spectra[:rows, :count])
+            # D_k·e^{-2πi·ks/nfft}·μ_s: what the window mean leaks into bin k
+            leak = np.multiply(dirichlet[first:first + rows], tw[:, heads],
+                               out=leaks[:rows, :count])
+            leak *= means
+            spectrum -= leak
+            magnitude = np.abs(spectrum, out=magnitudes[:rows, :count])
+            peak = np.argmax(magnitude, axis=0)
+            top = magnitude[peak, columns[:count]]
+            np.copyto(best_bin, peak + first, where=top > best)
+            np.maximum(best, top, out=best)
         # a window across which no sample changes is constant
         changes = np.concatenate(([0], np.cumsum(seg[1:] != seg[:-1])))
         flat = changes[window - 1:heads.stop + window - 1:stride_frames] == changes[heads]
-        bpm[lo:lo + count] = np.where(
-            flat, np.nan, in_band[np.argmax(np.abs(spectra), axis=0)] * resolution_bpm)
+        bpm[lo:lo + count] = np.where(flat, np.nan, in_band[best_bin] * resolution_bpm)
     centers = (starts + (window - 1) / 2.0) / w.fps
     return RateSeries(times_s=centers, bpm=bpm)
 

@@ -344,7 +344,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     sets = _stage("synth", build_corpora, cfg, out_dir / "corpus")
     test_pos = [video for video in sets["test"] if video.truth is not None]
-    rate_truth = {video.name: _rates(cfg, video.truth) for video in test_pos}
+    # on workers too, so that this process never builds the rate tables
+    truths = _run_jobs([partial(_rates, cfg, video.truth) for video in test_pos])
+    rate_truth = {video.name: rates for video, rates in zip(test_pos, truths)}
 
     # one job per variant and per baseline: each reads only the corpora and
     # writes only its own files, so the outputs do not depend on how many run

@@ -15,6 +15,10 @@ DEFAULT_BAND_BPM = (40.0, 240.0)
 
 # slop for deciding whether a bin frequency sits inside the band
 _BAND_EPS = 1e-9
+# the most elements one array that a setting sizes may hold (2**25 complex
+# values are 512 MiB); every shipped config needs about 0.31M, pulse_rate's
+# twiddle tables
+MAX_CELLS = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,14 @@ class Trace:
         return self.values.shape[0]
 
 
+def check_cells(cells: float, setting: str) -> None:
+    """Reject an array of `cells` elements, counted as a float before any
+    `int()`, above `MAX_CELLS`; `setting` names what sized it."""
+    if not cells <= MAX_CELLS:
+        raise InvalidInputError(f"{setting} asks for an array of {cells:.4g} elements, "
+                                f"over the {MAX_CELLS} allowed")
+
+
 def band_bin_mask(n_bins: int, fps: float, nfft: int, band_bpm) -> np.ndarray:
     """Boolean mask of one-sided bins whose frequency lies in [low, high] bpm inclusive."""
     freqs = np.arange(n_bins) * (fps * 60.0 / nfft)
@@ -106,6 +118,7 @@ def one_sided_spectrum(samples: np.ndarray, nfft: int) -> tuple[np.ndarray, np.n
     x = np.asarray(samples, dtype=float)
     if nfft < x.shape[-1]:
         raise InvalidInputError(f"nfft={nfft} shorter than signal length {x.shape[-1]}")
+    check_cells(np.prod(x.shape[:-1]) * (nfft // 2 + 1), f"nfft={nfft}")
     spectrum = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), nfft)
     weights = np.full(spectrum.shape[-1], 2.0)
     weights[0] = 1.0
@@ -210,6 +223,7 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     if target_fps == w.fps:
         return Waveform(w.samples.copy(), w.fps)
     times, y = w.times, w.samples
+    check_cells(times[-1] * target_fps + 1.0, f"target_fps={target_fps:g}")
     n_out = int(np.floor(times[-1] * target_fps + _BAND_EPS)) + 1
     new_times = np.arange(n_out) / target_fps
     # on each knot interval: y + s t + c2 t^2 + c3 t^3, t measured from the knot

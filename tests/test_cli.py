@@ -411,6 +411,37 @@ class TestPulseRate:
         assert "oops" in capsys.readouterr().err
 
 
+class TestSizeBudget:
+    """A setting that sizes an array past `signal_core.MAX_CELLS` exits 2 and
+    names it.  Each command runs under a 1 GiB address-space limit, so an
+    array of that size asked for before the check fails the test."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["pulse-rate", "--in", "{dir}/gt.csv", "--report", "{out}", "--nfft", "100000000"],
+         "nfft=100000000 asks for an array of 1e+08 elements"),
+        (["features", "--in", "{dir}/gt.csv", "--out", "{out}", "--nfft", "100000000"],
+         "nfft=100000000 asks for an array of"),
+        (["estimate", "--method", "green", "--in", "{dir}/pos.bin", "--out", "{out}",
+          "--resample-fps", "1e9"], "target_fps=1e+09 asks for an array of"),
+        (["estimate", "--method", "green", "--in", "{dir}/pos.bin", "--out", "{out}",
+          "--resample-fps", "1e300"], "target_fps=1e+300 asks for an array of"),
+    ], ids=["pulse-rate-nfft", "features-nfft", "resample-1e9", "resample-1e300"])
+    def test_oversized_setting_rejected(self, workdir, tmp_path, argv, named):
+        out = tmp_path / "out"
+        argv = [arg.format(dir=workdir, out=out) for arg in argv]
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from pulsegate.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(pulsegate.__file__).resolve().parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert named in result.stderr
+        assert not out.exists()
+
+
 class TestTrain:
     def test_train_on_corpus_dir(self, workdir, tmp_path):
         # build a minimal corpus directory via the library

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import pulsegate
+from pulsegate import evaluate, signal_core
 from pulsegate.errors import InvalidInputError
 from pulsegate.evaluate import (
     RATE_BAND_HZ,
@@ -176,18 +178,73 @@ class TestPulseRate:
     def test_cached_tables_are_read_only(self):
         _rate_tables.cache_clear()
         pulse_rate(sine(1.5, 90.0, 15.0), stride_frames=9)
-        tables = _rate_tables(90.0, 900, 9, DEFAULT_NFFT, 51)
+        in_band, per_chunk, twiddles, dirichlet = _rate_tables(90.0, 900, 9, DEFAULT_NFFT, 51)
         assert _rate_tables.cache_info().hits == 1
-        for table in tables:
-            if isinstance(table, np.ndarray):
-                assert not table.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    table[0] = 0
+        assert twiddles.shape == (len(in_band), (per_chunk - 1) * 9 + 900)
+        assert dirichlet.shape == (len(in_band), 1)
+        for table in (in_band, twiddles, dirichlet):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_tables_over_the_cell_budget_rejected(self, monkeypatch):
+        # the study's layout: 201 in-band bins × a 1,551-sample chunk span
+        w = Waveform(np.sin(np.arange(2696) / 9.0), 90.0)
+        monkeypatch.setattr(signal_core, "MAX_CELLS", 311_750)
+        _rate_tables.cache_clear()
+        with pytest.raises(InvalidInputError,
+                           match="nfft=5400 with a 900-sample window asks for an array of 3.118e"):
+            pulse_rate(w)
+        with pytest.raises(InvalidInputError, match="^nfft=311751 asks for an array of 3.118e"):
+            pulse_rate(w, nfft=311_751)
+        monkeypatch.setattr(signal_core, "MAX_CELLS", 311_751)
+        assert np.all(np.isfinite(pulse_rate(w).bpm))
 
     def test_times_strictly_increasing_and_in_band(self):
         rates = pulse_rate(sine(2.0, 90.0, 13.0), stride_frames=7)
         assert np.all(np.diff(rates.times_s) > 0)
         assert np.all((rates.bpm >= 39.6) & (rates.bpm <= 240.0))
+
+
+class TestBinBlocks:
+    """The in-band bins go in blocks of `_BLOCK_BINS`: the block size changes
+    no rate, bit for bit, and bounds the scratch of a call."""
+
+    @pytest.mark.parametrize("fps", [90.0, 30.0])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rates_do_not_depend_on_block_size(self, monkeypatch, fps, stride):
+        rng = np.random.default_rng(int(fps) + stride)
+        n = int(40 * fps)
+        # the rate sweeps from 60 to 200 bpm, so the peak moves through later
+        # blocks, and a flat stretch reads NaN
+        phase = 2 * np.pi * np.cumsum(np.linspace(1.0, 200.0 / 60.0, n)) / fps
+        x = np.sin(phase) + rng.normal(0.0, 0.3, n)
+        x[int(12 * fps):int(25 * fps)] = 0.5
+        w = Waveform(x, fps)
+        bins = int(band_bin_mask(DEFAULT_NFFT // 2 + 1, fps, DEFAULT_NFFT,
+                                 (RATE_BAND_HZ[0] * 60.0, RATE_BAND_HZ[1] * 60.0)).sum())
+        assert bins == (201 if fps == 90.0 else 602)
+        want = pulse_rate(w, stride_frames=stride).bpm
+        assert np.isnan(want).any()
+        assert np.nanmax(want) > 190.0  # in-band bin 150 or later: block 5 or later
+        for size in (1, 7, bins, bins + 13):
+            monkeypatch.setattr(evaluate, "_BLOCK_BINS", size)
+            _rate_tables.cache_clear()
+            np.testing.assert_array_equal(pulse_rate(w, stride_frames=stride).bpm, want)
+
+    def test_warm_call_scratch_is_bounded(self):
+        # the study's shape: 2,696 samples at 90 fps, 201 in-band bins.  With
+        # every bin at once, a warm call's scratch peaked at about 9 MB
+        rng = np.random.default_rng(5)
+        w = Waveform(noisy_pulse(rng, 2696, 90.0, 0.0, 1.0), 90.0)
+        pulse_rate(w)
+        tracemalloc.start()
+        try:
+            pulse_rate(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
 
 class TestErrorReport:

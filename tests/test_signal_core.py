@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from pulsegate import signal_core
 from pulsegate.errors import InvalidInputError
 from pulsegate.signal_core import (
+    MAX_CELLS,
     Trace,
     VideoCube,
     Waveform,
     bandpass_brickwall,
+    check_cells,
     hilbert_envelope_rows,
+    one_sided_spectrum,
     power_spectrum,
     psd_rows,
     resample_cubic,
@@ -182,6 +186,33 @@ class TestResampleCubic:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError, match="at least 4 samples"):
             resample_cubic(Waveform(np.array([0.0, 1.0, 2.0]), 10.0), 20.0)
+
+
+class TestCellBudget:
+    @pytest.mark.parametrize("cells", [0, 1, MAX_CELLS, float(MAX_CELLS)])
+    def test_within_budget_accepted(self, cells):
+        check_cells(cells, "x")
+
+    @pytest.mark.parametrize("cells", [MAX_CELLS + 1, 1e300, np.inf, np.nan])
+    def test_over_budget_rejected(self, cells):
+        with pytest.raises(InvalidInputError, match=f"^size=3 asks .* over the {MAX_CELLS}"):
+            check_cells(cells, "size=3")
+
+    def test_spectrum_counts_rows_times_bins(self, monkeypatch):
+        monkeypatch.setattr(signal_core, "MAX_CELLS", 99)
+        one_sided_spectrum(np.ones((3, 10)), 64)  # 3 rows of 33 bins
+        with pytest.raises(InvalidInputError, match="nfft=64 asks for an array of 132"):
+            one_sided_spectrum(np.ones((2, 2, 10)), 64)
+        one_sided_spectrum(np.ones(10), 196)  # 99 bins
+        with pytest.raises(InvalidInputError, match="nfft=198 asks for an array of 100"):
+            one_sided_spectrum(np.ones(10), 198)
+
+    def test_resample_counts_output_samples(self, monkeypatch):
+        monkeypatch.setattr(signal_core, "MAX_CELLS", 100)
+        w = Waveform(np.arange(4.0), 1.0)  # spans 3 s
+        assert len(resample_cubic(w, 33.0)) == 100
+        with pytest.raises(InvalidInputError, match="target_fps=33.4 asks"):
+            resample_cubic(w, 33.4)
 
 
 class TestStandardize:

@@ -125,7 +125,8 @@ def _fft_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
 
     y[b, f, t] = bias[f] + sum over c, j of weights[f, c, j] * x_pad[b, c, t + j],
     a cross-correlation taken as conj(W) * X in the frequency domain.  Also
-    returns the padded input's spectrum, which the weight gradient reuses.
+    returns the padded input's spectrum X and the kernels' spectrum W, which
+    the gradients reuse.
     """
     n_frames, kernel = x.shape[-1], weights.shape[-1]
     pad = kernel // 2
@@ -133,26 +134,30 @@ def _fft_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
     padded = np.concatenate([np.repeat(x[..., :1], pad, axis=-1), x,
                              np.repeat(x[..., -1:], pad, axis=-1)], axis=-1)
     spectrum = np.fft.rfft(padded, n)
-    products = np.einsum("bcn,fcn->bfn", spectrum, np.fft.rfft(weights, n).conj())
-    return np.fft.irfft(products, n)[..., :n_frames] + bias[:, None], spectrum
+    kernels = np.fft.rfft(weights, n)
+    products = np.einsum("bcn,fcn->bfn", spectrum, kernels.conj())
+    return np.fft.irfft(products, n)[..., :n_frames] + bias[:, None], spectrum, kernels
 
 
-def _fft_conv_weight_grad(spectrum: np.ndarray, upstream: np.ndarray, kernel: int):
-    """(d_weights, d_bias) of `_fft_conv`, summed over the batch, from its
-    padded-input spectrum: the cross-correlation of the (B, F, T) upstream
-    gradient with the padded input at lags 0..k-1."""
-    n = _fft_len(upstream.shape[-1], kernel)
-    products = np.einsum("bfn,bcn->fcn", np.fft.rfft(upstream, n).conj(), spectrum)
-    return np.fft.irfft(products, n)[..., :kernel], upstream.sum(axis=(0, 2))
+def _fft_conv_weight_grad(spectrum: np.ndarray, upstream_spectrum: np.ndarray,
+                          n: int, kernel: int) -> np.ndarray:
+    """d_weights of `_fft_conv`, summed over the batch, from its padded-input
+    spectrum and the (B, F, T) upstream gradient's spectrum, both of length-n
+    transforms: their cross-correlation at lags 0..k-1."""
+    products = np.einsum("bfn,bcn->fcn", upstream_spectrum.conj(), spectrum)
+    return np.fft.irfft(products, n)[..., :kernel]
 
 
-def _fft_conv_input_grad(weights: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of `_fft_conv` with respect to its (B, C, T) input."""
+def _fft_conv_input_grad(weights: np.ndarray, upstream: np.ndarray, spectra=None) -> np.ndarray:
+    """Gradient of `_fft_conv` with respect to its (B, C, T) input.  `spectra`,
+    when given, holds the upstream's and the kernels' spectra at `_fft_len`,
+    which a caller that has them passes instead of transforming again."""
     n_frames, kernel = upstream.shape[-1], weights.shape[-1]
     pad = kernel // 2
     n = _fft_len(n_frames, kernel)
+    upstream_spectrum, kernels = spectra or (np.fft.rfft(upstream, n), np.fft.rfft(weights, n))
     # full convolution of upstream with each kernel: (B, C, T + 2 * pad)
-    products = np.einsum("bfn,fcn->bcn", np.fft.rfft(upstream, n), np.fft.rfft(weights, n))
+    products = np.einsum("bfn,fcn->bcn", upstream_spectrum, kernels)
     d_padded = np.fft.irfft(products, n)[..., :n_frames + 2 * pad]
     # adjoint of edge padding: fold the replicated borders onto the end samples
     d_x = d_padded[..., pad:pad + n_frames].copy()
@@ -164,22 +169,27 @@ def _fft_conv_input_grad(weights: np.ndarray, upstream: np.ndarray) -> np.ndarra
 def _forward(model: ToyEstimator, x: np.ndarray):
     """Forward pass on a standardized (B, C, T) stack: (B, T) outputs and the
     intermediates `_backward` reads."""
-    pre, spectrum1 = _fft_conv(x, model.w1, model.b1)
+    pre, spectrum1, _ = _fft_conv(x, model.w1, model.b1)
     hidden = np.tanh(pre) if model.activation == "tanh" else pre
-    out, spectrum2 = _fft_conv(hidden, model.w2, model.b2)
-    return out[:, 0], (spectrum1, hidden, spectrum2)
+    out, spectrum2, kernels2 = _fft_conv(hidden, model.w2, model.b2)
+    return out[:, 0], (spectrum1, hidden, spectrum2, kernels2)
 
 
 def _backward(model: ToyEstimator, cache, upstream: np.ndarray) -> np.ndarray:
     """Flat parameter gradient, summed over the batch, for a (B, T) upstream dL/dy."""
-    spectrum1, hidden, spectrum2 = cache
+    spectrum1, hidden, spectrum2, kernels2 = cache
     upstream = upstream[:, None, :]
-    d_w2, d_b2 = _fft_conv_weight_grad(spectrum2, upstream, model.w2.shape[2])
-    d_hidden = _fft_conv_input_grad(model.w2, upstream)
+    n_frames, k1, k2 = upstream.shape[-1], model.w1.shape[2], model.w2.shape[2]
+    n1, n2 = _fft_len(n_frames, k1), _fft_len(n_frames, k2)
+    # layer 2's weight and input gradients share the upstream's spectrum
+    upstream_spectrum = np.fft.rfft(upstream, n2)
+    d_w2 = _fft_conv_weight_grad(spectrum2, upstream_spectrum, n2, k2)
+    d_hidden = _fft_conv_input_grad(model.w2, upstream, (upstream_spectrum, kernels2))
     d_pre = d_hidden * (1.0 - hidden ** 2) if model.activation == "tanh" else d_hidden
     # the first layer's input is data, so its input gradient is never needed
-    d_w1, d_b1 = _fft_conv_weight_grad(spectrum1, d_pre, model.w1.shape[2])
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+    d_w1 = _fft_conv_weight_grad(spectrum1, np.fft.rfft(d_pre, n1), n1, k1)
+    return np.concatenate([d_w1.ravel(), d_pre.sum(axis=(0, 2)), d_w2.ravel(),
+                           upstream.sum(axis=(0, 2))])
 
 
 def _trace(model: ToyEstimator, trace: Trace) -> np.ndarray:

@@ -241,6 +241,23 @@ class TestBackward:
         grads2 = model.split(backward_one(model, cache2, upstream))
         assert grads2["b2"][0] == grads["b2"][0]
 
+    def test_one_step_makes_eleven_conv_transforms(self, monkeypatch):
+        # forward: each layer transforms its padded input and its kernels and
+        # inverts the product (6); backward: one rFFT of the upstream serves
+        # both of layer 2's gradients, one of d_pre layer 1's, and the three
+        # gradients each invert once (5)
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        rng = np.random.default_rng(11)
+        model = ToyEstimator.init(filters=8, kernel_len=91, seed=11)
+        _, cache = _forward(model, rng.standard_normal((8, 3, 200)))
+        _backward(model, cache, rng.standard_normal((8, 200)))
+        assert counts == {"rfft": 6, "irfft": 5}
+
 
 class TestTrain:
     def small_corpus(self, n_pos=3, n_neg=3, fps=30.0, duration=12.0):

@@ -5,13 +5,18 @@ convolutions (tanh between them) with edge-replication padding, so a
 temporally constant input produces a constant output with no boundary
 transients.  Training steps, validation and inference each run one (B, C, T)
 stack of clips through FFT convolutions (Mathieu, Henaff & LeCun, ICLR 2014).
-Whole videos are processed clip-by-clip and stitched with Hann-weighted
-overlap-add.
+A linear convolution of T samples with k taps has T + k - 1 output samples,
+so FFTs of that length (rounded up to a 5-smooth size) hold the forward
+product, the weight gradient and the input gradient without wrap-around.
+The backward pass reuses the forward pass's kernel spectrum and transforms
+the upstream gradient once for both of layer 2's gradients.  Whole videos
+are processed clip-by-clip and stitched with Hann-weighted overlap-add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,11 +118,18 @@ class ToyEstimator:
                        activation=payload.get("activation", "tanh"))
 
 
+@lru_cache(maxsize=16)
 def _fft_len(n_frames: int, kernel: int) -> int:
-    """Smallest 3^b 2^a (b <= 3) >= T + 2 (k - 1): the full convolution of the
-    edge-padded input with the kernel then fits without wrapping around."""
-    need = n_frames + 2 * (kernel - 1)
-    return min(m << (-(-need // m) - 1).bit_length() for m in (1, 3, 9, 27))
+    """Smallest 2^a 3^b 5^c >= T + k - 1, the length of the full linear
+    convolution of T samples with k taps.  None of the three products wraps
+    around at that length: the edge-padded input has T + k - 1 samples, the
+    forward output t and the weight gradient's lag j (t < T, j < k) read
+    padded samples up to T + k - 2, and the input gradient is the full
+    convolution of the T-sample upstream with the kernel.  Cached: a training
+    run asks for one or two shapes thousands of times."""
+    need = n_frames + kernel - 1
+    odd = [3 ** b * 5 ** c for b in range(need.bit_length()) for c in range(need.bit_length())]
+    return min(m << (-(-need // m) - 1).bit_length() for m in odd)
 
 
 def _fft_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
@@ -216,9 +228,16 @@ def forward(model: ToyEstimator, clip: Trace) -> Waveform:
 
 def backward(model: ToyEstimator, clip: Trace, upstream: np.ndarray):
     """Exact parameter gradients of the forward map for a given upstream dL/dy,
-    keyed like the parameters."""
+    keyed like the parameters.  `upstream` holds one finite value per clip frame."""
+    with parsing("upstream"):
+        upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != (len(clip),):
+        raise InvalidInputError(f"upstream has shape {upstream.shape}; "
+                                f"the clip has {len(clip)} frames")
+    if not np.all(np.isfinite(upstream)):
+        raise InvalidInputError("upstream values must be finite")
     _, cache = _forward(model, standardize_rows(_trace(model, clip))[None])
-    return model.split(_backward(model, cache, np.asarray(upstream, dtype=float)[None]))
+    return model.split(_backward(model, cache, upstream[None]))
 
 
 @dataclass

@@ -11,6 +11,7 @@ flat spectrum, 1 for a single-bin spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,17 +90,29 @@ def flatness_loss_value(dist: np.ndarray):
     return 1.0 - geo / dist.mean(axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _band(n_bins: int, fps: float, nfft: int, band_bpm: tuple) -> slice:
+    """The in-band bins of a one-sided spectrum, which form one slice: a
+    training run asks for the same band thousands of times."""
+    in_band = np.flatnonzero(band_bin_mask(n_bins, fps, nfft, band_bpm))
+    if in_band.size == 0:
+        raise NumericalError("no in-band spectral energy")
+    return slice(int(in_band[0]), int(in_band[-1]) + 1)
+
+
 def _spectral_rows(pred: np.ndarray, fps: float, nfft: int, band_bpm, kind: str):
     """Value and adjoint gradient of a spectral penalty on each row's in-band PSD.
 
-    Chain: mean removal -> zero-padded rFFT -> one-sided power -> band mask ->
+    Chain: mean removal -> zero-padded rFFT -> one-sided power -> band slice ->
     normalization -> entropy/flatness.  The rFFT adjoint of a gradient q on
-    |X_k|^2 is nfft * irfft(q * X) restricted to the original samples.
+    |X_k|^2 is nfft * irfft(q * X) restricted to the original samples; q is
+    zero outside the band, so only the band is computed.
     """
     n = pred.shape[1]
     spectrum, weights = one_sided_spectrum(pred, nfft)
-    mask = band_bin_mask(weights.size, fps, nfft, band_bpm)
-    band_power = np.abs(spectrum[:, mask]) ** 2 * weights[mask]
+    band = _band(weights.size, fps, nfft, tuple(band_bpm))
+    in_band, weights = spectrum[:, band], weights[band]
+    band_power = np.abs(in_band) ** 2 * weights
     total = band_power.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise NumericalError("no in-band spectral energy")
@@ -119,9 +132,9 @@ def _spectral_rows(pred: np.ndarray, fps: float, nfft: int, band_bpm, kind: str)
 
     # adjoint of the unit-sum normalization
     grad_band = (grad_dist - np.einsum("ij,ij->i", grad_dist, dist)[:, None]) / total
-    q = np.zeros(spectrum.shape)
-    q[:, mask] = grad_band * weights[mask]
-    grad = (nfft * np.fft.irfft(q * spectrum, nfft))[:, :n]
+    q_spectrum = np.zeros(spectrum.shape, dtype=complex)
+    q_spectrum[:, band] = grad_band * weights * in_band
+    grad = nfft * np.fft.irfft(q_spectrum, nfft)[:, :n]
     return value, grad - grad.mean(axis=1, keepdims=True)
 
 

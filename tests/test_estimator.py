@@ -8,6 +8,8 @@ from pulsegate.estimator import (
     _backward,
     _fft_conv,
     _fft_conv_input_grad,
+    _fft_conv_weight_grad,
+    _fft_len,
     _forward,
     _score,
     backward,
@@ -86,8 +88,50 @@ def conv_same_reference(x, weights, bias):
     return out
 
 
+def taps_of(t, kernel, n_frames):
+    """The edge-clamped input frames that output frame t of a k-tap conv reads."""
+    return np.clip(np.arange(t - kernel // 2, t + kernel // 2 + 1), 0, n_frames - 1)
+
+
+def weight_grad_reference(x, upstream, kernel):
+    """d/dw of sum(upstream * conv(x)) for one (C, T) input, as a loop over frames."""
+    grad = np.zeros((upstream.shape[0], x.shape[0], kernel))
+    for t in range(x.shape[1]):
+        grad += upstream[:, t, None, None] * x[None, :, taps_of(t, kernel, x.shape[1])]
+    return grad
+
+
+def input_grad_reference(weights, upstream):
+    """d/dx of sum(upstream * conv(x)) for one (F, T) upstream, as a double loop."""
+    n_out, n_in, kernel = weights.shape
+    n_frames = upstream.shape[1]
+    grad = np.zeros((n_in, n_frames))
+    for f in range(n_out):
+        for t in range(n_frames):
+            np.add.at(grad, (slice(None), taps_of(t, kernel, n_frames)),
+                      upstream[f, t] * weights[f])
+    return grad
+
+
+def conv_weight_grad(x, weights, upstream):
+    """d/dw of sum(upstream * conv(x)) for one (C, T) input, through the FFT kernels."""
+    n = _fft_len(x.shape[1], weights.shape[2])
+    _, spectrum, _ = _fft_conv(x[None], weights, np.zeros(len(weights)))
+    return _fft_conv_weight_grad(spectrum, np.fft.rfft(upstream[None], n), n, weights.shape[2])
+
+
+def is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 KERNEL_LENS = [1, 3, 11, 91]  # 91 is longer than the 64-frame inputs
 FILTERS = [1, 8]
+# (T, k): T + k - 1 = 80 is itself 5-smooth, so the FFT has no slack; and
+# the desk shape, T + k - 1 = 290 in a 300-point FFT
+NO_WRAP_SHAPES = [(64, 17), (200, 91)]
 
 
 class TestConvKernels:
@@ -135,6 +179,67 @@ class TestConvKernels:
         grads = backward_one(model, cache, upstream)
         fd = fd_param_grads(model, x, upstream)
         assert np.linalg.norm(grads - fd) / np.linalg.norm(fd) < 1e-4
+
+
+class TestNoWrap:
+    """The FFT products at `_fft_len` against direct loops and finite differences."""
+
+    def test_fft_len_is_smallest_5_smooth(self):
+        for n_frames in range(1, 400, 3):
+            for kernel_len in range(1, 200, 2):
+                need = n_frames + kernel_len - 1
+                assert _fft_len(n_frames, kernel_len) == next(
+                    m for m in range(need, 2 * need + 1) if is_5_smooth(m))
+
+    @pytest.mark.parametrize("n_frames, kernel_len", NO_WRAP_SHAPES)
+    def test_conv_matches_double_loop(self, n_frames, kernel_len):
+        rng = np.random.default_rng(kernel_len)
+        x = rng.standard_normal((3, n_frames))
+        weights = rng.standard_normal((2, 3, kernel_len))
+        bias = rng.standard_normal(2)
+        expected = conv_same_reference(x, weights, bias)
+        np.testing.assert_allclose(conv_same(x, weights, bias), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n_frames, kernel_len", NO_WRAP_SHAPES)
+    def test_weight_grad_matches_loop_and_finite_differences(self, n_frames, kernel_len):
+        rng = np.random.default_rng(10 + kernel_len)
+        x = rng.standard_normal((3, n_frames))
+        weights = rng.standard_normal((2, 3, kernel_len))
+        upstream = rng.standard_normal((2, n_frames))
+        grad = conv_weight_grad(x, weights, upstream)
+        expected = weight_grad_reference(x, upstream, kernel_len)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        # L is linear in the weights, so central differences are exact up to rounding
+        fd = np.zeros_like(weights)
+        h = 1e-5
+        for idx in np.ndindex(weights.shape):
+            for sign in (1.0, -1.0):
+                bumped = weights.copy()
+                bumped[idx] += sign * h
+                fd[idx] += sign * np.sum(upstream * conv_same(x, bumped, np.zeros(2))) / (2 * h)
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
+
+    @pytest.mark.parametrize("n_frames, kernel_len", NO_WRAP_SHAPES)
+    def test_input_grad_matches_loop_and_finite_differences(self, n_frames, kernel_len):
+        rng = np.random.default_rng(20 + kernel_len)
+        x = rng.standard_normal((3, n_frames))
+        weights = rng.standard_normal((2, 3, kernel_len))
+        upstream = rng.standard_normal((2, n_frames))
+        grad = _fft_conv_input_grad(weights, upstream[None])[0]
+        expected = input_grad_reference(weights, upstream)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+        fd = np.zeros_like(x)
+        h = 1e-5
+        for idx in np.ndindex(x.shape):
+            for sign in (1.0, -1.0):
+                bumped = x.copy()
+                bumped[idx] += sign * h
+                out = conv_same(bumped, weights, np.zeros(2))
+                fd[idx] += sign * np.sum(upstream * out) / (2 * h)
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
 
 
 class TestForward:
@@ -240,6 +345,16 @@ class TestBackward:
         _, cache2 = forward_one(model, x)
         grads2 = model.split(backward_one(model, cache2, upstream))
         assert grads2["b2"][0] == grads["b2"][0]
+
+    @pytest.mark.parametrize("upstream, match", [
+        (np.zeros(39), "shape"), (np.zeros(41), "shape"), (np.zeros((1, 40)), "shape"),
+        (np.zeros(()), "shape"), (np.r_[np.zeros(39), np.nan], "finite"),
+        (np.r_[-np.inf, np.zeros(39)], "finite"), (["a"] * 40, "cannot parse")])
+    def test_bad_upstream_rejected(self, upstream, match):
+        model = ToyEstimator.init(filters=2, kernel_len=5, seed=12)
+        trace = Trace(np.random.default_rng(12).uniform(0.2, 0.8, (40, 3)), 30.0)
+        with pytest.raises(InvalidInputError, match=match):
+            backward(model, trace, upstream)
 
     def test_one_step_makes_eleven_conv_transforms(self, monkeypatch):
         # forward: each layer transforms its padded input and its kernels and

@@ -14,7 +14,7 @@ from pulsegate.losses import (
     loss_spectral_flatness,
     loss_std,
 )
-from pulsegate.signal_core import Waveform, standardize
+from pulsegate.signal_core import Waveform, band_bin_mask, one_sided_spectrum, standardize
 
 
 def finite_difference(fn, x, h=1e-4):
@@ -175,6 +175,59 @@ class TestSpectralLossGradients:
     def test_degenerate_spectrum_rejected(self, loss):
         with pytest.raises(NumericalError, match="no in-band"):
             loss(Waveform(np.full(64, 2.0), 90.0), nfft=128)
+
+
+def spectral_rows_full_mask(pred, fps, nfft, band_bpm, kind):
+    """The spectral penalties and their gradients computed over every
+    one-sided bin, with the band as a mask: the reference for the in-band
+    slice the loss works on."""
+    spectrum, weights = one_sided_spectrum(pred, nfft)
+    mask = band_bin_mask(weights.size, fps, nfft, band_bpm)
+    power = np.abs(spectrum) ** 2 * weights * mask
+    total = power.sum(axis=1, keepdims=True)
+    values, grads = [], []
+    for row, row_total, x in zip(power, total, spectrum):
+        dist = row[mask] / row_total
+        k = dist.size
+        if kind == "spectral_entropy":
+            values.append(entropy_loss_value(dist))
+            grad_dist = np.where(dist > 1e-12, np.log(np.maximum(dist, 1e-12)) + 1.0,
+                                 np.log(1e-12)) / np.log(k)
+        else:
+            values.append(flatness_loss_value(dist))
+            geo = np.exp(np.mean(np.log(np.maximum(dist, 1e-12))))
+            arith = dist.mean()
+            d_geo = np.where(dist > 1e-12, geo / (k * dist), 0.0)
+            grad_dist = -(d_geo * arith - geo / k) / arith ** 2
+        q = np.zeros(row.size)
+        q[mask] = (grad_dist - np.sum(grad_dist * dist)) / row_total * weights[mask]
+        grad = nfft * np.fft.irfft(q * x, nfft)[:pred.shape[1]]
+        grads.append(grad - grad.mean())
+    return np.array(values), np.array(grads)
+
+
+class TestSpectralBand:
+    @pytest.mark.parametrize("kind", ["spectral_entropy", "spectral_flatness"])
+    @pytest.mark.parametrize("fps, nfft, band_bpm", [
+        (20.0, 5400, (40.0, 240.0)),   # the desk setting
+        (90.0, 513, (40.0, 240.0)),    # odd nfft: no Nyquist bin
+        (2.0, 256, (40.0, 240.0))])    # the band holds the Nyquist bin
+    def test_slice_matches_full_mask_reference(self, kind, fps, nfft, band_bpm):
+        rng = np.random.default_rng(nfft)
+        pred = rng.standard_normal((5, 120))
+        spec = LossSpec(negative_loss=kind, nfft=nfft, band_bpm=band_bpm)
+        values, grads = batch_loss(pred, pred, np.zeros(5, bool), fps, spec)
+        ref_values, ref_grads = spectral_rows_full_mask(pred, fps, nfft, band_bpm, kind)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
+        for grad, ref in zip(grads, ref_grads):
+            assert rel_error(grad, ref) < 1e-12
+
+    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
+    def test_empty_band_rejected(self, loss):
+        # at 1 Hz the spectrum stops at 30 bpm, below the 40-240 bpm band
+        pred = random_standardized(np.random.default_rng(14), n=64, fps=1.0)
+        with pytest.raises(NumericalError, match="no in-band"):
+            loss(pred, nfft=128)
 
 
 class TestCombinedLoss:

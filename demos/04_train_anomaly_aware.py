@@ -20,12 +20,12 @@ from pulsegate import (
     Waveform,
     clip_predictions,
     extract_features,
-    feature_matrix,
     generate_positive,
     make_negative,
     spatial_mean_trace,
     train,
 )
+from pulsegate.features import FEATURE_NAMES
 from pulsegate.signal_core import stitch_overlap_add
 
 FPS, DIMS, NFFT, CLIP = 20.0, (12, 12), 5400, 200
@@ -49,7 +49,8 @@ def median_snr(model, traces):
         # raw clip amplitudes: a flatline must stay a flatline for the SNR
         outputs, starts = clip_predictions(model, trace, CLIP, overlap=0.5)
         wave = Waveform(stitch_overlap_add(outputs, starts, len(trace)), trace.fps)
-        values += list(feature_matrix(extract_features(wave, 10.0, 2.0, NFFT))[:, 0])
+        table = extract_features(wave, 10.0, 2.0, NFFT)
+        values += list(table.matrix[:, FEATURE_NAMES.index("snr_db")])
     return float(np.median(values))
 
 

@@ -1,8 +1,8 @@
 """Waveform features and one/two-class liveness SVMs.
 
-Extracts the 8-feature vectors (SNR, amplitude, Hilbert envelope, AMPD
-inter-beat statistics) from CHROM waveforms of live and pulseless scenes,
-then fits the two classifier kinds and scores held-out videos.
+Extracts the feature table (per window: SNR, amplitude, Hilbert envelope,
+AMPD inter-beat statistics) from CHROM waveforms of live and pulseless
+scenes, then fits the two classifier kinds and scores held-out videos.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from pulsegate import (
     SceneConfig,
     estimate_chrom,
     extract_features,
-    feature_matrix,
     fit_one_class,
     fit_two_class,
     generate_positive,
@@ -27,8 +26,7 @@ from pulsegate.features import FEATURE_NAMES
 
 def chrom_features(cube):
     wave = estimate_chrom(spatial_mean_trace(cube))
-    return feature_matrix(extract_features(wave, window_s=10.0, stride_s=2.0,
-                                           nfft=5400))
+    return extract_features(wave, window_s=10.0, stride_s=2.0, nfft=5400).matrix
 
 
 def scene(seed, noise=2.0):

@@ -28,7 +28,7 @@ from .estimator import (
     train,
 )
 from .evaluate import ErrorReport, RateSeries, error_metrics, pulse_rate
-from .features import PulseFeatureVector, ampd_peaks, extract_features, feature_matrix, snr_db
+from .features import FeatureTable, ampd_peaks, extract_features, snr_db
 from .losses import (
     LossSpec,
     combined_loss,
@@ -53,14 +53,14 @@ from .synth import NegativeTransform, SceneConfig, generate_positive, make_negat
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANOMALOUS", "ErrorReport", "LIVE", "LossSpec", "NegativeTransform",
-    "PulseFeatureVector", "PulsegateError", "RateSeries", "SceneConfig",
+    "ANOMALOUS", "ErrorReport", "FeatureTable", "LIVE", "LossSpec",
+    "NegativeTransform", "PulsegateError", "RateSeries", "SceneConfig",
     "SvmModel", "ToyEstimator", "Trace", "TrainConfig", "VideoCube",
     "Waveform", "ampd_peaks", "backward", "clip_predictions", "combined_loss",
     "decision_values", "error_metrics", "estimate_chrom", "estimate_green",
-    "estimate_pos", "extract_features", "feature_matrix", "fit_one_class",
-    "fit_two_class", "forward", "frame_accuracy", "generate_positive",
-    "hilbert_envelope", "infer_video", "loss_mse_flatline", "loss_neg_pearson",
+    "estimate_pos", "extract_features", "fit_one_class", "fit_two_class",
+    "forward", "frame_accuracy", "generate_positive", "hilbert_envelope",
+    "infer_video", "loss_mse_flatline", "loss_neg_pearson",
     "loss_spectral_entropy", "loss_spectral_flatness", "loss_std",
     "make_negative", "predict", "psd_normalized", "pulse_rate",
     "resample_cubic", "snr_db", "spatial_mean_trace", "standardize", "train",

@@ -28,7 +28,7 @@ from .errors import (
 from .estimator import ToyEstimator, TrainConfig, infer_video, train
 from .evaluate import error_metrics, pulse_rate
 from .experiment import ExperimentConfig, run_experiment
-from .features import extract_features, feature_matrix
+from .features import extract_features
 from .fileio import (
     dump_json,
     read_cube,
@@ -133,25 +133,18 @@ def cmd_train(args):
 
 def cmd_features(args):
     wave = read_waveform(args.infile)
-    windows = extract_features(wave, window_s=args.window_s, stride_s=args.stride_s,
-                               nfft=args.nfft)
-    t_starts = [t for t, _ in windows]
-    matrix = feature_matrix(windows)
+    table = extract_features(wave, window_s=args.window_s, stride_s=args.stride_s,
+                             nfft=args.nfft)
     labels = None
     if args.label:
-        value = LIVE if args.label == "live" else ANOMALOUS
-        labels = [value] * len(t_starts)
-    write_features(args.out, t_starts, matrix, labels)
-    print(f"wrote {args.out} ({len(t_starts)} windows)")
+        labels = np.full(len(table), LIVE if args.label == "live" else ANOMALOUS)
+    write_features(args.out, table.starts_s, table.matrix, labels)
+    print(f"wrote {args.out} ({len(table)} windows)")
     return EXIT_OK
 
 
 def cmd_classify_fit(args):
-    matrices, labels = [], []
-    for path in args.infiles:
-        _, matrix, file_labels = read_features(path)
-        matrices.append(matrix)
-        labels.append(file_labels)
+    matrices, labels = zip(*(read_features(path)[1:] for path in args.infiles))
     if args.kind == "two":
         if any(l is None for l in labels):
             raise InvalidInputError("two-class fit needs labeled feature files")

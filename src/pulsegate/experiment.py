@@ -32,7 +32,7 @@ from .classify import (
 from .errors import InvalidInputError, PulsegateError, check_keys, from_json
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
 from .evaluate import error_metrics, pulse_rate
-from .features import AMPD_MIN_SAMPLES, extract_features, feature_matrix, feature_windows
+from .features import AMPD_MIN_SAMPLES, FEATURE_NAMES, FeatureTable, extract_features, feature_windows
 from .fileio import (
     dump_json,
     sha256_file,
@@ -432,38 +432,47 @@ def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
     return model, validation
 
 
+class VideoPass(NamedTuple):
+    """One video through a model: its clip outputs, their raw stitch and its features."""
+
+    video: Video
+    side: str  # "pos" or "neg"
+    outputs: np.ndarray
+    clip_starts: np.ndarray
+    wave: Waveform
+    table: FeatureTable
+
+
+def _video_pass(cfg, model, video) -> VideoPass:
+    # Amplitude must survive into the feature stage: sigma and the Hilbert
+    # envelope measure distance from a flatline, which per-clip
+    # standardization would erase.
+    outputs, clip_starts = clip_predictions(model, video.trace, cfg.train_cfg.clip_len,
+                                            overlap=0.5)
+    wave = Waveform(stitch_overlap_add(outputs, clip_starts, len(video.trace)), video.trace.fps)
+    return VideoPass(video, "pos" if video.truth is not None else "neg", outputs, clip_starts,
+                     wave, extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s,
+                                            cfg.nfft))
+
+
 def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
     wave_dir = out_dir / "waves" / variant
     feat_dir = out_dir / "features" / variant
     wave_dir.mkdir(parents=True, exist_ok=True)
     feat_dir.mkdir(parents=True, exist_ok=True)
 
-    # one model pass per video, raw stitch, feature windows.  Amplitude must
-    # survive into the feature stage: sigma and the Hilbert envelope measure
-    # distance from a flatline, which per-clip standardization would erase.
-    degenerate = {"pos": 0, "neg": 0}
-    tables, passes = {}, []  # passes: the test videos', for the SVMs to classify
-    for split, videos in (("val", val), ("test", test)):
-        rows, labels = [], []
-        for video in videos:
-            side = "pos" if video.truth is not None else "neg"
-            outputs, clip_starts = clip_predictions(model, video.trace, cfg.train_cfg.clip_len,
-                                                    overlap=0.5)
-            wave = Waveform(stitch_overlap_add(outputs, clip_starts, len(video.trace)),
-                            video.trace.fps)
-            windows = extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft)
-            matrix = feature_matrix(windows)
-            degenerate[side] += sum(v.degenerate_peaks for _, v in windows)
-            rows.append(matrix)
-            labels.append(np.full(len(matrix), LIVE if side == "pos" else ANOMALOUS))
-            if split == "test":
-                passes.append((video, side, outputs, clip_starts, wave,
-                               np.array([t for t, _ in windows]), matrix))
-        x, y = np.vstack(rows), np.concatenate(labels)
+    passes = {split: [_video_pass(cfg, model, video) for video in videos]
+              for split, videos in (("val", val), ("test", test))}
+    stacked = []
+    for split, records in passes.items():
+        x = np.vstack([r.table.matrix for r in records])
+        y = np.concatenate([np.full(len(r.table), LIVE if r.side == "pos" else ANOMALOUS)
+                            for r in records])
         write_features(feat_dir / f"{split}.csv", np.arange(len(x), dtype=float), x, y.astype(int))
-        tables[split] = x, y
-    val_x, val_y = tables["val"]
-    test_x, test_y = tables["test"]
+        stacked.append((x, y))
+    (val_x, val_y), (test_x, test_y) = stacked
+    degenerate = {side: sum(int(r.table.degenerate.sum()) for r in passes["val"] + passes["test"]
+                            if r.side == side) for side in ("pos", "neg")}
 
     svms = {svm.kind: svm for svm in (
         fit_two_class(val_x, val_y, C=cfg.svm_C, standardize=cfg.svm_standardize),
@@ -474,18 +483,19 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
     clip_stds = {"pos": [], "neg": []}
     frames, correct = Counter(), Counter()  # per side, and per (SVM kind, side)
     rate_pairs = ([], [])
-    for video, side, outputs, clip_starts, wave, starts, matrix in passes:
+    for video, side, outputs, clip_starts, wave, table in passes["test"]:
         write_waveform(wave, wave_dir / f"{video.name}.csv")
         if not clip_stds[side]:  # the first test video of its side
             _dump_plot_data(cfg, out_dir / "plots", variant, side, wave)
         clip_stds[side].extend(float(out.std()) for out in outputs)
 
-        centers = starts + cfg.feature_window_s / 2.0
+        centers = table.starts_s + cfg.feature_window_s / 2.0
         frame_labels = np.full(len(video.trace), LIVE if side == "pos" else ANOMALOUS)
         frames[side] += frame_labels.size
         for kind, svm in svms.items():
-            correct[kind, side] += frame_accuracy(predict(svm, matrix)[0], centers, frame_labels,
-                                                  cfg.fps, window_s=cfg.feature_window_s)[0]
+            correct[kind, side] += frame_accuracy(predict(svm, table.matrix)[0], centers,
+                                                  frame_labels, cfg.fps,
+                                                  window_s=cfg.feature_window_s)[0]
 
         if side == "pos":
             # the rate input is the standardized stitch, as `infer_video` gives
@@ -496,9 +506,9 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
 
     rates_report = error_metrics(np.concatenate(rate_pairs[0]),
                                  np.concatenate(rate_pairs[1]))
-    # column 0 of the feature matrix is the in-band SNR
-    pos_snr = _median(test_x[test_y == LIVE, 0])
-    neg_snr = _median(test_x[test_y == ANOMALOUS, 0])
+    snr = test_x[:, FEATURE_NAMES.index("snr_db")]
+    pos_snr = _median(snr[test_y == LIVE])
+    neg_snr = _median(snr[test_y == ANOMALOUS])
     pos_std = _median(clip_stds["pos"])
     neg_std = _median(clip_stds["neg"])
     total = frames["pos"] + frames["neg"]

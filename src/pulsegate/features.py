@@ -1,4 +1,4 @@
-"""AMPD peak detection and the 8-feature vector of every 10-second window at once."""
+"""AMPD peak detection and the 8 features of every 10-second window at once."""
 
 from __future__ import annotations
 
@@ -29,28 +29,20 @@ _AMPD_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
-class PulseFeatureVector:
-    """Handcrafted descriptors of a 10-second waveform window.
+class FeatureTable:
+    """The features of every sliding window of a waveform, one row per window.
 
-    IBI statistics come from troughs (peaks of the negated signal); windows
-    with fewer than 3 troughs have zeroed peak features and degenerate_peaks
-    set.
+    `matrix` is (windows, 8) with one column per name in FEATURE_NAMES.  The
+    IBI statistics come from troughs (peaks of the negated signal); a window
+    with fewer than 3 troughs has them zeroed and its `degenerate` flag set.
     """
 
-    snr_db: float
-    sigma: float
-    envelope_mean: float
-    ibi_mean: float
-    ibi_std: float
-    dibi_mean: float
-    dibi_std: float
-    rmssd: float
-    degenerate_peaks: bool = False
+    starts_s: np.ndarray
+    matrix: np.ndarray
+    degenerate: np.ndarray
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.snr_db, self.sigma, self.envelope_mean,
-                         self.ibi_mean, self.ibi_std, self.dibi_mean,
-                         self.dibi_std, self.rmssd])
+    def __len__(self) -> int:
+        return len(self.starts_s)
 
 
 def ampd_rows(x: np.ndarray) -> np.ndarray:
@@ -144,25 +136,18 @@ def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: 
 
 
 def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
-                     nfft: int = DEFAULT_NFFT):
+                     nfft: int = DEFAULT_NFFT) -> FeatureTable:
     """Sliding-window feature extraction, every window in one pass.
 
-    Returns a list of (window_start_s, PulseFeatureVector).  The number of
-    windows is floor((duration - window_s)/stride_s) + 1.
+    The number of windows is floor((duration - window_s)/stride_s) + 1.
     """
     starts, stack = feature_windows(w.samples, w.fps, window_s, stride_s)
-    table = np.zeros((len(stack), len(FEATURE_NAMES)))
-    table[:, 0] = snr_rows(stack, w.fps, nfft)
-    table[:, 1] = stack.std(axis=-1)
-    table[:, 2] = hilbert_envelope_rows(stack).mean(axis=-1)
+    matrix = np.zeros((len(stack), len(FEATURE_NAMES)))
+    matrix[:, 0] = snr_rows(stack, w.fps, nfft)
+    matrix[:, 1] = stack.std(axis=-1)
+    matrix[:, 2] = hilbert_envelope_rows(stack).mean(axis=-1)
     troughs = ampd_rows(-stack)
     degenerate = troughs.sum(axis=1) < 3
     for i in np.flatnonzero(~degenerate):
-        table[i, 3:] = _peak_interval_features(np.flatnonzero(troughs[i]), w.fps)
-    return [(start / w.fps, PulseFeatureVector(*row, degenerate_peaks=bool(flag)))
-            for start, row, flag in zip(starts, table.tolist(), degenerate)]
-
-
-def feature_matrix(windows) -> np.ndarray:
-    """Stack `extract_features` output into an (n, 8) array."""
-    return np.vstack([vec.as_array() for _, vec in windows])
+        matrix[i, 3:] = _peak_interval_features(np.flatnonzero(troughs[i]), w.fps)
+    return FeatureTable(np.asarray(starts) / w.fps, matrix, degenerate)

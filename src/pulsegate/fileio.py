@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify import ANOMALOUS, LIVE
 from .errors import InvalidInputError, parsing
 from .features import FEATURE_NAMES
 from .signal_core import VideoCube, Waveform
@@ -98,21 +99,28 @@ def write_features(path, t_starts, matrix, labels=None) -> None:
 
 
 def read_features(path):
-    """Read a feature table; returns (t_starts, matrix, labels_or_None)."""
+    """Read a feature table; returns (t_starts, matrix, labels_or_None).
+
+    The header is FEATURE_COLUMNS, optionally followed by `label`; every row
+    holds one value per column, and every label is LIVE or ANOMALOUS.
+    """
+    width = len(FEATURE_COLUMNS)
     with open(path, newline="") as fh, parsing(path):
         reader = csv.reader(fh)
-        header = next(reader, [""])
-        has_label = header[-1].strip() == "label"
-        t_starts, rows, labels = [], [], []
-        for r in reader:
-            if not r:
-                continue
-            t_starts.append(float(r[0]))
-            rows.append([float(x) for x in r[1:9]])
-            if has_label:
-                labels.append(int(r[9]))
-        matrix = np.asarray(rows, dtype=float).reshape(len(rows), 8)
-    return np.asarray(t_starts), matrix, (np.asarray(labels) if has_label else None)
+        header = [h.strip() for h in next(reader, [])]
+        if header not in (list(FEATURE_COLUMNS), [*FEATURE_COLUMNS, "label"]):
+            raise InvalidInputError(f"{path}: the header must be {','.join(FEATURE_COLUMNS)}, "
+                                    f"optionally followed by label")
+        rows = [r for r in reader if r]
+        if any(len(r) != len(header) for r in rows):
+            raise InvalidInputError(f"{path}: every row must hold {len(header)} values")
+        values = np.array([[float(x) for x in r[:width]] for r in rows]).reshape(len(rows), width)
+        labels = np.array([int(r[width]) for r in rows]) if len(header) > width else None
+    bad = [] if labels is None else labels[~np.isin(labels, (LIVE, ANOMALOUS))]
+    if len(bad):
+        raise InvalidInputError(f"{path}: label {bad[0]} is neither LIVE ({LIVE}) "
+                                f"nor ANOMALOUS ({ANOMALOUS})")
+    return values[:, 0].copy(), values[:, 1:].copy(), labels
 
 
 def dump_json(obj, path) -> None:

@@ -127,7 +127,7 @@ def _spectral_rows(pred: np.ndarray, fps: float, nfft: int, band_bpm, kind: str)
         value = flatness_loss_value(dist)
         geo = np.exp(log_dist.mean(axis=1, keepdims=True))
         arith = dist.mean(axis=1, keepdims=True)
-        d_geo = np.where(dist > LOG_FLOOR, geo / (k * dist), 0.0)
+        d_geo = np.divide(geo, k * dist, out=np.zeros_like(dist), where=dist > LOG_FLOOR)
         grad_dist = -(d_geo * arith - geo / k) / arith ** 2
 
     # adjoint of the unit-sum normalization

@@ -25,7 +25,7 @@ from pulsegate.classify import (
 from pulsegate.estimator import ToyEstimator, _backward, _forward, forward
 from pulsegate.evaluate import pulse_rate
 from pulsegate.experiment import ExperimentConfig, run_experiment
-from pulsegate.features import ampd_peaks, extract_features, feature_matrix
+from pulsegate.features import FEATURE_NAMES, ampd_peaks, extract_features
 from pulsegate.losses import (
     entropy_loss_value,
     flatness_loss_value,
@@ -214,22 +214,24 @@ def test_criterion_04_ampd_oracle_equivalence():
 
 
 def test_criterion_05_feature_correctness():
+    ibi_std, dibi_std, rmssd = (FEATURE_NAMES.index(name)
+                                for name in ("ibi_std", "dibi_std", "rmssd"))
     metronomic = _arc_train([30] * 12)
-    for _, vec in extract_features(metronomic, window_s=10.0, stride_s=1.0, nfft=5400):
-        assert vec.ibi_std == pytest.approx(0.0, abs=1e-9)
-        assert vec.dibi_std == pytest.approx(0.0, abs=1e-9)
-        assert vec.rmssd == pytest.approx(0.0, abs=1e-9)
+    for row in extract_features(metronomic, window_s=10.0, stride_s=1.0, nfft=5400).matrix:
+        assert row[ibi_std] == pytest.approx(0.0, abs=1e-9)
+        assert row[dibi_std] == pytest.approx(0.0, abs=1e-9)
+        assert row[rmssd] == pytest.approx(0.0, abs=1e-9)
 
     alternating = _arc_train([26, 34] * 6)
     delta = 4.0 / 30.0
-    windows = extract_features(alternating, window_s=10.0, stride_s=10.0, nfft=5400)
-    assert windows[0][1].rmssd == pytest.approx(2 * delta, abs=1e-9)
+    table = extract_features(alternating, window_s=10.0, stride_s=10.0, nfft=5400)
+    assert table.matrix[0, rmssd] == pytest.approx(2 * delta, abs=1e-9)
 
     rng = np.random.default_rng(3)
     for samples in (rng.standard_normal(400), np.sin(np.arange(500) / 5.0),
                     np.full(350, 1.0) + 1e-6 * rng.standard_normal(350)):
         w = Waveform(samples, 30.0)
-        matrix = feature_matrix(extract_features(w, window_s=10.0, stride_s=1.0))
+        matrix = extract_features(w, window_s=10.0, stride_s=1.0).matrix
         assert matrix.shape[1] == 8
         assert np.all(np.isfinite(matrix))
     report_pass(5, "feature correctness (metronomic zeros, rmssd=2*delta, length 8)")

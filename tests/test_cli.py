@@ -277,6 +277,23 @@ class TestFeaturesAndClassify:
         assert named in err and err.count("\n") == 1
         assert not (tmp_path / "feats.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_malformed_feature_table_exits_2(self, tmp_path, capsys, command):
+        # a third file labelled 2 beside a live and an anomalous one; at fit,
+        # SMO would run to its iteration cap on it and exit 3
+        x = np.random.default_rng(3).normal(0.0, 1.0, (12, 8))
+        files = [tmp_path / f"feats_{label}.csv" for label in (1, -1, 2)]
+        for path, label in zip(files, (1, -1, 2)):
+            write_features(path, np.arange(12.0), x + label, np.full(12, label))
+        if command == "fit":
+            argv = ["fit", "--in", *map(str, files), "--kind", "two"]
+        else:
+            dump_json(fit_one_class(x).to_dict(), tmp_path / "svm.json")
+            argv = ["predict", "--model", str(tmp_path / "svm.json"), "--in", str(files[2])]
+        assert main(["classify", *argv, "--out", str(tmp_path / "out")]) == 2
+        assert f"{files[2]}: label 2 is neither" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_model_with_unknown_key_rejected(self, tmp_path, capsys):
         x = np.random.default_rng(3).normal(0.0, 1.0, (12, 8))
         write_features(tmp_path / "feats.csv", np.arange(12.0), x)

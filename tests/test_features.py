@@ -9,7 +9,6 @@ from pulsegate.features import (
     ampd_peaks,
     ampd_rows,
     extract_features,
-    feature_matrix,
     snr_db,
     snr_rows,
 )
@@ -22,6 +21,11 @@ from pulsegate.signal_core import (
     psd_normalized,
     psd_rows,
 )
+
+
+def column(table, name):
+    """The named column of a feature table."""
+    return table.matrix[:, FEATURE_NAMES.index(name)]
 
 
 def sine_with_interior_peaks(freq_hz, fps, n_cycles, phase_frac=0.6):
@@ -137,61 +141,56 @@ class TestSnr:
 class TestExtractFeatures:
     def test_metronomic_train_has_zero_variability(self):
         w, _ = arc_train([30] * 12)
-        windows = extract_features(w, window_s=10.0, stride_s=1.0, nfft=5400)
-        assert len(windows) >= 1
-        for _, vec in windows:
-            assert not vec.degenerate_peaks
-            assert vec.ibi_mean == pytest.approx(1.0, abs=0.01)
-            assert vec.ibi_std == pytest.approx(0.0, abs=1e-9)
-            assert vec.rmssd == pytest.approx(0.0, abs=1e-9)
+        table = extract_features(w, window_s=10.0, stride_s=1.0, nfft=5400)
+        assert len(table) >= 1
+        assert not table.degenerate.any()
+        np.testing.assert_allclose(column(table, "ibi_mean"), 1.0, atol=0.01, rtol=0)
+        np.testing.assert_allclose(column(table, "ibi_std"), 0.0, atol=1e-9)
+        np.testing.assert_allclose(column(table, "rmssd"), 0.0, atol=1e-9)
 
     def test_alternating_ibis_give_rmssd_two_delta(self):
         # arcs alternate 26 and 34 samples: ibis p -+ delta with p=1s,
         # delta=4/30 s, so successive differences are +-2*delta exactly
         w, _ = arc_train([26, 34] * 6)
         delta = 4.0 / 30.0
-        windows = extract_features(w, window_s=10.0, stride_s=10.0, nfft=5400)
-        _, vec = windows[0]
-        assert not vec.degenerate_peaks
-        assert vec.rmssd == pytest.approx(2 * delta, abs=1e-9)
+        table = extract_features(w, window_s=10.0, stride_s=10.0, nfft=5400)
+        assert not table.degenerate[0]
+        assert column(table, "rmssd")[0] == pytest.approx(2 * delta, abs=1e-9)
 
     def test_flatline_with_noise_degenerate_peaks(self):
         rng = np.random.default_rng(2)
         eps = 1e-4
         w = Waveform(eps * rng.standard_normal(400), 30.0)
-        windows = extract_features(w, window_s=10.0, stride_s=1.0, nfft=5400)
-        for _, vec in windows:
-            assert vec.sigma == pytest.approx(eps, rel=0.2)
+        table = extract_features(w, window_s=10.0, stride_s=1.0, nfft=5400)
+        np.testing.assert_allclose(column(table, "sigma"), eps, rtol=0.2)
 
     def test_vector_length_is_eight(self):
         rng = np.random.default_rng(3)
         w = Waveform(rng.standard_normal(700), 30.0)
-        windows = extract_features(w, window_s=10.0, stride_s=1.0)
-        matrix = feature_matrix(windows)
-        assert matrix.shape == (len(windows), 8)
+        table = extract_features(w, window_s=10.0, stride_s=1.0)
+        assert table.matrix.shape == (len(table), 8)
+        assert table.starts_s.shape == table.degenerate.shape == (len(table),)
         assert len(FEATURE_NAMES) == 8
-        assert np.all(np.isfinite(matrix))
+        assert np.all(np.isfinite(table.matrix))
 
     def test_window_count_formula(self):
         fps = 30.0
         for n in (300, 329, 330, 360, 615):
             w = Waveform(np.sin(np.arange(n) / 7.0), fps)
-            windows = extract_features(w, window_s=10.0, stride_s=1.0)
+            table = extract_features(w, window_s=10.0, stride_s=1.0)
             expected = int(np.floor((n / fps - 10.0) / 1.0)) + 1
-            assert len(windows) == expected
+            assert len(table) == expected
+            np.testing.assert_array_equal(table.starts_s, np.arange(expected))
 
     def test_amplitude_scaling_behavior(self):
         w, _ = arc_train([26, 34] * 6)
         doubled = Waveform(2.0 * w.samples, w.fps)
-        base = feature_matrix(extract_features(w, stride_s=10.0))
-        scaled = feature_matrix(extract_features(doubled, stride_s=10.0))
-        names = list(FEATURE_NAMES)
+        base = extract_features(w, stride_s=10.0)
+        scaled = extract_features(doubled, stride_s=10.0)
         for name in ("ibi_mean", "ibi_std", "dibi_mean", "dibi_std", "rmssd"):
-            i = names.index(name)
-            np.testing.assert_allclose(scaled[:, i], base[:, i], atol=1e-12)
+            np.testing.assert_allclose(column(scaled, name), column(base, name), atol=1e-12)
         for name in ("sigma", "env_mean"):
-            i = names.index(name)
-            np.testing.assert_allclose(scaled[:, i], 2.0 * base[:, i], rtol=1e-9)
+            np.testing.assert_allclose(column(scaled, name), 2.0 * column(base, name), rtol=1e-9)
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError, match="shorter than one"):
@@ -278,20 +277,20 @@ class TestBatchedMatchesPerWindow:
     @pytest.mark.parametrize("kind", ["pulse", "noise", "flat", "zero", "ramp", "few_troughs"])
     def test_bit_identical(self, kind, fps):
         w = reference_wave(kind, fps)
-        windows = extract_features(w)
+        table = extract_features(w)
         expected, flags = reference_features(w)
-        assert np.array_equal(feature_matrix(windows), expected)
-        assert [vec.degenerate_peaks for _, vec in windows] == flags
+        assert np.array_equal(table.matrix, expected)
+        assert table.degenerate.tolist() == flags
         assert all(flags) == (kind in ("flat", "zero", "ramp", "few_troughs"))
 
     def test_bit_identical_across_chunks(self):
         w = reference_wave("pulse", 90.0, duration_s=30.0)
-        windows = extract_features(w)
+        table = extract_features(w)
         per_chunk = _AMPD_CHUNK_CELLS // (449 * 900)  # 449 scales of 900-sample windows
-        assert len(windows) > 2 * per_chunk
+        assert len(table) > 2 * per_chunk
         expected, flags = reference_features(w)
-        assert np.array_equal(feature_matrix(windows), expected)
-        assert [vec.degenerate_peaks for _, vec in windows] == flags
+        assert np.array_equal(table.matrix, expected)
+        assert table.degenerate.tolist() == flags
 
 
 # each one-row view, and its row function on a one-row stack

@@ -111,10 +111,29 @@ def test_millisecond_rounded_times_read(tmp_path, fps):
     assert read_waveform(path).fps == pytest.approx(fps, rel=1e-3)
 
 
-def test_malformed_feature_table_rejected(tmp_path):
+FEATURE_HEADER = "t_start,snr_db,sigma,env_mean,ibi_mean,ibi_std,dibi_mean,dibi_std,rmssd"
+FEATURE_ROW = "0.0," + ",".join(["1.5"] * 8)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("t_start,snr_db\n0.0,nope\n", id="short_header"),
+    pytest.param(f"{FEATURE_HEADER}\n0.0,nope,{','.join(['1.5'] * 7)}\n", id="non_numeric_value"),
+    pytest.param(f"{FEATURE_HEADER},label\n{FEATURE_ROW},1\n{FEATURE_ROW},2\n", id="label_2"),
+    pytest.param(f"{FEATURE_HEADER},label\n{FEATURE_ROW},0\n", id="label_0"),
+    pytest.param(f"{FEATURE_HEADER},label\n{FEATURE_ROW},1.0\n", id="label_1.0"),
+    pytest.param(",".join(f"c{i}" for i in range(12)) + "\n" + ",".join(["1.5"] * 12) + "\n",
+                 id="twelve_columns_wrong_header"),
+    pytest.param(",".join(f"c{i}" for i in range(9)) + f"\n{FEATURE_ROW}\n",
+                 id="header_names_no_feature"),
+    pytest.param(f"{FEATURE_HEADER},extra\n{FEATURE_ROW},1.5\n", id="unknown_column"),
+    pytest.param(f"{FEATURE_HEADER}\n{FEATURE_ROW},1.5\n", id="row_longer_than_header"),
+    pytest.param(f"{FEATURE_HEADER},label\n{FEATURE_ROW}\n", id="row_without_its_label"),
+    pytest.param("", id="empty_file"),
+])
+def test_malformed_feature_table_rejected(tmp_path, text):
     path = tmp_path / "feats.csv"
-    path.write_text("t_start,snr_db\n0.0,nope\n")
-    with pytest.raises(InvalidInputError):
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=re.escape(str(path))):
         read_features(path)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,17 @@ class TestSpectralBand:
         np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
         for grad, ref in zip(grads, ref_grads):
             assert rel_error(grad, ref) < 1e-12
+
+    def test_band_holding_dc_gives_no_warning(self):
+        # the mean-removed rows' DC bin often comes out exactly 0; the flatness
+        # gradient must not divide by it
+        spec = LossSpec(negative_loss="spectral_flatness", nfft=5400, band_bpm=(0.0, 240.0))
+        for seed in range(50):
+            pred = np.random.default_rng(seed).standard_normal((4, 200))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, grads = batch_loss(pred, pred, np.zeros(4, bool), 20.0, spec)
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
 
     @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
     def test_empty_band_rejected(self, loss):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -283,13 +284,15 @@ def _scene_videos(cfg, scene_seeds, scene, positive, negative, corpus_dir) -> li
             for name, video_cube, video_truth in made]
 
 
-def build_corpora(cfg: ExperimentConfig, corpus_dir: Path) -> dict[str, list[Video]]:
+def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, list[Video]]:
     """The train, val_model (checkpoint), val (SVM) and test sets, seeded in
     one fixed order: per set, its positive scenes, its negatives' source
     scenes (its own positives for train and val_model), then the negatives.
 
-    The train set is written to `corpus_dir` and every video handed on as its
-    trace, one scene at a time: at most two full cubes are alive at once.
+    Every seed is drawn here; each scene is then one job for the runner `run`
+    (see `_workers`), which makes the scene and its negative, writes them to
+    `corpus_dir` for the train set and returns their traces: at most two full
+    cubes are alive at once in each worker.
     """
     seeds = np.random.default_rng(cfg.seed)
     train = (cfg.train_duration_s, cfg.train_sensor_noise)
@@ -299,7 +302,7 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path) -> dict[str, list[Vid
               "val": (cfg.n_val_svm_pos, cfg.n_val_svm_neg, evaluation),
               "test": (cfg.n_test_pos, cfg.n_test_neg, evaluation)}
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    sets = {}
+    jobs, owners = [], []
     for name, (n_pos, n_neg, scene) in layout.items():
         own = n_neg is None  # the negatives are made from the set's own positives
         n_neg = n_pos if own else n_neg
@@ -309,15 +312,19 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path) -> dict[str, list[Vid
                                         normal_sigma=cfg.normal_sigma,
                                         uniform_bounds=cfg.uniform_bounds,
                                         seed=_child_seed(seeds)) for j in range(n_neg)]
-        positives, negatives = [], []
         for i, pair in enumerate(scene_seeds):
             j = i if own else i - n_pos  # the negative made from scene i, if j >= 0
-            for video in _scene_videos(
-                    cfg, pair, scene, f"{name}_pos_{i:02d}" if i < n_pos else None,
-                    (f"{name}_neg_{j:02d}_{transforms[j].kind}", transforms[j]) if j >= 0
-                    else None, corpus_dir if name == "train" else None):
-                (negatives if video.truth is None else positives).append(video)
-        sets[name] = positives + negatives
+            jobs.append(partial(
+                _scene_videos, cfg, pair, scene, f"{name}_pos_{i:02d}" if i < n_pos else None,
+                (f"{name}_neg_{j:02d}_{transforms[j].kind}", transforms[j]) if j >= 0 else None,
+                corpus_dir if name == "train" else None))
+            owners.append(name)
+    sets = {name: [] for name in layout}
+    for name, videos in zip(owners, run(jobs)):
+        sets[name].extend(videos)
+    # each set holds its positives, then its negatives, in scene order
+    sets = {name: sorted(videos, key=lambda video: video.truth is None)
+            for name, videos in sets.items()}
     dump_json({"samples": [{"cube": f"{video.name}.bin",
                             "gt": None if video.truth is None else f"{video.name}_gt.csv",
                             "positive": video.truth is not None} for video in sets["train"]]},
@@ -342,20 +349,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for sub in ("models", "waves", "features", "svm", "plots"):
         (out_dir / sub).mkdir(exist_ok=True)
 
-    sets = _stage("synth", build_corpora, cfg, out_dir / "corpus")
-    test_pos = [video for video in sets["test"] if video.truth is not None]
-    # on workers too, so that this process never builds the rate tables
-    truths = _run_jobs([partial(_rates, cfg, video.truth) for video in test_pos])
-    rate_truth = {video.name: rates for video, rates in zip(test_pos, truths)}
+    # one worker per usable CPU, up to the largest round of jobs: one job per
+    # scene, then per test positive, then per variant and per baseline
+    largest = max(cfg.n_train_pos + cfg.n_val_model + cfg.n_val_svm_pos + cfg.n_val_svm_neg
+                  + cfg.n_test_pos + cfg.n_test_neg, len(cfg.variants) + len(cfg.baselines))
+    with _workers(min(largest, len(os.sched_getaffinity(0)))) as run:
+        sets = _stage("synth", build_corpora, cfg, out_dir / "corpus", run)
+        test_pos = [video for video in sets["test"] if video.truth is not None]
+        # on workers too, so that this process never builds the rate tables
+        truths = run([partial(_rates, cfg, video.truth) for video in test_pos])
+        rate_truth = {video.name: rates for video, rates in zip(test_pos, truths)}
 
-    # one job per variant and per baseline: each reads only the corpora and
-    # writes only its own files, so the outputs do not depend on how many run
-    # at once
-    jobs = [partial(_variant_job, cfg, variant, sets, rate_truth, out_dir)
-            for variant in cfg.variants]
-    jobs += [partial(_stage, f"baseline-{name}", _evaluate_baseline,
-                     cfg, name, test_pos, rate_truth, out_dir) for name in cfg.baselines]
-    results = _run_jobs(jobs)
+        # one job per variant and per baseline: each reads only the corpora and
+        # writes only its own files, so the outputs do not depend on how many
+        # run at once
+        jobs = [partial(_variant_job, cfg, variant, sets, rate_truth, out_dir)
+                for variant in cfg.variants]
+        jobs += [partial(_stage, f"baseline-{name}", _evaluate_baseline,
+                         cfg, name, test_pos, rate_truth, out_dir) for name in cfg.baselines]
+        results = run(jobs)
     report = {"config": asdict(cfg),
               "variants": dict(zip(cfg.variants, results)),
               "baselines": dict(zip(cfg.baselines, results[len(cfg.variants):]))}
@@ -386,35 +398,23 @@ def _variant_job(cfg, variant, sets, rate_truth, out_dir) -> dict:
     return {**metrics, "validation": validation}
 
 
-# the jobs of the running study, set just before its pool forks: the workers
-# inherit them, and the corpora they hold, instead of unpickling them
-_JOBS: list = []
-
-
-def _run_job(index: int):
-    return _JOBS[index]()
-
-
-def _run_jobs(jobs: list) -> list:
-    """The jobs' results in job order, computed on one worker per usable CPU.
-
-    A failure raises the error of the first failing job in job order.  With
-    one usable CPU (e.g. under `taskset -c 0`) the jobs run in this process,
-    one after another, where a profiler sees them.
+@contextmanager
+def _workers(count: int):
+    """A runner, `run(jobs) -> results`, for lists of `partial` jobs, on
+    `count` workers that fork once and serve every list: each job carries its
+    inputs, pickled with it.  Results, and the error of the first failing
+    job, come in job order.  A `count` of 1 (e.g. under `taskset -c 0`) runs
+    the jobs in this process, one after another, where a profiler sees them.
     """
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    if workers == 1:
-        return [job() for job in jobs]
+    if count == 1:
+        yield lambda jobs: list(map(partial.__call__, jobs))
+        return
     # imported here: `import pulsegate.cli` should not pay for it
     import multiprocessing
 
-    _JOBS[:] = jobs
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            # imap, not map: results, and the first failure, come in job order
-            return list(pool.imap(_run_job, range(len(jobs)), chunksize=1))
-    finally:
-        _JOBS.clear()
+    with multiprocessing.get_context("fork").Pool(count) as pool:
+        # imap, not map: results, and the first failure, come in job order
+        yield lambda jobs: list(pool.imap(partial.__call__, jobs, chunksize=1))
 
 
 def _train_variant(cfg, variant, train_videos, val_videos, out_dir):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import pickle
@@ -657,7 +658,8 @@ class TestExperiment:
     def test_corpora_hold_spatial_means(self, tmp_path):
         cfg = experiment.ExperimentConfig.from_dict(
             json.loads(Path("configs/smoke.json").read_text()))
-        sets = experiment.build_corpora(cfg, tmp_path / "corpus")
+        with experiment._workers(1) as run:
+            sets = experiment.build_corpora(cfg, tmp_path / "corpus", run)
         kinds = ("normal", "uniform", "shuffle")
         # smoke: 12 s training scenes and 16 s evaluation scenes at 20 fps
         for name, n_pos, n_neg, frames in (("train", 3, 3, 240), ("val_model", 2, 2, 240),
@@ -683,6 +685,52 @@ class TestExperiment:
             if sample["gt"]:
                 truth = read_waveform(tmp_path / "corpus" / sample["gt"])
                 assert np.array_equal(truth.samples, video.truth.samples)
+
+    def test_corpora_do_not_depend_on_the_runner(self, tmp_path):
+        # in this process, and on a real 2-worker pool whatever the usable CPUs
+        cfg = experiment.ExperimentConfig.from_dict(
+            json.loads(Path("configs/smoke.json").read_text()))
+        sets, files = {}, {}
+        for count in (1, 2):
+            with experiment._workers(count) as run:
+                sets[count] = experiment.build_corpora(cfg, tmp_path / str(count), run)
+            files[count] = {str(p.relative_to(tmp_path / str(count))): p.read_bytes()
+                            for p in (tmp_path / str(count)).rglob("*") if p.is_file()}
+        assert list(sets[1]) == list(sets[2]) == ["train", "val_model", "val", "test"]
+        for name in sets[1]:
+            assert [v.name for v in sets[1][name]] == [v.name for v in sets[2][name]]
+            for serial, pooled in zip(sets[1][name], sets[2][name]):
+                assert np.array_equal(serial.trace.values, pooled.trace.values)
+                assert serial.trace.fps == pooled.trace.fps
+                if serial.truth is None:
+                    assert pooled.truth is None
+                else:
+                    assert np.array_equal(serial.truth.samples, pooled.truth.samples)
+        # 6 cubes with their sidecars, 3 truths and the manifest
+        assert "manifest.json" in files[1] and len(files[1]) == 16
+        assert files[1] == files[2]
+
+    def test_jobs_carry_their_inputs(self, tmp_path, monkeypatch):
+        # each job and each result goes through pickle, as to and from a
+        # worker, on any number of usable CPUs: no job may lean on state that
+        # only this process holds
+        def through_pickle(value):
+            return pickle.loads(pickle.dumps(value))
+
+        @contextlib.contextmanager
+        def pickling(count):
+            yield lambda jobs: [through_pickle(through_pickle(job)()) for job in jobs]
+
+        trees = {}
+        for mode in ("plain", "pickled"):
+            if mode == "pickled":
+                monkeypatch.setattr(experiment, "_workers", pickling)
+            out = tmp_path / mode
+            assert main(["experiment", "--config", "configs/smoke.json", "--out", str(out)]) == 0
+            trees[mode] = {str(p.relative_to(out)): p.read_bytes()
+                           for p in out.rglob("*") if p.is_file()}
+        assert "corpus/manifest.json" in trees["plain"]
+        assert trees["plain"] == trees["pickled"]
 
     def test_plot_times_exact_at_30_fps(self, tmp_path):
         # 24 s scenes at 30 fps: (720 - 300) frames is 7 strides of 60
@@ -833,6 +881,22 @@ class TestExperiment:
         assert main_within(["experiment", "--config", "configs/smoke.json",
                             "--out", str(tmp_path / "run")]) == 3
         assert ("numerical failure: stage 'train-none' failed: loss went non-finite"
+                in capsys.readouterr().err)
+
+    def test_failing_scene_job_exits_2(self, tmp_path, capsys, monkeypatch):
+        # on a real 2-worker pool, every training scene fails, train_pos_00's
+        # last in time: the first job in job order is still the one reported
+        def fail(cube, path):
+            if path.name == "train_pos_00.bin":
+                time.sleep(0.5)
+            raise InvalidInputError(f"cannot write {path.name}")
+
+        workers = experiment._workers
+        monkeypatch.setattr(experiment, "write_cube", fail)
+        monkeypatch.setattr(experiment, "_workers", lambda count: workers(2))
+        assert main_within(["experiment", "--config", "configs/smoke.json",
+                            "--out", str(tmp_path / "run")]) == 2
+        assert ("error: stage 'synth' failed: cannot write train_pos_00.bin"
                 in capsys.readouterr().err)
 
     def test_stage_error_pickles(self):

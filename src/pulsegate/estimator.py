@@ -25,6 +25,7 @@ from .losses import LossSpec, batch_loss
 from .signal_core import (
     Trace,
     Waveform,
+    check_cells,
     standardize_rows,
     stitch_overlap_add,
     window_starts,
@@ -64,11 +65,15 @@ class ToyEstimator:
     @classmethod
     def init(cls, filters: int = 8, kernel_len: int = 11, init_scale: float = 0.1,
              seed: int = 0, activation: str = "tanh"):
-        for name, size in (("filters", filters), ("kernel_len", kernel_len)):
-            if size < 1:
-                raise InvalidInputError(f"{name} ({size}) must be at least 1")
+        """Random kernels and zero biases; errors name the configs' `estimator` keys."""
+        if filters < 1:
+            raise InvalidInputError(f"estimator.filters ({filters}) must be at least 1")
+        if kernel_len < 1 or kernel_len % 2 == 0:
+            raise InvalidInputError(
+                f"estimator.kernel_len ({kernel_len}) must be odd and at least 1")
         if not init_scale > 0:
-            raise InvalidInputError(f"init_scale ({init_scale:g}) must be positive")
+            raise InvalidInputError(f"estimator.init_scale ({init_scale:g}) must be positive")
+        check_cells(filters * 3.0 * kernel_len, "estimator.filters with estimator.kernel_len")
         rng = np.random.default_rng(seed)
         return cls(w1=rng.normal(0.0, init_scale, (filters, 3, kernel_len)),
                    b1=np.zeros(filters),

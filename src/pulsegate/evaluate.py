@@ -64,6 +64,19 @@ def _rate_tables(fps: float, window: int, stride_frames: int, nfft: int, n_windo
     return in_band, per_chunk, twiddles, dirichlet
 
 
+def rate_window(window_s: float, stride_frames: int, fps: float, nfft: int,
+                section: str = "") -> int:
+    """The samples in a rate window (2 to `nfft`) at `fps`, once windows start at least one
+    frame apart; errors name `{section}window_s` and `{section}stride_frames`."""
+    if stride_frames < 1:
+        raise InvalidInputError(f"{section}stride_frames={stride_frames} must be at least 1")
+    window = window_samples(window_s, fps, f"{section}window_s")
+    if not 2 <= window <= nfft:
+        raise InvalidInputError(f"{section}window_s={window_s:g} holds {window} samples at "
+                                f"{fps:g} fps; it must hold at least 2 and at most nfft={nfft}")
+    return window
+
+
 def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
                nfft: int = DEFAULT_NFFT) -> RateSeries:
     """Highest spectral peak in `RATE_BAND_HZ` per sliding window, in bpm.
@@ -86,18 +99,10 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     chunk's windows, whatever the bin count; a running maximum per window
     keeps the lowest of equal peaks, as one argmax over every bin would.
     """
-    window = window_samples(window_s, w.fps, "window_s")
-    if stride_frames < 1:
-        raise InvalidInputError(f"stride_frames={stride_frames} must be at least 1")
-    if window < 2:
-        raise InvalidInputError(
-            f"window_s={window_s} holds {window} samples at {w.fps} fps; "
-            "it must hold at least 2")
+    window = rate_window(window_s, stride_frames, w.fps, nfft)
     if len(w) < window:
         raise InvalidInputError(
             f"waveform of {len(w)} samples is shorter than one {window_s} s window")
-    if nfft < window:
-        raise InvalidInputError(f"nfft={nfft} shorter than window of {window} samples")
     resolution_bpm = w.fps * 60.0 / nfft
     starts = np.arange(0, len(w) - window + 1, stride_frames)
     in_band, per_chunk, twiddles, dirichlet = _rate_tables(w.fps, window, stride_frames, nfft,

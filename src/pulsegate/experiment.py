@@ -32,8 +32,8 @@ from .classify import (
 )
 from .errors import InvalidInputError, PulsegateError, check_keys, from_json
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
-from .evaluate import error_metrics, pulse_rate
-from .features import AMPD_MIN_SAMPLES, FEATURE_NAMES, FeatureTable, extract_features, feature_windows
+from .evaluate import error_metrics, pulse_rate, rate_window
+from .features import FEATURE_NAMES, FeatureTable, extract_features, feature_layout, feature_windows
 from .fileio import (
     dump_json,
     sha256_file,
@@ -45,12 +45,12 @@ from .losses import LossSpec
 from .signal_core import (
     Trace,
     Waveform,
+    check_fps,
     psd_rows,
     resample_cubic,
     spatial_mean_trace,
     standardize_rows,
     stitch_overlap_add,
-    window_samples,
 )
 from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_positive, make_negative
 
@@ -150,18 +150,15 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        """The checks of the stages that read each setting, on what they build or
+        through the checks they call, and the rules that join two sections."""
         if not self.negative_kinds:
             raise InvalidInputError("negatives.kinds names no kind")
         for kind in self.negative_kinds:
             NegativeTransform(kind=kind, normal_sigma=self.normal_sigma,
                               uniform_bounds=self.uniform_bounds)
-        if self.filters < 1:
-            raise InvalidInputError(f"estimator.filters ({self.filters}) must be at least 1")
-        if self.kernel_len < 1 or self.kernel_len % 2 == 0:
-            raise InvalidInputError(
-                f"estimator.kernel_len ({self.kernel_len}) must be odd and at least 1")
-        if not self.init_scale > 0:
-            raise InvalidInputError(f"estimator.init_scale ({self.init_scale:g}) must be positive")
+        ToyEstimator.init(filters=self.filters, kernel_len=self.kernel_len,
+                          init_scale=self.init_scale)
         if not 40.0 <= self.hr_range_bpm[0] <= self.hr_range_bpm[1] <= 240.0:
             raise InvalidInputError(f"scene.hr_range_bpm {list(self.hr_range_bpm)} must "
                                        "satisfy 40 <= low <= high <= 240")
@@ -173,7 +170,6 @@ class ExperimentConfig:
             if noise < 0:
                 raise InvalidInputError(
                     f"scene.{split}_sensor_noise ({noise:g}) must be at least 0")
-            # the scene checks of `SceneConfig` on the scenes that synth builds
             SceneConfig(duration_s=getattr(self, f"{split}_duration_s"), fps=self.fps,
                         dims=self.dims, pulse_amplitude=self.pulse_amplitude,
                         dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise)
@@ -196,39 +192,24 @@ class ExperimentConfig:
                     f"corpus.{name} ({getattr(self, name)}) must be at least 1")
         if self.train_cfg.clip_len > self.train_duration_s * self.fps:
             raise InvalidInputError("clip_len exceeds training scene length")
+        window, stride = feature_layout(self.feature_window_s, self.feature_stride_s,
+                                        self.fps, "features.")
         if self.eval_duration_s < self.feature_window_s:
             raise InvalidInputError("evaluation scenes shorter than one feature window")
         # feature windows start every stride: the last must end on the last frame
-        window = window_samples(self.feature_window_s, self.fps, "features.window_s")
-        stride = window_samples(self.feature_stride_s, self.fps, "features.stride_s")
-        if window < AMPD_MIN_SAMPLES:
-            raise InvalidInputError(
-                f"features.window_s ({self.feature_window_s:g} s) holds {window} samples at "
-                f"fps {self.fps:g}; a feature window needs {AMPD_MIN_SAMPLES}")
-        if stride < 1:
-            raise InvalidInputError(f"features.stride_s ({self.feature_stride_s:g} s) is "
-                                       f"under one frame at fps {self.fps:g}")
         frames = int(round(self.eval_duration_s * self.fps))
         if (frames - window) % stride:
             raise InvalidInputError(
                 f"eval_duration_s - feature_window_s ({self.eval_duration_s:g} - "
                 f"{self.feature_window_s:g} s) is not a whole number of "
                 f"feature_stride_s ({self.feature_stride_s:g} s) strides")
-        if self.rate_stride_frames < 1:
-            raise InvalidInputError(
-                f"rate_eval.stride_frames ({self.rate_stride_frames}) must be at least 1")
-        if not 0 < self.rate_resample_fps < np.inf:
-            raise InvalidInputError(f"rate_eval.resample_fps ({self.rate_resample_fps:g}) "
-                                    "must be positive and finite")
+        rate_window(self.rate_window_s, self.rate_stride_frames,
+                    check_fps(self.rate_resample_fps, "rate_eval.resample_fps"), self.nfft,
+                    "rate_eval.")
         # rates come from scenes resampled over their span of (frames - 1) / fps
-        rate_window = window_samples(self.rate_window_s, self.rate_resample_fps,
-                                     "rate_eval.window_s")
-        if not 2 <= rate_window <= self.nfft or \
-                self.rate_window_s > (frames - 1) / self.fps:
+        if self.rate_window_s > (frames - 1) / self.fps:
             raise InvalidInputError(
-                f"rate_eval.window_s ({self.rate_window_s:g} s) must hold 2 to nfft "
-                f"({self.nfft}) samples at rate_eval.resample_fps "
-                f"({self.rate_resample_fps:g}) and fit in the "
+                f"rate_eval.window_s ({self.rate_window_s:g} s) does not fit in the "
                 f"{self.eval_duration_s:g} s evaluation scenes less one frame")
 
 

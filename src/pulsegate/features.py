@@ -119,18 +119,27 @@ def _peak_interval_features(trough_indices: np.ndarray, fps: float):
             float(dibis.std()), float(np.sqrt(np.mean(dibis ** 2))))
 
 
+def feature_layout(window_s: float, stride_s: float, fps: float,
+                   section: str = "") -> tuple[int, int]:
+    """The samples in a feature window (at least `AMPD_MIN_SAMPLES`) and between window
+    starts (at least 1) at `fps`; errors name `{section}window_s` and `{section}stride_s`."""
+    window = window_samples(window_s, fps, f"{section}window_s")
+    if window < AMPD_MIN_SAMPLES:
+        raise InvalidInputError(f"{section}window_s ({window_s:g} s) holds {window} samples "
+                                f"at {fps:g} fps; a feature window needs {AMPD_MIN_SAMPLES}")
+    hop = window_samples(stride_s, fps, f"{section}stride_s")
+    if hop < 1:
+        raise InvalidInputError(
+            f"{section}stride_s ({stride_s:g} s) is under one frame at {fps:g} fps")
+    return window, hop
+
+
 def feature_windows(samples: np.ndarray, fps: float, window_s: float, stride_s: float):
     """Start indices and the read-only (windows, W) stack of the sliding feature windows."""
-    window = window_samples(window_s, fps, "window_s")
-    if window < AMPD_MIN_SAMPLES:
-        raise InvalidInputError(f"window_s ({window_s:g} s) holds {window} samples at "
-                                f"{fps:g} fps; a feature window needs {AMPD_MIN_SAMPLES}")
+    window, hop = feature_layout(window_s, stride_s, fps)
     if samples.size < window:
         raise InvalidInputError(
             f"waveform of {samples.size} samples is shorter than one {window_s} s window")
-    hop = window_samples(stride_s, fps, "stride_s")
-    if hop < 1:
-        raise InvalidInputError(f"stride_s ({stride_s:g} s) is under one frame at {fps:g} fps")
     return (range(0, samples.size - window + 1, hop),
             sliding_window_view(samples, window)[::hop])
 

@@ -21,6 +21,24 @@ _BAND_EPS = 1e-9
 MAX_CELLS = 2 ** 25
 
 
+def check_fps(fps: float, setting: str) -> float:
+    """`fps` as a float, once it is positive and finite; `setting` names it in an error."""
+    if not 0 < fps < np.inf:
+        raise InvalidInputError(f"{setting} ({fps:g}) must be positive and finite")
+    return float(fps)
+
+
+def _signal_array(signal, field: str, name: str) -> np.ndarray:
+    """Set a signal type's `field` array as finite floats and its fps as positive
+    and finite; `name` names the type in an error."""
+    values = np.asarray(getattr(signal, field), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError(f"{name} {field} must be finite")
+    object.__setattr__(signal, field, values)
+    object.__setattr__(signal, "fps", check_fps(signal.fps, f"{name} fps"))
+    return values
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Uniformly sampled real-valued signal."""
@@ -29,15 +47,9 @@ class Waveform:
     fps: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _signal_array(self, "samples", "waveform")
         if samples.ndim != 1 or samples.size < 2:
             raise InvalidInputError("waveform needs a 1-D array of at least 2 samples")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidInputError("waveform samples must be finite")
-        if not 0 < self.fps < np.inf:
-            raise InvalidInputError(f"waveform fps ({self.fps:g}) must be positive and finite")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "fps", float(self.fps))
 
     def __len__(self):
         return self.samples.size
@@ -55,18 +67,12 @@ class VideoCube:
     fps: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = _signal_array(self, "data", "video cube")
         if data.ndim != 4:
             raise InvalidInputError("video cube must be a T x H x W x C array")
         t, h, w, c = data.shape
         if t < 2 or h < 1 or w < 1 or c not in (1, 3):
             raise InvalidInputError(f"bad cube shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidInputError("video cube values must be finite")
-        if not 0 < self.fps < np.inf:
-            raise InvalidInputError(f"video cube fps ({self.fps:g}) must be positive and finite")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "fps", float(self.fps))
 
 
 @dataclass(frozen=True)
@@ -78,16 +84,10 @@ class Trace:
     fps: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _signal_array(self, "values", "trace")
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] not in (1, 3):
             raise InvalidInputError(
                 f"trace must be a (T, C) array with T >= 2 and C 1 or 3, not {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("trace values must be finite")
-        if not 0 < self.fps < np.inf:
-            raise InvalidInputError(f"trace fps ({self.fps:g}) must be positive and finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "fps", float(self.fps))
 
     def __len__(self):
         return self.values.shape[0]
@@ -216,8 +216,7 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     The new grid starts at t=0 and spans the original time range; the sample
     count is chosen so the last grid point does not extrapolate.
     """
-    if not 0 < target_fps < np.inf:
-        raise InvalidInputError(f"target_fps ({target_fps:g}) must be positive and finite")
+    check_fps(target_fps, "target_fps")
     if len(w) < 4:
         raise InvalidInputError("cubic resampling needs at least 4 samples")
     if target_fps == w.fps:

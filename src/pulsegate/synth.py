@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal_core import VideoCube, Waveform
+from .signal_core import VideoCube, Waveform, check_fps
 
 NEGATIVE_KINDS = ("normal", "uniform", "shuffle")
 
@@ -39,8 +39,7 @@ class SceneConfig:
     def __post_init__(self):
         if self.duration_s * self.fps < 2:
             raise InvalidInputError("scene must span at least 2 frames")
-        if not 0 < self.fps < np.inf:
-            raise InvalidInputError(f"fps ({self.fps:g}) must be positive and finite")
+        check_fps(self.fps, "fps")
         if np.shape(self.dims) != (2,) or not all(
                 isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
             raise InvalidInputError(f"dims {self.dims} must be two positive integers")

@@ -581,7 +581,7 @@ class TestTrain:
 
     # the estimator key, its bad value, and what stderr must say: the key and the value
     BAD_ESTIMATOR = [("filters", 0, "filters (0)"), ("filters", -1, "filters (-1)"),
-                     ("kernel_len", -1, "kernel_len (-1)"),
+                     ("kernel_len", -1, "kernel_len (-1)"), ("kernel_len", 30, "kernel_len (30)"),
                      ("init_scale", 0, "init_scale (0)"), ("init_scale", -1, "init_scale (-1)")]
 
     @pytest.mark.parametrize("key, value, named", BAD_ESTIMATOR,
@@ -596,8 +596,9 @@ class TestTrain:
 
 
 class TestExperiment:
-    def test_dry_run(self):
-        assert main(["experiment", "--config", "configs/smoke.json", "--dry-run"]) == 0
+    @pytest.mark.parametrize("config", ["configs/smoke.json", "configs/repro-desk.json"])
+    def test_dry_run(self, config):
+        assert main(["experiment", "--config", config, "--dry-run"]) == 0
 
     def test_smoke_experiment_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -868,6 +869,41 @@ class TestExperiment:
         bad.write_text(json.dumps(payload))
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
         assert named in capsys.readouterr().err
+
+    # rules that a stage checks and the study's --dry-run checks through it:
+    # the stage's command, the study's setting, a bad value, and the name the
+    # stage's message gives the setting
+    SHARED_RULES = [("train", "estimator.filters", 0, "estimator.filters"),
+                    ("features", "features.window_s", 0.2, "window_s"),
+                    ("pulse-rate", "rate_eval.stride_frames", 0, "stride_frames")]
+
+    @pytest.mark.parametrize("command, key, value, name", SHARED_RULES,
+                             ids=[command for command, *_ in SHARED_RULES])
+    def test_stage_and_dry_run_word_a_rule_alike(self, tmp_path, capsys, command, key, value,
+                                                 name):
+        payload = json.loads(Path("configs/smoke.json").read_text())
+        section, setting = key.split(".")
+        payload[section][setting] = value
+        (tmp_path / "study.json").write_text(json.dumps(payload))
+        assert main(["experiment", "--config", str(tmp_path / "study.json"), "--dry-run"]) == 2
+        dry_run = capsys.readouterr().err
+        # at the study's frame rate, the same seconds hold the same samples
+        wave = tmp_path / "wave.csv"
+        write_waveform(Waveform(np.sin(np.arange(400) / 3.0), payload["fps"]), wave)
+        if command == "train":
+            (tmp_path / "train.json").write_text(json.dumps(
+                {"clip_len": 150, "steps": 2, section: {setting: value}}))
+            argv = ["--config", str(tmp_path / "train.json"), "--corpus", str(tmp_path),
+                    "--out", str(tmp_path / "model.json")]
+        elif command == "features":
+            argv = ["--in", str(wave), "--out", str(tmp_path / "feats.csv"),
+                    "--window-s", str(value)]
+        else:
+            argv = ["--in", str(wave), "--report", str(tmp_path / "rate.json"),
+                    "--stride-frames", str(value)]
+        assert main([command, *argv]) == 2
+        stage = capsys.readouterr().err
+        assert stage.count(name) == 1 and stage.replace(name, key) == dry_run
 
     def test_numerical_failure_in_stage_exits_3(self, tmp_path, capsys, monkeypatch):
         # every variant fails, 'none' last in time: the first job in config

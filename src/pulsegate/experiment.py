@@ -449,7 +449,8 @@ def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
         x = np.vstack([r.table.matrix for r in records])
         y = np.concatenate([np.full(len(r.table), LIVE if r.side == "pos" else ANOMALOUS)
                             for r in records])
-        write_features(feat_dir / f"{split}.csv", np.arange(len(x), dtype=float), x, y.astype(int))
+        starts = np.concatenate([r.table.starts_s for r in records])  # repeated per video
+        write_features(feat_dir / f"{split}.csv", starts, x, y.astype(int))
         stacked.append((x, y))
     (val_x, val_y), (test_x, test_y) = stacked
     degenerate = {side: sum(int(r.table.degenerate.sum()) for r in passes["val"] + passes["test"]

@@ -19,6 +19,7 @@ from pulsegate.classify import fit_one_class
 from pulsegate.cli import main
 from pulsegate.errors import InvalidInputError, NumericalError
 from pulsegate.estimator import ToyEstimator
+from pulsegate.features import feature_windows
 from pulsegate.fileio import (
     dump_json,
     read_cube,
@@ -751,6 +752,22 @@ class TestExperiment:
         for path in periodograms:
             header = path.read_text().splitlines()[0]
             assert header.split(",") == [repr(start / 30.0) for start in range(0, 421, 60)]
+
+    def test_feature_tables_hold_window_starts(self, tmp_path):
+        # each video's window starts in seconds, stacked in the order of its rows
+        assert main(["experiment", "--config", "configs/smoke.json", "--out", str(tmp_path)]) == 0
+        cfg = experiment.ExperimentConfig.from_dict(
+            json.loads(Path("configs/smoke.json").read_text()))
+        frames = int(round(cfg.eval_duration_s * cfg.fps))
+        starts = np.asarray(feature_windows(np.zeros(frames), cfg.fps, cfg.feature_window_s,
+                                            cfg.feature_stride_s)[0]) / cfg.fps
+        videos = {"val": cfg.n_val_svm_pos + cfg.n_val_svm_neg,
+                  "test": cfg.n_test_pos + cfg.n_test_neg}
+        for variant in cfg.variants:
+            for split, count in videos.items():
+                t_start, matrix, _ = read_features(tmp_path / "features" / variant / f"{split}.csv")
+                assert len(starts) > 1 and len(matrix) == count * len(starts)
+                np.testing.assert_array_equal(t_start, np.tile(starts, count))
 
     def test_uncovered_eval_windows_rejected_at_dry_run(self, tmp_path, capsys):
         # 17 s scenes leave 7 s after one 10 s window: not whole 2 s strides

@@ -203,9 +203,8 @@ class ExperimentConfig:
                 f"eval_duration_s - feature_window_s ({self.eval_duration_s:g} - "
                 f"{self.feature_window_s:g} s) is not a whole number of "
                 f"feature_stride_s ({self.feature_stride_s:g} s) strides")
-        rate_window(self.rate_window_s, self.rate_stride_frames,
-                    check_fps(self.rate_resample_fps, "rate_eval.resample_fps"), self.nfft,
-                    "rate_eval.")
+        resample = check_fps(self.rate_resample_fps, "rate_eval.resample_fps")
+        rate_window(self.rate_window_s, self.rate_stride_frames, resample, self.nfft, "rate_eval.")
         # rates come from scenes resampled over their span of (frames - 1) / fps
         if self.rate_window_s > (frames - 1) / self.fps:
             raise InvalidInputError(

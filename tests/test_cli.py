@@ -856,6 +856,9 @@ class TestExperiment:
         ("estimator.kernel_len", -1, "estimator.kernel_len (-1)"),
         ("estimator.init_scale", 0, "estimator.init_scale (0)"),
         ("estimator.init_scale", -1, "estimator.init_scale (-1)"),
+        # rejected before the kernels are drawn: 1e12 x 3 x 31 values
+        ("estimator.filters", 10 ** 12,
+         "estimator.filters with estimator.kernel_len asks for an array of 9.3e+13 elements"),
         # smoke runs at 20 fps: 0.02 s rounds to no frame
         ("features.stride_s", 0, "features.stride_s (0 s)"),
         ("features.stride_s", 0.02, "features.stride_s (0.02 s)"),

@@ -8,11 +8,14 @@ with a few gradient steps that visibly flatten a tone's spectrum.
 import numpy as np
 
 from pulsegate import Waveform, standardize
-from pulsegate.losses import loss_spectral_entropy, loss_spectral_flatness, loss_std
+from pulsegate.losses import LossSpec, combined_loss
 from pulsegate.signal_core import psd_rows
 
 FPS = 90.0
 NFFT = 5400
+ENTROPY = LossSpec(negative_loss="spectral_entropy", nfft=NFFT)
+FLATNESS = LossSpec(negative_loss="spectral_flatness", nfft=NFFT)
+STD = LossSpec(negative_loss="std")
 
 
 def describe(name, wave):
@@ -20,8 +23,8 @@ def describe(name, wave):
     if not power.any():
         print(f"{name:12s} degenerate spectrum (no in-band energy)")
         return
-    entropy, _ = loss_spectral_entropy(wave, nfft=NFFT)
-    flatness, _ = loss_spectral_flatness(wave, nfft=NFFT)
+    entropy, _ = combined_loss(wave, None, ENTROPY)
+    flatness, _ = combined_loss(wave, None, FLATNESS)
     peak_bpm = np.argmax(power) * (wave.fps * 60.0 / NFFT)
     print(f"{name:12s} peak {peak_bpm:6.1f} bpm   "
           f"entropy loss {entropy:.3f}   flatness loss {flatness:.3f}")
@@ -45,8 +48,8 @@ def main():
     samples = tone.samples.copy()
     for step in range(6):
         wave = Waveform(samples, FPS)
-        value, grad = loss_spectral_flatness(wave, nfft=NFFT)
-        sigma, _ = loss_std(wave)
+        value, grad = combined_loss(wave, None, FLATNESS)
+        sigma, _ = combined_loss(wave, None, STD)
         if step % 1 == 0:
             print(f"  step {step}: flatness loss {value:.4f}   signal std {sigma:.3f}")
         samples = samples - 200.0 * grad

@@ -23,27 +23,17 @@ from .estimator import (
     TrainConfig,
     backward,
     clip_predictions,
-    forward,
     infer_video,
     train,
 )
 from .evaluate import ErrorReport, RateSeries, error_metrics, pulse_rate
 from .features import FeatureTable, ampd_peaks, extract_features, snr_db
-from .losses import (
-    LossSpec,
-    combined_loss,
-    loss_mse_flatline,
-    loss_neg_pearson,
-    loss_spectral_entropy,
-    loss_spectral_flatness,
-    loss_std,
-)
+from .losses import LossSpec, combined_loss
 from .signal_core import (
     Trace,
     VideoCube,
     Waveform,
     hilbert_envelope,
-    psd_normalized,
     resample_cubic,
     spatial_mean_trace,
     standardize,
@@ -59,9 +49,7 @@ __all__ = [
     "Waveform", "ampd_peaks", "backward", "clip_predictions", "combined_loss",
     "decision_values", "error_metrics", "estimate_chrom", "estimate_green",
     "estimate_pos", "extract_features", "fit_one_class", "fit_two_class",
-    "forward", "frame_accuracy", "generate_positive", "hilbert_envelope",
-    "infer_video", "loss_mse_flatline", "loss_neg_pearson",
-    "loss_spectral_entropy", "loss_spectral_flatness", "loss_std",
-    "make_negative", "predict", "psd_normalized", "pulse_rate",
-    "resample_cubic", "snr_db", "spatial_mean_trace", "standardize", "train",
+    "frame_accuracy", "generate_positive", "hilbert_envelope", "infer_video",
+    "make_negative", "predict", "pulse_rate", "resample_cubic", "snr_db",
+    "spatial_mean_trace", "standardize", "train",
 ]

@@ -85,10 +85,6 @@ class ToyEstimator:
     def in_channels(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def receptive_field(self) -> int:
-        return self.w1.shape[2] + self.w2.shape[2] - 1
-
     def split(self, flat: np.ndarray) -> dict:
         """Views of a parameter-sized flat vector, keyed and shaped like the parameters."""
         views, offset = {}, 0
@@ -221,14 +217,6 @@ def _crops(traces, starts, clip_len: int) -> np.ndarray:
     """Standardized (B, C, clip_len) stack of crops of (C, T) traces."""
     return standardize_rows(np.stack([trace[:, start:start + clip_len]
                                       for trace, start in zip(traces, starts)]))
-
-
-def forward(model: ToyEstimator, clip: Trace) -> Waveform:
-    """Predict a waveform for one clip (length equals the clip length)."""
-    if len(clip) < model.receptive_field:
-        raise InvalidInputError("clip shorter than the model's receptive field")
-    out, _ = _forward(model, standardize_rows(_trace(model, clip))[None])
-    return Waveform(out[0], clip.fps)
 
 
 def backward(model: ToyEstimator, clip: Trace, upstream: np.ndarray):

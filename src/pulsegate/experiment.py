@@ -45,6 +45,7 @@ from .losses import LossSpec
 from .signal_core import (
     Trace,
     Waveform,
+    check_cells,
     check_fps,
     psd_rows,
     resample_cubic,
@@ -159,20 +160,17 @@ class ExperimentConfig:
                               uniform_bounds=self.uniform_bounds)
         ToyEstimator.init(filters=self.filters, kernel_len=self.kernel_len,
                           init_scale=self.init_scale)
-        if not 40.0 <= self.hr_range_bpm[0] <= self.hr_range_bpm[1] <= 240.0:
-            raise InvalidInputError(f"scene.hr_range_bpm {list(self.hr_range_bpm)} must "
-                                       "satisfy 40 <= low <= high <= 240")
-        if not self.hrv_knot_spacing_s > 0:
-            raise InvalidInputError(
-                f"scene.hrv_knot_spacing_s ({self.hrv_knot_spacing_s:g}) must be positive")
         for split in ("train", "eval"):
             noise = getattr(self, f"{split}_sensor_noise")
             if noise < 0:
                 raise InvalidInputError(
                     f"scene.{split}_sensor_noise ({noise:g}) must be at least 0")
-            SceneConfig(duration_s=getattr(self, f"{split}_duration_s"), fps=self.fps,
-                        dims=self.dims, pulse_amplitude=self.pulse_amplitude,
+            duration = getattr(self, f"{split}_duration_s")
+            SceneConfig(duration_s=duration, fps=self.fps, dims=self.dims,
+                        pulse_amplitude=self.pulse_amplitude,
                         dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise)
+            hrv_trajectory(np.random.default_rng(0), duration, *self.hr_range_bpm,
+                           self.hrv_step_bpm, self.hrv_clamp_bpm, self.hrv_knot_spacing_s)
         if self.svm_C <= 0:
             raise InvalidInputError(f"svm.C ({self.svm_C:g}) must be positive")
         if not 0.0 < self.svm_nu <= 1.0:
@@ -213,7 +211,20 @@ class ExperimentConfig:
 
 
 def hrv_trajectory(rng, duration_s, hr_lo, hr_hi, step_bpm, clamp_bpm, spacing_s):
-    """Bounded random-walk heart-rate trajectory; adds realistic beat wander."""
+    """Bounded random-walk heart-rate trajectory; adds realistic beat wander.
+    The settings are checked before the first draw, and errors name their
+    `scene` keys."""
+    if not 40.0 <= hr_lo <= hr_hi <= 240.0:
+        raise InvalidInputError(f"scene.hr_range_bpm {[hr_lo, hr_hi]} must "
+                                "satisfy 40 <= low <= high <= 240")
+    for key, value in (("hrv_step_bpm", step_bpm), ("hrv_clamp_bpm", clamp_bpm)):
+        if not 0 <= value < np.inf:
+            raise InvalidInputError(f"scene.{key} ({value:g}) must be finite and at least 0")
+    if not 0 < spacing_s < np.inf:
+        raise InvalidInputError(
+            f"scene.hrv_knot_spacing_s ({spacing_s:g}) must be positive and finite")
+    check_cells(duration_s / spacing_s + 2,
+                f"scene.hrv_knot_spacing_s ({spacing_s:g}) over {duration_s:g} s")
     center = float(rng.uniform(hr_lo, hr_hi))
     knot_t = np.arange(0.0, duration_s + spacing_s, spacing_s)
     walk = np.cumsum(rng.normal(0.0, step_bpm, knot_t.size))

@@ -161,31 +161,13 @@ def batch_loss(pred: np.ndarray, targets: np.ndarray, positive: np.ndarray,
     return values, grads
 
 
-def combined_loss(pred: Waveform, target, is_positive: bool, spec: LossSpec):
-    """Value and gradient of the objective for one sample: a one-row `batch_loss`."""
-    if is_positive != (target is not None):
-        raise InvalidInputError("positive samples need a target waveform, negatives none")
-    if is_positive and len(target) != len(pred):
+def combined_loss(pred: Waveform, target, spec: LossSpec):
+    """Value and gradient of the objective for one sample: a one-row `batch_loss`.
+    A sample with a target waveform is a positive, one without (None) a negative."""
+    positive = target is not None
+    if positive and len(target) != len(pred):
         raise InvalidInputError("pred and target must have equal lengths")
-    targets = (target if is_positive else pred).samples[None]
-    values, grads = batch_loss(pred.samples[None], targets, np.array([is_positive]),
+    targets = (target if positive else pred).samples[None]
+    values, grads = batch_loss(pred.samples[None], targets, np.array([positive]),
                                pred.fps, spec)
     return float(values[0]), grads[0]
-
-
-def _one_sample(name: str, **loss):
-    """`combined_loss` of one sample under a fixed loss, called as (pred, target)
-    for a positive loss and as (pred, nfft=...) for a negative one."""
-    def bound(pred: Waveform, target=None, *, nfft: int = DEFAULT_NFFT):
-        return combined_loss(pred, target, "positive_loss" in loss, LossSpec(nfft=nfft, **loss))
-    bound.__name__ = bound.__qualname__ = name
-    return bound
-
-
-loss_neg_pearson = _one_sample("loss_neg_pearson", positive_loss="neg_pearson")
-loss_std = _one_sample("loss_std", negative_loss="std")
-loss_mse_flatline = _one_sample("loss_mse_flatline", negative_loss="mse_flatline")
-loss_spectral_entropy = _one_sample("loss_spectral_entropy",
-                                    negative_loss="spectral_entropy")
-loss_spectral_flatness = _one_sample("loss_spectral_flatness",
-                                     negative_loss="spectral_flatness")

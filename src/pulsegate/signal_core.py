@@ -161,11 +161,6 @@ def psd_rows(x: np.ndarray, fps: float, nfft: int) -> PSD:
     return PSD(power, in_band)
 
 
-def psd_normalized(w: Waveform, nfft: int = DEFAULT_NFFT) -> PSD:
-    """The one-row `psd_rows` of a waveform."""
-    return psd_rows(w.samples, w.fps, nfft)
-
-
 def hilbert_envelope_rows(x: np.ndarray) -> np.ndarray:
     """Magnitude of the analytic signal of each row (frequency-domain Hilbert
     transform), which keeps DC (and Nyquist, for even lengths), doubles the

@@ -48,6 +48,12 @@ class SceneConfig:
             raise InvalidInputError(
                 f"duration_s ({self.duration_s:g}) at fps ({self.fps:g}) makes {frames:.4g} "
                 f"frames of {self.dims[0]}x{self.dims[1]}x3 values, more than an array can index")
+        if not np.isscalar(self.hr_trajectory):
+            knots = np.asarray(self.hr_trajectory, dtype=float)
+            if (knots.ndim != 2 or knots.shape[1] != 2 or not np.all(np.isfinite(knots))
+                    or not np.all(np.diff(knots[:, 0]) > 0)):
+                raise InvalidInputError("hr_trajectory must be a list of finite [time_s, bpm] "
+                                        "knots with strictly increasing times")
         lo, hi = np.min(self.hr_bpm_knots()[1]), np.max(self.hr_bpm_knots()[1])
         if lo < 40.0 or hi > 240.0:
             raise InvalidInputError("hr trajectory must stay within [40, 240] bpm")

@@ -22,25 +22,17 @@ from pulsegate.classify import (
     smo_solve_one_class,
     smo_solve_two_class,
 )
-from pulsegate.estimator import ToyEstimator, _backward, _forward, forward
+from pulsegate.estimator import ToyEstimator, _backward, _forward, clip_predictions
 from pulsegate.evaluate import pulse_rate
 from pulsegate.experiment import ExperimentConfig, run_experiment
 from pulsegate.features import FEATURE_NAMES, ampd_peaks, extract_features
-from pulsegate.losses import (
-    entropy_loss_value,
-    flatness_loss_value,
-    loss_mse_flatline,
-    loss_neg_pearson,
-    loss_spectral_entropy,
-    loss_spectral_flatness,
-    loss_std,
-)
+from pulsegate.losses import LossSpec, combined_loss, entropy_loss_value, flatness_loss_value
 from pulsegate.signal_core import (
     VideoCube,
     Waveform,
     band_bin_mask,
     power_spectrum,
-    psd_normalized,
+    psd_rows,
     spatial_mean_trace,
     standardize,
 )
@@ -87,18 +79,20 @@ def test_criterion_01_gradient_suite():
     rng = np.random.default_rng(123)
     target = standardize(Waveform(rng.standard_normal(n), fps))
 
+    # each loss's target (None for a negative) and spec
     losses = {
-        "neg_pearson": lambda w: loss_neg_pearson(w, target),
-        "std": loss_std,
-        "spectral_entropy": lambda w: loss_spectral_entropy(w, nfft=nfft),
-        "spectral_flatness": lambda w: loss_spectral_flatness(w, nfft=nfft),
-        "mse_flatline": loss_mse_flatline,
+        "neg_pearson": (target, LossSpec(positive_loss="neg_pearson")),
+        "std": (None, LossSpec(negative_loss="std")),
+        "spectral_entropy": (None, LossSpec(negative_loss="spectral_entropy", nfft=nfft)),
+        "spectral_flatness": (None, LossSpec(negative_loss="spectral_flatness", nfft=nfft)),
+        "mse_flatline": (None, LossSpec(negative_loss="mse_flatline")),
     }
-    for name, loss in losses.items():
+    for name, (truth, spec) in losses.items():
         for seed in range(20):
             w = standardize(Waveform(np.random.default_rng(seed).standard_normal(n), fps))
-            _, grad = loss(w)
-            fd = finite_difference(lambda z: loss(Waveform(z, fps))[0], w.samples)
+            _, grad = combined_loss(w, truth, spec)
+            fd = finite_difference(lambda z: combined_loss(Waveform(z, fps), truth, spec)[0],
+                                   w.samples)
             err = rel_error(grad, fd)
             assert err < 1e-4, f"{name} seed {seed}: rel grad error {err}"
 
@@ -130,15 +124,15 @@ def test_criterion_02_spectral_invariants():
     rng = np.random.default_rng(7)
     for _ in range(10):
         w = Waveform(rng.standard_normal(600), 60.0)
-        psd = psd_normalized(w, nfft=1024)
+        psd = psd_rows(w.samples, w.fps, 1024)
         assert abs(psd.power.sum() - 1.0) <= 1e-9
         assert np.all(psd.power[~psd.in_band] == 0.0)
         power = power_spectrum(w.samples, 1024)
         centered = w.samples - w.samples.mean()
         assert abs(power.sum() / 1024 - np.sum(centered ** 2)) \
             <= 1e-9 * np.sum(centered ** 2)
-        for loss in (loss_spectral_entropy, loss_spectral_flatness):
-            value, _ = loss(w, nfft=1024)
+        for kind in ("spectral_entropy", "spectral_flatness"):
+            value, _ = combined_loss(w, None, LossSpec(negative_loss=kind, nfft=1024))
             assert 0.0 <= value <= 1.0
 
     for k in (10, 201, 500):
@@ -326,11 +320,13 @@ def test_criterion_10_no_harm_to_positives(desk_run):
 def test_criterion_11_edge_padding_regression():
     model = ToyEstimator.init(seed=5)
     cube = VideoCube(np.full((300, 4, 4, 3), 0.4), 30.0)
-    out = forward(model, spatial_mean_trace(cube))
+    trace = spatial_mean_trace(cube)
+    outputs, _ = clip_predictions(model, trace, len(trace))
+    out = outputs[0]
     nfft = 512
-    power = power_spectrum(out.samples, nfft)
-    in_band = band_bin_mask(power.size, out.fps, nfft, (40.0, 240.0))
-    total_energy = nfft * float(np.sum(out.samples ** 2))
+    power = power_spectrum(out, nfft)
+    in_band = band_bin_mask(power.size, trace.fps, nfft, (40.0, 240.0))
+    total_energy = nfft * float(np.sum(out ** 2))
     assert total_energy > 0.0
     fraction = power[in_band].sum() / total_energy
     assert fraction < 1e-6, f"in-band fraction {fraction:.2e}"

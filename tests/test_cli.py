@@ -92,6 +92,19 @@ class TestSynth:
         assert f"{key!r} in scene config" in capsys.readouterr().err
         assert not (tmp_path / "pos.bin").exists()
 
+    # lists that np.interp would misread: times that fall, a repeated time,
+    # a knot of three values and an infinite time
+    @pytest.mark.parametrize("knots", [[[5, 70], [1, 80]], [[0, 70], [0, 80]], [[0, 70, 1]],
+                                       [[0, 70], [float("inf"), 80]]])
+    def test_misread_hr_trajectory_is_config_error(self, tmp_path, capsys, knots):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**SCENE, "hr_trajectory": knots}))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert "hr_trajectory must be a list of finite [time_s, bpm] knots" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "pos.bin").exists()
+
     @pytest.mark.parametrize("fps", [float("inf"), float("nan")])
     def test_non_finite_fps_rejected(self, tmp_path, capsys, fps):
         scene_path = tmp_path / "scene.json"
@@ -849,6 +862,11 @@ class TestExperiment:
         ("dims", [0, 8], "dims (0, 8)"),
         ("scene.dicrotic_ratio", 2, "dicrotic_ratio (2)"),
         ("scene.hrv_knot_spacing_s", 0, "scene.hrv_knot_spacing_s (0)"),
+        ("scene.hrv_knot_spacing_s", 1e-300, "scene.hrv_knot_spacing_s (1e-300)"),
+        ("scene.hrv_knot_spacing_s", float("inf"), "scene.hrv_knot_spacing_s (inf)"),
+        ("scene.hrv_step_bpm", -1, "scene.hrv_step_bpm (-1)"),
+        ("scene.hrv_step_bpm", float("inf"), "scene.hrv_step_bpm (inf)"),
+        ("scene.hrv_clamp_bpm", -1, "scene.hrv_clamp_bpm (-1)"),
         ("scene.train_sensor_noise", -1, "scene.train_sensor_noise (-1)"),
         ("scene.eval_sensor_noise", -1, "scene.eval_sensor_noise (-1)"),
         ("estimator.filters", 0, "estimator.filters (0)"),
@@ -889,6 +907,13 @@ class TestExperiment:
         bad.write_text(json.dumps(payload))
         assert main(["experiment", "--config", str(bad), "--dry-run"]) == 2
         assert named in capsys.readouterr().err
+
+    def test_hrv_trajectory_checks_before_drawing(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError, match="scene.hrv_knot_spacing_s"):
+            experiment.hrv_trajectory(rng, 10.0, 73, 77, 4, 8, 0.0)
+        # nothing was drawn
+        assert rng.random() == np.random.default_rng(0).random()
 
     # rules that a stage checks and the study's --dry-run checks through it:
     # the stage's command, the study's setting, a bad value, and the name the

@@ -18,8 +18,6 @@ from pulsegate.signal_core import (
     hilbert_envelope,
     hilbert_envelope_rows,
     power_spectrum,
-    psd_normalized,
-    psd_rows,
 )
 
 
@@ -299,8 +297,6 @@ ONE_ROW_VIEWS = {
     "snr_db": (snr_db, lambda x, fps: snr_rows(x, fps, 5400)[0]),
     "hilbert_envelope": (lambda w: hilbert_envelope(w).samples,
                          lambda x, fps: hilbert_envelope_rows(x)[0]),
-    "psd_normalized": (lambda w: psd_normalized(w).power,
-                       lambda x, fps: psd_rows(x, fps, 5400).power[0]),
 }
 
 

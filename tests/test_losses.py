@@ -10,11 +10,6 @@ from pulsegate.losses import (
     combined_loss,
     entropy_loss_value,
     flatness_loss_value,
-    loss_mse_flatline,
-    loss_neg_pearson,
-    loss_spectral_entropy,
-    loss_spectral_flatness,
-    loss_std,
 )
 from pulsegate.signal_core import Waveform, band_bin_mask, one_sided_spectrum, standardize
 
@@ -39,18 +34,34 @@ def random_standardized(rng, n=256, fps=90.0):
     return standardize(Waveform(x, fps))
 
 
+PEARSON = LossSpec(positive_loss="neg_pearson")
+
+
+def negative_loss(kind, pred, nfft=512):
+    """`combined_loss` of a negative sample under one negative loss."""
+    return combined_loss(pred, None, LossSpec(negative_loss=kind, nfft=nfft))
+
+
+def loss_id(value):
+    """Parameter ids name a loss kind `loss_<kind>`."""
+    return f"loss_{value}" if isinstance(value, str) else None
+
+
+SPECTRAL = ["spectral_entropy", "spectral_flatness"]
+
+
 class TestNegPearson:
     def test_perfect_match_is_zero(self):
         rng = np.random.default_rng(0)
         w = random_standardized(rng)
-        value, _ = loss_neg_pearson(w, w)
+        value, _ = combined_loss(w, w, PEARSON)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_anticorrelated_is_two(self):
         rng = np.random.default_rng(1)
         w = random_standardized(rng)
         flipped = Waveform(-w.samples, w.fps)
-        value, _ = loss_neg_pearson(w, flipped)
+        value, _ = combined_loss(w, flipped, PEARSON)
         assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -58,9 +69,9 @@ class TestNegPearson:
         target = random_standardized(rng)
         for _ in range(5):
             pred = random_standardized(rng)
-            _, grad = loss_neg_pearson(pred, target)
+            _, grad = combined_loss(pred, target, PEARSON)
             fd = finite_difference(
-                lambda z: loss_neg_pearson(Waveform(z, 90.0), target)[0], pred.samples)
+                lambda z: combined_loss(Waveform(z, 90.0), target, PEARSON)[0], pred.samples)
             assert rel_error(grad, fd) < 1e-6
             assert abs(grad.mean()) < 1e-12
 
@@ -68,44 +79,46 @@ class TestNegPearson:
         flat = Waveform(np.full(16, 2.0), 30.0)
         wavy = Waveform(np.sin(np.arange(16.0)), 30.0)
         with pytest.raises(NumericalError, match="constant signals"):
-            loss_neg_pearson(flat, wavy)
+            combined_loss(flat, wavy, PEARSON)
         with pytest.raises(NumericalError, match="constant signals"):
-            loss_neg_pearson(wavy, flat)
+            combined_loss(wavy, flat, PEARSON)
 
 
 class TestStdLoss:
     def test_constant_is_zero(self):
-        value, grad = loss_std(Waveform(np.full(10, 4.0), 30.0))
+        value, grad = negative_loss("std", Waveform(np.full(10, 4.0), 30.0))
         assert value == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_two_point_value(self):
-        value, _ = loss_std(Waveform(np.array([-1.0, 1.0]), 30.0))
+        value, _ = negative_loss("std", Waveform(np.array([-1.0, 1.0]), 30.0))
         assert value == pytest.approx(1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             w = random_standardized(rng)
-            _, grad = loss_std(w)
-            fd = finite_difference(lambda z: loss_std(Waveform(z, 90.0))[0], w.samples)
+            _, grad = negative_loss("std", w)
+            fd = finite_difference(lambda z: negative_loss("std", Waveform(z, 90.0))[0],
+                                   w.samples)
             assert rel_error(grad, fd) < 1e-6
 
 
 class TestMseFlatline:
     def test_zero_signal(self):
-        value, _ = loss_mse_flatline(Waveform(np.zeros(8), 30.0))
+        value, _ = negative_loss("mse_flatline", Waveform(np.zeros(8), 30.0))
         assert value == 0.0
 
     def test_known_value(self):
-        value, _ = loss_mse_flatline(Waveform(np.array([3.0, 3.0]), 30.0))
+        value, _ = negative_loss("mse_flatline", Waveform(np.array([3.0, 3.0]), 30.0))
         assert value == pytest.approx(9.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         w = random_standardized(rng)
-        _, grad = loss_mse_flatline(w)
-        fd = finite_difference(lambda z: loss_mse_flatline(Waveform(z, 90.0))[0], w.samples)
+        _, grad = negative_loss("mse_flatline", w)
+        fd = finite_difference(lambda z: negative_loss("mse_flatline", Waveform(z, 90.0))[0],
+                               w.samples)
         assert rel_error(grad, fd) < 1e-8
 
 
@@ -131,52 +144,46 @@ class TestSpectralLossValues:
 
 
 class TestSpectralLossGradients:
-    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
-    def test_gradient_matches_finite_differences(self, loss):
+    @pytest.mark.parametrize("kind", SPECTRAL, ids=loss_id)
+    def test_gradient_matches_finite_differences(self, kind):
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = random_standardized(rng)
-            _, grad = loss(w, nfft=512)
-            fd = finite_difference(
-                lambda z: loss(Waveform(z, 90.0), nfft=512)[0],
-                w.samples)
+            _, grad = negative_loss(kind, w)
+            fd = finite_difference(lambda z: negative_loss(kind, Waveform(z, 90.0))[0],
+                                   w.samples)
             assert rel_error(grad, fd) < 1e-4
 
-    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
-    def test_scale_invariance(self, loss):
+    @pytest.mark.parametrize("kind", SPECTRAL, ids=loss_id)
+    def test_scale_invariance(self, kind):
         rng = np.random.default_rng(6)
         w = random_standardized(rng)
         scaled = Waveform(13.7 * w.samples, w.fps)
-        v1, _ = loss(w, nfft=512)
-        v2, _ = loss(scaled, nfft=512)
+        v1, _ = negative_loss(kind, w)
+        v2, _ = negative_loss(kind, scaled)
         assert v1 == pytest.approx(v2, abs=1e-9)
 
-    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
-    def test_bounded_in_unit_interval(self, loss):
+    @pytest.mark.parametrize("kind", SPECTRAL, ids=loss_id)
+    def test_bounded_in_unit_interval(self, kind):
         rng = np.random.default_rng(7)
         for _ in range(10):
             w = random_standardized(rng)
-            value, _ = loss(w, nfft=512)
+            value, _ = negative_loss(kind, w)
             assert 0.0 <= value <= 1.0
 
-    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness,
-                                      loss_std, loss_mse_flatline])
-    def test_descent_step_from_pure_tone(self, loss):
+    @pytest.mark.parametrize("kind", SPECTRAL + ["std", "mse_flatline"], ids=loss_id)
+    def test_descent_step_from_pure_tone(self, kind):
         fps = 90.0
         t = np.arange(256) / fps
         w = standardize(Waveform(np.sin(2 * np.pi * 1.5 * t), fps))
-        if loss in (loss_std, loss_mse_flatline):
-            value, grad = loss(w)
-            after, _ = loss(Waveform(w.samples - 1e-3 * grad, fps))
-        else:
-            value, grad = loss(w, nfft=512)
-            after, _ = loss(Waveform(w.samples - 1e-3 * grad, fps), nfft=512)
+        value, grad = negative_loss(kind, w)
+        after, _ = negative_loss(kind, Waveform(w.samples - 1e-3 * grad, fps))
         assert after < value
 
-    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
-    def test_degenerate_spectrum_rejected(self, loss):
+    @pytest.mark.parametrize("kind", SPECTRAL, ids=loss_id)
+    def test_degenerate_spectrum_rejected(self, kind):
         with pytest.raises(NumericalError, match="no in-band"):
-            loss(Waveform(np.full(64, 2.0), 90.0), nfft=128)
+            negative_loss(kind, Waveform(np.full(64, 2.0), 90.0), nfft=128)
 
 
 def spectral_rows_full_mask(pred, fps, nfft, band_bpm, kind):
@@ -235,26 +242,27 @@ class TestSpectralBand:
                 values, grads = batch_loss(pred, pred, np.zeros(4, bool), 20.0, spec)
             assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
 
-    @pytest.mark.parametrize("loss", [loss_spectral_entropy, loss_spectral_flatness])
-    def test_empty_band_rejected(self, loss):
+    @pytest.mark.parametrize("kind", SPECTRAL, ids=loss_id)
+    def test_empty_band_rejected(self, kind):
         # at 1 Hz the spectrum stops at 30 bpm, below the 40-240 bpm band
         pred = random_standardized(np.random.default_rng(14), n=64, fps=1.0)
         with pytest.raises(NumericalError, match="no in-band"):
-            loss(pred, nfft=128)
+            negative_loss(kind, pred, nfft=128)
 
 
 class TestCombinedLoss:
-    @pytest.mark.parametrize("loss, spec", [
-        (loss_neg_pearson, LossSpec(positive_loss="neg_pearson")),
-        (loss_std, LossSpec(negative_loss="std")),
-        (loss_mse_flatline, LossSpec(negative_loss="mse_flatline")),
-        (loss_spectral_entropy, LossSpec(negative_loss="spectral_entropy", nfft=512)),
-        (loss_spectral_flatness, LossSpec(negative_loss="spectral_flatness", nfft=512))])
-    def test_binding_is_a_batch_loss_row(self, loss, spec):
+    @pytest.mark.parametrize("kind, spec", [
+        ("neg_pearson", PEARSON),
+        ("std", LossSpec(negative_loss="std")),
+        ("mse_flatline", LossSpec(negative_loss="mse_flatline")),
+        ("spectral_entropy", LossSpec(negative_loss="spectral_entropy", nfft=512)),
+        ("spectral_flatness", LossSpec(negative_loss="spectral_flatness", nfft=512))],
+        ids=loss_id)
+    def test_binding_is_a_batch_loss_row(self, kind, spec):
         rng = np.random.default_rng(13)
         pred, target = random_standardized(rng), random_standardized(rng)
-        positive = loss is loss_neg_pearson
-        value, grad = loss(pred, target) if positive else loss(pred, nfft=spec.nfft)
+        positive = kind == spec.positive_loss
+        value, grad = combined_loss(pred, target if positive else None, spec)
         values, grads = batch_loss(pred.samples[None], target.samples[None],
                                    np.array([positive]), pred.fps, spec)
         assert np.array_equal(value, values[0])
@@ -264,8 +272,14 @@ class TestCombinedLoss:
         rng = np.random.default_rng(8)
         w = random_standardized(rng)
         spec = LossSpec(positive_loss="neg_pearson", negative_loss="std")
-        value, _ = combined_loss(w, w, True, spec)
+        value, _ = combined_loss(w, w, spec)
         assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_unequal_lengths_rejected(self):
+        rng = np.random.default_rng(15)
+        pred, target = random_standardized(rng, n=64), random_standardized(rng, n=65)
+        with pytest.raises(InvalidInputError, match="equal lengths"):
+            combined_loss(pred, target, PEARSON)
 
     @pytest.mark.parametrize("band_bpm", [(240.0, 40.0), (40.0, 40.0), (-10.0, 240.0),
                                           (40.0,), (40.0, 240.0, 300.0)])
@@ -277,14 +291,14 @@ class TestCombinedLoss:
         rng = np.random.default_rng(12)
         w = random_standardized(rng)
         spec = LossSpec(positive_loss="mse", negative_loss="none")
-        value, grad = combined_loss(w, w, True, spec)
+        value, grad = combined_loss(w, w, spec)
         assert value == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_negative_std_flatline(self):
         flat = Waveform(np.zeros(64), 90.0)
         spec = LossSpec(negative_loss="std")
-        value, _ = combined_loss(flat, None, False, spec)
+        value, _ = combined_loss(flat, None, spec)
         assert value == 0.0
 
     def test_negative_losses_on_white_noise_near_flat(self):
@@ -300,14 +314,14 @@ class TestCombinedLoss:
         flatness, entropy = [], []
         for _ in range(100):
             w = random_standardized(rng)
-            flatness.append(combined_loss(w, None, False, flat_spec)[0])
-            entropy.append(combined_loss(w, None, False, ent_spec)[0])
+            flatness.append(combined_loss(w, None, flat_spec)[0])
+            entropy.append(combined_loss(w, None, ent_spec)[0])
         assert 0.25 < np.median(flatness) < 0.48
         assert np.median(entropy) < 0.2
 
     def test_none_negative_loss_is_zero(self):
         rng = np.random.default_rng(10)
         w = random_standardized(rng)
-        value, grad = combined_loss(w, None, False, LossSpec(negative_loss="none"))
+        value, grad = combined_loss(w, None, LossSpec(negative_loss="none"))
         assert value == 0.0
         np.testing.assert_array_equal(grad, 0.0)

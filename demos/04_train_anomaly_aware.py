@@ -60,9 +60,10 @@ def main():
     kinds = ("normal", "uniform", "shuffle")
     train_neg = [make_negative(cube, NegativeTransform(kind=kinds[i % 3], seed=i))
                  for i, (cube, _) in enumerate(train_pos)]
-    # the estimator reads each video's per-frame spatial mean
-    corpus = [(spatial_mean_trace(c), gt, True) for c, gt in train_pos] + \
-             [(spatial_mean_trace(c), None, False) for c in train_neg]
+    # the estimator reads each video's per-frame spatial mean; a sample with a
+    # target waveform is a positive, one with None a negative
+    corpus = [(spatial_mean_trace(c), gt) for c, gt in train_pos] + \
+             [(spatial_mean_trace(c), None) for c in train_neg]
 
     test_pos = [spatial_mean_trace(scene(300 + i, 30.0, 6.0)[0]) for i in range(4)]
     test_neg = [spatial_mean_trace(make_negative(scene(400 + i, 30.0, 6.0)[0],

@@ -110,9 +110,13 @@ def _read_corpus_dir(corpus_dir):
     samples = []
     with parsing(corpus_dir / "manifest.json"):
         for entry in manifest["samples"]:
+            if bool(entry["positive"]) != bool(entry.get("gt")):
+                raise InvalidInputError(f"corpus sample {entry['cube']!r}: \"positive\" is "
+                                        f"{json.dumps(entry['positive'])} but \"gt\" is "
+                                        f"{json.dumps(entry.get('gt'))}")
             trace = spatial_mean_trace(read_cube(corpus_dir / entry["cube"]))
             truth = read_waveform(corpus_dir / entry["gt"]) if entry.get("gt") else None
-            samples.append((trace, truth, bool(entry["positive"])))
+            samples.append((trace, truth))
     return samples
 
 

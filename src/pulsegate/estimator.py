@@ -261,7 +261,7 @@ def _split_corpus(model: ToyEstimator, corpus, clip_len: int):
     or None), plus the frame rate all clips share."""
     positives, negatives = [], []
     fps = None
-    for clip, target, is_positive in corpus:
+    for clip, target in corpus:
         fps = clip.fps if fps is None else fps
         if clip.fps != fps:
             raise InvalidInputError("all corpus clips must share one frame rate")
@@ -269,12 +269,12 @@ def _split_corpus(model: ToyEstimator, corpus, clip_len: int):
         if n_frames < clip_len:
             raise InvalidInputError(
                 f"corpus clip of {n_frames} frames shorter than clip_len={clip_len}")
-        if is_positive and (target is None or len(target) != n_frames):
+        if target is not None and len(target) != n_frames:
             raise InvalidInputError(
                 "positive corpus clips need a target waveform of their own length")
         trace = np.ascontiguousarray(_trace(model, clip))
-        (positives if is_positive else negatives).append(
-            (trace, target.samples if is_positive else None))
+        (negatives if target is None else positives).append(
+            (trace, None if target is None else target.samples))
     return positives, negatives, fps
 
 
@@ -314,8 +314,9 @@ def _validation_metric(model, val_samples, fps, cfg):
 def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None):
     """SGD with momentum on the combined loss over a labeled clip corpus.
 
-    `corpus` and `val_corpus` are sequences of (Trace, Waveform | None,
-    is_positive).  Clips longer than clip_len are randomly cropped each draw.
+    `corpus` and `val_corpus` are sequences of (Trace, Waveform | None)
+    pairs: a clip with a target waveform is a positive, one with None a
+    negative.  Clips longer than clip_len are randomly cropped each draw.
     Negatives are drawn with probability `cfg.negative_mix`, or never when
     `cfg.loss.negative_loss` is "none".
 
@@ -385,8 +386,8 @@ def clip_predictions(model: ToyEstimator, video: Trace, clip_len: int,
     """Run each overlapping clip of a video through the model, as one batch.
 
     Returns (outputs, starts): the raw (n_clips, clip_len) clip predictions
-    and their first frames.  Stitch them with `stitch_overlap_add`, raw or
-    standardized per clip, and read amplitudes (per-clip std) from them
+    and their first frames.  Stitch them raw with `stitch_overlap_add` or
+    with `standardized_stitch`, and read amplitudes (per-clip std) from them
     directly.
     """
     n_frames = len(video)
@@ -405,11 +406,13 @@ def clip_predictions(model: ToyEstimator, video: Trace, clip_len: int,
 
 def infer_video(model: ToyEstimator, video: Trace, clip_len: int,
                 overlap: float = 0.5) -> Waveform:
-    """Whole-video inference by overlap-added, per-clip standardized predictions.
-
-    Spectral training losses are amplitude-invariant, so per-clip amplitudes
-    carry no meaning here; `clip_predictions` keeps them.
-    """
+    """Whole-video inference: the `standardized_stitch` of the video's clip predictions."""
     outputs, starts = clip_predictions(model, video, clip_len, overlap)
-    return Waveform(stitch_overlap_add(standardize_rows(outputs), starts, len(video)),
-                    video.fps)
+    return standardized_stitch(outputs, starts, len(video), video.fps)
+
+
+def standardized_stitch(outputs: np.ndarray, starts, n_frames: int, fps: float) -> Waveform:
+    """`clip_predictions` outputs, each standardized, overlap-added over `n_frames`:
+    the waveform that pulse rates are read from.  Spectral training losses are
+    amplitude-invariant, so per-clip amplitudes carry no meaning here."""
+    return Waveform(stitch_overlap_add(standardize_rows(outputs), starts, n_frames), fps)

@@ -31,7 +31,7 @@ from .classify import (
     predict,
 )
 from .errors import InvalidInputError, PulsegateError, check_keys, from_json
-from .estimator import ToyEstimator, TrainConfig, clip_predictions, train
+from .estimator import ToyEstimator, TrainConfig, clip_predictions, standardized_stitch, train
 from .evaluate import error_metrics, pulse_rate, rate_window
 from .features import FEATURE_NAMES, FeatureTable, extract_features, feature_layout, feature_windows
 from .fileio import (
@@ -50,7 +50,6 @@ from .signal_core import (
     psd_rows,
     resample_cubic,
     spatial_mean_trace,
-    standardize_rows,
     stitch_overlap_add,
 )
 from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_positive, make_negative
@@ -323,10 +322,6 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, lis
     return sets
 
 
-def _median(values) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
-
-
 def _rates(cfg: ExperimentConfig, wave: Waveform) -> np.ndarray:
     """Windowed pulse rates (bpm) of a waveform resampled to the rate-evaluation fps."""
     return pulse_rate(resample_cubic(wave, cfg.rate_resample_fps), cfg.rate_window_s,
@@ -384,7 +379,7 @@ def _stage(name, fn, *args):
 def _variant_job(cfg, variant, sets, rate_truth, out_dir) -> dict:
     model, validation = _stage(f"train-{variant}", _train_variant, cfg, variant,
                                sets["train"], sets["val_model"], out_dir)
-    metrics = _stage(f"evaluate-{variant}", _evaluate_variant, cfg, variant,
+    metrics = _stage(f"evaluate-{variant}", _evaluate_and_write, cfg, variant,
                      model, sets["val"], sets["test"], rate_truth, out_dir)
     return {**metrics, "validation": validation}
 
@@ -412,7 +407,7 @@ def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
     train_cfg = replace(cfg.train_cfg, loss=replace(cfg.train_cfg.loss, negative_loss=variant))
     init = ToyEstimator.init(filters=cfg.filters, kernel_len=cfg.kernel_len,
                              init_scale=cfg.init_scale, seed=train_cfg.seed)
-    corpus, val_corpus = ([(v.trace, v.truth, v.truth is not None) for v in videos]
+    corpus, val_corpus = ([(v.trace, v.truth) for v in videos]
                           for videos in (train_videos, val_videos))
     model, history, validation = train(train_cfg, corpus, val_corpus=val_corpus, model=init)
     dump_json(model.to_dict(), out_dir / "models" / f"model_{variant}.json")
@@ -427,11 +422,17 @@ class VideoPass(NamedTuple):
     """One video through a model: its clip outputs, their raw stitch and its features."""
 
     video: Video
-    side: str  # "pos" or "neg"
     outputs: np.ndarray
     clip_starts: np.ndarray
     wave: Waveform
     table: FeatureTable
+
+    @property
+    def side(self) -> str:  # "pos" for a video with a truth waveform, "neg" without
+        return "pos" if self.video.truth is not None else "neg"
+
+
+_LABELS = {"pos": LIVE, "neg": ANOMALOUS}
 
 
 def _video_pass(cfg, model, video) -> VideoPass:
@@ -441,81 +442,80 @@ def _video_pass(cfg, model, video) -> VideoPass:
     outputs, clip_starts = clip_predictions(model, video.trace, cfg.train_cfg.clip_len,
                                             overlap=0.5)
     wave = Waveform(stitch_overlap_add(outputs, clip_starts, len(video.trace)), video.trace.fps)
-    return VideoPass(video, "pos" if video.truth is not None else "neg", outputs, clip_starts,
-                     wave, extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s,
-                                            cfg.nfft))
+    return VideoPass(video, outputs, clip_starts, wave,
+                     extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft))
 
 
-def _evaluate_variant(cfg, variant, model, val, test, rate_truth, out_dir):
-    wave_dir = out_dir / "waves" / variant
-    feat_dir = out_dir / "features" / variant
-    wave_dir.mkdir(parents=True, exist_ok=True)
-    feat_dir.mkdir(parents=True, exist_ok=True)
+def _stack(passes):
+    """The window starts, feature rows and labels of passes, stacked in pass order."""
+    return (np.concatenate([p.table.starts_s for p in passes]),
+            np.vstack([p.table.matrix for p in passes]),
+            np.concatenate([np.full(len(p.table), _LABELS[p.side]) for p in passes]))
 
+
+def _evaluate_and_write(cfg, variant, model, val, test, rate_truth, out_dir) -> dict:
+    """One variant's video passes, their metrics block, then their files: the
+    feature tables, the SVMs, the test waves and the plot dumps."""
     passes = {split: [_video_pass(cfg, model, video) for video in videos]
               for split, videos in (("val", val), ("test", test))}
-    stacked = []
+    metrics, svms = score_passes(cfg, passes["val"], passes["test"], rate_truth)
+    wave_dir, feat_dir = out_dir / "waves" / variant, out_dir / "features" / variant
+    wave_dir.mkdir(parents=True, exist_ok=True)
+    feat_dir.mkdir(parents=True, exist_ok=True)
     for split, records in passes.items():
-        x = np.vstack([r.table.matrix for r in records])
-        y = np.concatenate([np.full(len(r.table), LIVE if r.side == "pos" else ANOMALOUS)
-                            for r in records])
-        starts = np.concatenate([r.table.starts_s for r in records])  # repeated per video
-        write_features(feat_dir / f"{split}.csv", starts, x, y.astype(int))
-        stacked.append((x, y))
-    (val_x, val_y), (test_x, test_y) = stacked
-    degenerate = {side: sum(int(r.table.degenerate.sum()) for r in passes["val"] + passes["test"]
-                            if r.side == side) for side in ("pos", "neg")}
+        write_features(feat_dir / f"{split}.csv", *_stack(records))
+    for kind, svm in svms.items():
+        dump_json(svm.to_dict(), out_dir / "svm" / f"{variant}_{kind}.json")
+    for record in passes["test"]:
+        write_waveform(record.wave, wave_dir / f"{record.video.name}.csv")
+    # the plot dumps show the first test video of each side
+    for side, record in {r.side: r for r in reversed(passes["test"])}.items():
+        _dump_plot_data(cfg, out_dir / "plots", variant, side, record.wave)
+    return metrics
 
+
+def score_passes(cfg, val, test, rate_truth) -> tuple[dict, dict]:
+    """The metrics block of one model's val and test `VideoPass`es, and its two
+    SVMs, keyed by kind and fitted on the val features.  Writes no file."""
+    _, val_x, val_y = _stack(val)
     svms = {svm.kind: svm for svm in (
         fit_two_class(val_x, val_y, C=cfg.svm_C, standardize=cfg.svm_standardize),
         fit_one_class(val_x[val_y == LIVE], nu=cfg.svm_nu, standardize=cfg.svm_standardize))}
-    for kind, svm in svms.items():
-        dump_json(svm.to_dict(), out_dir / "svm" / f"{variant}_{kind}.json")
-
-    clip_stds = {"pos": [], "neg": []}
-    frames, correct = Counter(), Counter()  # per side, and per (SVM kind, side)
-    rate_pairs = ([], [])
-    for video, side, outputs, clip_starts, wave, table in passes["test"]:
-        write_waveform(wave, wave_dir / f"{video.name}.csv")
-        if not clip_stds[side]:  # the first test video of its side
-            _dump_plot_data(cfg, out_dir / "plots", variant, side, wave)
-        clip_stds[side].extend(float(out.std()) for out in outputs)
-
-        centers = table.starts_s + cfg.feature_window_s / 2.0
-        frame_labels = np.full(len(video.trace), LIVE if side == "pos" else ANOMALOUS)
-        frames[side] += frame_labels.size
-        for kind, svm in svms.items():
-            correct[kind, side] += frame_accuracy(predict(svm, table.matrix)[0], centers,
-                                                  frame_labels, cfg.fps,
-                                                  window_s=cfg.feature_window_s)[0]
-
-        if side == "pos":
-            # the rate input is the standardized stitch, as `infer_video` gives
-            rate_pairs[0].append(_rates(cfg, Waveform(
-                stitch_overlap_add(standardize_rows(outputs), clip_starts, len(wave)),
-                wave.fps)))
-            rate_pairs[1].append(rate_truth[video.name])
-
-    rates_report = error_metrics(np.concatenate(rate_pairs[0]),
-                                 np.concatenate(rate_pairs[1]))
-    snr = test_x[:, FEATURE_NAMES.index("snr_db")]
-    pos_snr = _median(snr[test_y == LIVE])
-    neg_snr = _median(snr[test_y == ANOMALOUS])
-    pos_std = _median(clip_stds["pos"])
-    neg_std = _median(clip_stds["neg"])
+    sides = {side: [r for r in test if r.side == side] for side in ("pos", "neg")}
+    snr, std, frames, correct = {}, {}, {}, Counter()  # correct per (SVM kind, side)
+    for side, records in sides.items():
+        snr[side] = float(np.median(np.concatenate(
+            [r.table.matrix[:, FEATURE_NAMES.index("snr_db")] for r in records])))
+        std[side] = float(np.median([float(out.std()) for r in records for out in r.outputs]))
+        frames[side] = sum(len(r.video.trace) for r in records)
+        for r in records:
+            centers = r.table.starts_s + cfg.feature_window_s / 2.0
+            for kind, svm in svms.items():
+                correct[kind, side] += frame_accuracy(
+                    predict(svm, r.table.matrix)[0], centers,
+                    np.full(len(r.video.trace), _LABELS[side]), cfg.fps,
+                    window_s=cfg.feature_window_s)[0]
+    # the rate input is the standardized stitch, as `infer_video` gives
+    rates = error_metrics(
+        np.concatenate([_rates(cfg, standardized_stitch(r.outputs, r.clip_starts, len(r.wave),
+                                                        r.wave.fps)) for r in sides["pos"]]),
+        np.concatenate([rate_truth[r.video.name] for r in sides["pos"]]))
     total = frames["pos"] + frames["neg"]
     return {
-        "snr_db": {"positive_median": pos_snr, "negative_median": neg_snr,
-                   "gap": pos_snr - neg_snr},
-        "clip_std": {"positive_median": pos_std, "negative_median": neg_std,
-                     "negative_over_positive": neg_std / pos_std if pos_std > 0 else float("inf")},
+        "snr_db": {"positive_median": snr["pos"], "negative_median": snr["neg"],
+                   "gap": snr["pos"] - snr["neg"]},
+        "clip_std": {"positive_median": std["pos"], "negative_median": std["neg"],
+                     "negative_over_positive": std["neg"] / std["pos"] if std["pos"] > 0
+                     else float("inf")},
         **{kind: {"positive_frame_accuracy": correct[kind, "pos"] / frames["pos"],
                   "negative_frame_accuracy": correct[kind, "neg"] / frames["neg"],
                   "combined_frame_accuracy": (correct[kind, "pos"] + correct[kind, "neg"]) / total,
                   "frames": total} for kind in svms},
-        "rates": rates_report.to_dict(),
-        "features": {"degenerate_windows": degenerate},
-    }
+        "rates": rates.to_dict(),
+        "features": {"degenerate_windows": {
+            side: sum(int(r.table.degenerate.sum()) for r in val + test if r.side == side)
+            for side in ("pos", "neg")}},
+    }, svms
 
 
 def _evaluate_baseline(cfg, name, test_pos, rate_truth, out_dir):
@@ -537,48 +537,38 @@ def _dump_plot_data(cfg, plot_dir, variant, side, wave):
     starts, stack = feature_windows(wave.samples, wave.fps, cfg.feature_window_s,
                                     cfg.feature_stride_s)
     power, in_band = psd_rows(stack, wave.fps, cfg.nfft)
-    matrix = power[:, in_band]
     with open(plot_dir / f"periodogram_{variant}_{side}.csv", "w") as fh:
         fh.write(",".join(repr(start / wave.fps) for start in starts) + "\n")
-        for row in matrix.T.tolist():
+        for row in power[:, in_band].T.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
-    seg_len = int(round(6.0 * wave.fps))
     with open(plot_dir / f"waveform_{variant}_{side}.csv", "w") as fh:
         fh.write("t,value\n")
-        for i in range(min(seg_len, len(wave))):
+        for i in range(min(int(round(6.0 * wave.fps)), len(wave))):  # the first 6 s
             fh.write(f"{i / wave.fps!r},{float(wave.samples[i])!r}\n")
 
 
 def _format_tables(cfg: ExperimentConfig, report: dict) -> str:
-    lines = []
-    lines.append("pulsegate experiment report (fully synthetic desk-scale data;")
-    lines.append("numbers are not comparable to any real-video benchmark)")
-    lines.append("")
-    lines.append("Anomaly detection: combined frame accuracy (%)")
-    header = f"{'classifier':12s}" + "".join(f"{v:>18s}" for v in cfg.variants)
-    lines.append(header)
+    variants = report["variants"]
+    lines = ["pulsegate experiment report (fully synthetic desk-scale data;",
+             "numbers are not comparable to any real-video benchmark)", "",
+             "Anomaly detection: combined frame accuracy (%)",
+             f"{'classifier':12s}" + "".join(f"{v:>18s}" for v in cfg.variants)]
     for kind in ("one_class", "two_class"):
-        row = f"{kind:12s}"
-        for variant in cfg.variants:
-            acc = report["variants"][variant][kind]["combined_frame_accuracy"]
-            row += f"{100 * acc:17.2f}%"
-        lines.append(row)
-    lines.append("")
-    lines.append("Hallucination metrics (median in-band SNR of predictions, dB)")
-    lines.append(f"{'variant':20s}{'positives':>12s}{'negatives':>12s}{'std ratio':>12s}")
+        lines.append(f"{kind:12s}" + "".join(
+            f"{100 * variants[v][kind]['combined_frame_accuracy']:17.2f}%" for v in cfg.variants))
+    lines += ["", "Hallucination metrics (median in-band SNR of predictions, dB)",
+              f"{'variant':20s}{'positives':>12s}{'negatives':>12s}{'std ratio':>12s}"]
     for variant in cfg.variants:
-        m = report["variants"][variant]
+        m = variants[variant]
         lines.append(f"{variant:20s}{m['snr_db']['positive_median']:12.2f}"
                      f"{m['snr_db']['negative_median']:12.2f}"
                      f"{m['clip_std']['negative_over_positive']:12.3f}")
-    lines.append("")
-    lines.append("Pulse-rate estimation on held-out positives (bpm)")
-    lines.append(f"{'method':20s}{'ME':>9s}{'MAE':>9s}{'RMSE':>9s}{'r':>9s}")
-    rows = [(f"model[{v}]", report["variants"][v]["rates"]) for v in cfg.variants]
+    lines += ["", "Pulse-rate estimation on held-out positives (bpm)",
+              f"{'method':20s}{'ME':>9s}{'MAE':>9s}{'RMSE':>9s}{'r':>9s}"]
+    rows = [(f"model[{v}]", variants[v]["rates"]) for v in cfg.variants]
     rows += [(b, report["baselines"][b]["rates"]) for b in cfg.baselines]
     for name, rates in rows:
         r_text = "n/a" if rates["pearson_r"] is None else f"{rates['pearson_r']:.3f}"
         lines.append(f"{name:20s}{rates['me_bpm']:9.3f}{rates['mae_bpm']:9.3f}"
                      f"{rates['rmse_bpm']:9.3f}{r_text:>9s}")
-    lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"

@@ -55,7 +55,7 @@ class SceneConfig:
                 raise InvalidInputError("hr_trajectory must be a list of finite [time_s, bpm] "
                                         "knots with strictly increasing times")
         lo, hi = np.min(self.hr_bpm_knots()[1]), np.max(self.hr_bpm_knots()[1])
-        if lo < 40.0 or hi > 240.0:
+        if not 40.0 <= lo <= hi <= 240.0:
             raise InvalidInputError("hr trajectory must stay within [40, 240] bpm")
         if not (0.0 <= self.dicrotic_ratio <= 1.0):
             raise InvalidInputError(f"dicrotic_ratio ({self.dicrotic_ratio:g}) must be in [0, 1]")

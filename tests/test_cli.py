@@ -122,6 +122,15 @@ class TestSynth:
         assert "duration_s (16) at fps (1e+300) makes 1.6e+301 frames" in capsys.readouterr().err
         assert not (tmp_path / "pos.bin").exists()
 
+    def test_nan_heart_rate_rejected(self, tmp_path, capsys):
+        # NaN fails every comparison, so the range check must be one that NaN fails
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**SCENE, "hr_trajectory": float("nan")}))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert "hr trajectory must stay within [40, 240] bpm" in capsys.readouterr().err
+        assert not (tmp_path / "pos.bin").exists()
+
     def test_env_seed_override(self, workdir, monkeypatch):
         scene_path = workdir / "scene.json"
         monkeypatch.setenv("PULSEGATE_SEED", "99")
@@ -549,6 +558,27 @@ class TestTrain:
                             r"at step \d+\n", capsys.readouterr().err)
         assert not (tmp_path / "model.json").exists()
 
+    # a positive is a sample with a ground truth: a manifest entry whose two
+    # keys disagree is rejected before training, by its cube's name
+    @pytest.mark.parametrize("positive, gt", [(False, "gt.csv"), (True, None)])
+    def test_manifest_positive_must_agree_with_gt(self, workdir, tmp_path, capsys, positive, gt):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("pos.bin", "pos.json", "gt.csv", "neg.bin", "neg.json"):
+            (corpus / name).write_bytes((workdir / name).read_bytes())
+        dump_json({"samples": [{"cube": "pos.bin", "gt": "gt.csv", "positive": True},
+                               {"cube": "neg.bin", "gt": gt, "positive": positive}]},
+                  corpus / "manifest.json")
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "batch_size": 2, "steps": 2,
+                                         "estimator": {"filters": 2, "kernel_len": 11}}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: corpus sample 'neg.bin': \"positive\" is {json.dumps(positive)} "
+            f"but \"gt\" is {json.dumps(gt)}\n")
+        assert not (tmp_path / "model.json").exists()
+
     def test_zero_steps_rejected(self, tmp_path, capsys):
         train_cfg = tmp_path / "train.json"
         train_cfg.write_text(json.dumps({"clip_len": 150, "steps": 0}))
@@ -746,6 +776,34 @@ class TestExperiment:
                            for p in out.rglob("*") if p.is_file()}
         assert "corpus/manifest.json" in trees["plain"]
         assert trees["plain"] == trees["pickled"]
+
+    def test_scorer_writes_no_file(self, tmp_path, monkeypatch):
+        # each variant's passes, caught as the study hands them to the scorer in-process
+        calls, score, workers = [], experiment.score_passes, experiment._workers
+        monkeypatch.setattr(experiment, "score_passes",
+                            lambda *args: calls.append(args) or score(*args))
+        monkeypatch.setattr(experiment, "_workers", lambda count: workers(1))
+        cfg = experiment.ExperimentConfig.from_dict(
+            json.loads(Path("configs/smoke.json").read_text()))
+        out = tmp_path / "run"
+        experiment.run_experiment(cfg, out)
+        report = json.loads((out / "report.json").read_text())
+        tree = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert len(calls) == len(cfg.variants)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        for variant, args in zip(cfg.variants, calls):
+            metrics, svms = score(*args)
+            assert json.loads(json.dumps(metrics)) == {
+                key: value for key, value in report["variants"][variant].items()
+                if key != "validation"}
+            # the SVMs it returns are the ones the study wrote
+            for kind, svm in svms.items():
+                assert json.loads(json.dumps(svm.to_dict())) == json.loads(
+                    (out / "svm" / f"{variant}_{kind}.json").read_text())
+        assert list(empty.iterdir()) == []
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == tree
 
     def test_plot_times_exact_at_30_fps(self, tmp_path):
         # 24 s scenes at 30 fps: (720 - 300) frames is 7 strides of 60

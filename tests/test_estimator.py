@@ -15,6 +15,7 @@ from pulsegate.estimator import (
     backward,
     clip_predictions,
     infer_video,
+    standardized_stitch,
     train,
 )
 from pulsegate.losses import LossSpec, combined_loss
@@ -384,12 +385,12 @@ class TestTrain:
         for i in range(n_pos):
             trace, truth = tone_trace(fps=fps, duration_s=duration,
                                       hr_bpm=66.0 + 6 * i, seed=i, noise=2.0)
-            corpus.append((trace, truth, True))
+            corpus.append((trace, truth))
         for i in range(n_neg):
             cube, _ = tone_cube(fps=fps, duration_s=duration, seed=100 + i)
             kind = ("normal", "uniform", "shuffle")[i % 3]
             negative = make_negative(cube, NegativeTransform(kind=kind, seed=i))
-            corpus.append((spatial_mean_trace(negative), None, False))
+            corpus.append((spatial_mean_trace(negative), None))
         return corpus
 
     def test_determinism(self):
@@ -403,7 +404,7 @@ class TestTrain:
 
     def test_mix_zero_ignores_negatives_bitwise(self):
         corpus = self.small_corpus()
-        positives_only = [s for s in corpus if s[2]]
+        positives_only = [s for s in corpus if s[1] is not None]
         cfg = TrainConfig(clip_len=150, batch_size=2, steps=20, seed=12,
                           loss=LossSpec(negative_loss="std"), negative_mix=0.0)
         model_a, _, _ = train(cfg, corpus)
@@ -422,13 +423,24 @@ class TestTrain:
     def test_no_negative_loss_never_draws_negatives(self):
         # default negative_mix (0.5) with the default negative_loss "none"
         corpus = self.small_corpus()
-        positives_only = [s for s in corpus if s[2]]
+        positives_only = [s for s in corpus if s[1] is not None]
         cfg = TrainConfig(clip_len=150, batch_size=2, steps=10, seed=16)
         assert cfg.negative_mix == 0.5 and cfg.loss.negative_loss == "none"
         model_a, hist_a, _ = train(cfg, positives_only, val_corpus=positives_only)
         model_b, hist_b, _ = train(cfg, corpus, val_corpus=corpus)
         np.testing.assert_array_equal(model_a.flat, model_b.flat)
         assert hist_a == hist_b
+
+    def test_target_of_another_length_rejected(self):
+        # a sample with a target is a positive, and its target covers its frames
+        corpus = self.small_corpus(n_pos=2, n_neg=1)
+        trace, truth = corpus[0]
+        corpus[0] = (trace, Waveform(truth.samples[:-1], truth.fps))
+        cfg = TrainConfig(clip_len=150, steps=2)
+        with pytest.raises(InvalidInputError, match="target waveform of their own length"):
+            train(cfg, corpus)
+        with pytest.raises(InvalidInputError, match="target waveform of their own length"):
+            train(cfg, self.small_corpus(n_pos=1, n_neg=0), val_corpus=corpus)
 
     def test_missing_negatives_rejected(self):
         corpus = [s for s in self.small_corpus(n_neg=0)]
@@ -515,8 +527,7 @@ class TestTrain:
         # a constant negative clip standardizes to zeros, so its prediction is
         # the constant bias: the spectral loss has no in-band energy to score
         corpus = [s for s in self.small_corpus(n_neg=0)]
-        corpus.append((spatial_mean_trace(VideoCube(np.full((360, 6, 6, 3), 0.5), 30.0)),
-                       None, False))
+        corpus.append((spatial_mean_trace(VideoCube(np.full((360, 6, 6, 3), 0.5), 30.0)), None))
         cfg = TrainConfig(clip_len=150, batch_size=4, steps=5, seed=18,
                           loss=LossSpec(negative_loss="spectral_entropy", nfft=512),
                           negative_mix=0.5)
@@ -589,8 +600,13 @@ class TestInference:
         trace, _ = tone_trace(duration_s=10.0)
         n = len(trace)
         outputs, starts = clip_predictions(model, trace, clip_len=150, overlap=0.5)
-        standardized = standardize_rows(outputs)
-        np.testing.assert_array_equal(stitch_overlap_add(standardized, starts, n),
+        # the standardized stitch is the per-clip standardized overlap-add, and
+        # it is what `infer_video` returns
+        stitched = standardized_stitch(outputs, starts, n, trace.fps)
+        assert stitched.fps == trace.fps
+        np.testing.assert_array_equal(stitched.samples,
+                                      stitch_overlap_add(standardize_rows(outputs), starts, n))
+        np.testing.assert_array_equal(stitched.samples,
                                       infer_video(model, trace, 150, overlap=0.5).samples)
         # one clip spanning the video: the raw stitch is the forward pass itself
         outputs, starts = clip_predictions(model, trace, clip_len=n)

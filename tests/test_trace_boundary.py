@@ -3,6 +3,10 @@
 Only the modules that make, read or write cubes name `VideoCube`, and a cube
 becomes a trace at three places only: where the study builds its corpora and
 where the CLI reads a cube to estimate from or a corpus to train on.
+
+Clip standardization is the estimator's decision: outside it, rows are
+standardized only by `signal_core.standardize`, so the study reads its rate
+input from `estimator.standardized_stitch` and does not rebuild it.
 """
 
 import ast
@@ -51,3 +55,11 @@ def test_spatial_mean_trace_is_called_only_at_the_boundary():
     sites = [(stem, function) for stem, tree in modules().items()
              for function in calling_functions(tree, "spatial_mean_trace")]
     assert sorted(sites) == sorted(TRACE_SITES)
+
+
+def test_standardize_rows_is_called_only_in_the_estimator():
+    sites = {(stem, function) for stem, tree in modules().items()
+             for function in calling_functions(tree, "standardize_rows")}
+    assert any(stem == "estimator" for stem, _ in sites)  # the search sees a use
+    assert sorted(site for site in sites if site[0] != "estimator") == [
+        ("signal_core", "standardize")]

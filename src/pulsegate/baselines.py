@@ -1,7 +1,7 @@
 """Classical color-transformation pulse estimators: GREEN, CHROM and POS.
 
-All three take the spatially averaged RGB `Trace` of a video and reject one
-of another channel count.  CHROM and POS process overlapping short windows
+All three take the spatially averaged RGB `Trace` of a video, which is
+(T, 3) by construction.  CHROM and POS process overlapping short windows
 whose outputs are stitched by Hann-weighted overlap-add, following the
 original chrominance / plane-orthogonal-to-skin formulations.
 """
@@ -16,17 +16,9 @@ from .signal_core import Trace, Waveform, standardize, stitch_overlap_add, windo
 CHROM_POS_WINDOW_S = 1.6
 
 
-def _rgb(trace: Trace) -> np.ndarray:
-    """The (T, 3) values of a colour trace."""
-    if trace.values.shape[1] != 3:
-        raise InvalidInputError(
-            f"color baselines need a 3-channel trace, not {trace.values.shape[1]}")
-    return trace.values
-
-
 def estimate_green(trace: Trace) -> Waveform:
     """Green-channel estimator; darker green (more absorption) maps to positive pulse."""
-    return standardize(Waveform(-_rgb(trace)[:, 1], trace.fps))
+    return standardize(Waveform(-trace.values[:, 1], trace.fps))
 
 
 def _windowed_projection(trace: Trace, project) -> Waveform:
@@ -36,7 +28,7 @@ def _windowed_projection(trace: Trace, project) -> Waveform:
     or None when the window is degenerate (zero projection variance or
     non-positive channel means); degenerate windows contribute zeros.
     """
-    values, total = _rgb(trace), len(trace)
+    values, total = trace.values, len(trace)
     length = max(int(round(CHROM_POS_WINDOW_S * trace.fps)), 2)
     if total < length:
         raise InvalidInputError(

@@ -33,9 +33,11 @@ from .fileio import (
     dump_json,
     read_cube,
     read_features,
+    read_json,
     read_waveform,
     write_cube,
     write_features,
+    write_table,
     write_waveform,
 )
 from .signal_core import (
@@ -51,14 +53,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_json(path):
-    with open(path) as fh, parsing(path):
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise InvalidInputError(f"{path} must hold a JSON object")
-    return payload
-
-
 def _env_seed() -> dict:
     """The seed that PULSEGATE_SEED sets, as a config entry: empty when it is unset."""
     env = os.environ.get("PULSEGATE_SEED")
@@ -67,7 +61,7 @@ def _env_seed() -> dict:
 
 
 def cmd_synth(args):
-    payload = _load_json(args.config)
+    payload = read_json(args.config)
     negative = payload.pop("negative", {})
     scene = from_json(SceneConfig, {**payload, **_env_seed()}, "scene config")
     with parsing("section 'negative'"):
@@ -90,7 +84,7 @@ def cmd_estimate(args):
     if args.method == "model":
         if not args.model:
             raise InvalidInputError("--model is required for --method model")
-        model = ToyEstimator.from_dict(_load_json(args.model))
+        model = ToyEstimator.from_dict(read_json(args.model))
         clip_len = min(args.clip_len, len(trace))
         wave = infer_video(model, trace, clip_len, overlap=args.overlap)
     else:
@@ -106,7 +100,7 @@ def cmd_estimate(args):
 
 def _read_corpus_dir(corpus_dir):
     corpus_dir = Path(corpus_dir)
-    manifest = _load_json(corpus_dir / "manifest.json")
+    manifest = read_json(corpus_dir / "manifest.json")
     samples = []
     with parsing(corpus_dir / "manifest.json"):
         for entry in manifest["samples"]:
@@ -121,7 +115,7 @@ def _read_corpus_dir(corpus_dir):
 
 
 def cmd_train(args):
-    payload = _load_json(args.config)
+    payload = read_json(args.config)
     estimator = payload.pop("estimator", {})
     check_keys(estimator, {"filters", "kernel_len", "init_scale"}, "section 'estimator'")
     cfg = from_json(TrainConfig, {**payload, **_env_seed()}, "train config")
@@ -163,13 +157,11 @@ def cmd_classify_fit(args):
 
 
 def cmd_classify_predict(args):
-    model = SvmModel.from_dict(_load_json(args.model))
+    model = SvmModel.from_dict(read_json(args.model))
     t_starts, matrix, _ = read_features(args.infile)
     labels, decisions = predict(model, matrix)
-    with open(args.out, "w") as fh:
-        fh.write("t_start,decision,label\n")
-        for t0, value, label in zip(t_starts, decisions, labels):
-            fh.write(f"{float(t0)!r},{float(value)!r},{int(label)}\n")
+    write_table(args.out, ["t_start", "decision", "label"],
+                zip(t_starts.tolist(), decisions.tolist(), labels.tolist()))
     live = int((labels == LIVE).sum())
     print(f"wrote {args.out} ({live}/{len(labels)} windows classified live)")
     return EXIT_OK
@@ -210,7 +202,7 @@ def cmd_pulse_rate(args):
 
 
 def cmd_experiment(args):
-    cfg = ExperimentConfig.from_dict({**_load_json(args.config), **_env_seed()})
+    cfg = ExperimentConfig.from_dict({**read_json(args.config), **_env_seed()})
     if args.dry_run:
         print("config ok")
         return EXIT_OK

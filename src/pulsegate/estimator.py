@@ -3,7 +3,7 @@
 The model maps the spatial-mean RGB `Trace` of a clip through two temporal
 convolutions (tanh between them) with edge-replication padding, so a
 temporally constant input produces a constant output with no boundary
-transients.  Training steps, validation and inference each run one (B, C, T)
+transients.  Training steps, validation and inference each run one (B, 3, T)
 stack of clips through FFT convolutions (Mathieu, Henaff & LeCun, ICLR 2014).
 A linear convolution of T samples with k taps has T + k - 1 output samples,
 so FFTs of that length (rounded up to a 5-smooth size) hold the forward
@@ -36,10 +36,10 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 @dataclass
 class ToyEstimator:
-    """Two temporal convolutions: C_in -> filters (tanh) -> 1 (linear).
+    """Two temporal convolutions: R, G, B -> filters (tanh) -> 1 (linear).
     The four parameter arrays are views into one flat vector, `flat`."""
 
-    w1: np.ndarray  # (filters, in_channels, kernel_len); `init` builds 3 channels, R, G, B
+    w1: np.ndarray  # (filters, 3, kernel_len)
     b1: np.ndarray  # (filters,)
     w2: np.ndarray  # (1, filters, kernel_len)
     b2: np.ndarray  # (1,)
@@ -48,8 +48,8 @@ class ToyEstimator:
 
     def __post_init__(self):
         filters = np.shape(self.w1)[0]
-        for name, shape in (("b1", (filters,)), ("w2", (1, filters, np.shape(self.w2)[-1])),
-                            ("b2", (1,))):
+        for name, shape in (("w1", (filters, 3, np.shape(self.w1)[-1])), ("b1", (filters,)),
+                            ("w2", (1, filters, np.shape(self.w2)[-1])), ("b2", (1,))):
             if np.shape(getattr(self, name)) != shape:
                 raise InvalidInputError(f"{name} has shape {np.shape(getattr(self, name))}; "
                                         f"{filters} filters need {shape}")
@@ -81,10 +81,6 @@ class ToyEstimator:
                    b2=np.zeros(1),
                    activation=activation)
 
-    @property
-    def in_channels(self) -> int:
-        return self.w1.shape[1]
-
     def split(self, flat: np.ndarray) -> dict:
         """Views of a parameter-sized flat vector, keyed and shaped like the parameters."""
         views, offset = {}, 0
@@ -99,7 +95,7 @@ class ToyEstimator:
         return ToyEstimator(self.w1, self.b1, self.w2, self.b2, self.activation)
 
     def to_dict(self):
-        return {"filters": self.w1.shape[0], "in_channels": self.in_channels,
+        return {"filters": self.w1.shape[0], "in_channels": 3,
                 "kernel_len1": self.w1.shape[2], "kernel_len2": self.w2.shape[2],
                 "activation": self.activation,
                 "w1": list(map(float, self.w1.ravel())),
@@ -180,7 +176,7 @@ def _fft_conv_input_grad(weights: np.ndarray, upstream: np.ndarray, spectra=None
 
 
 def _forward(model: ToyEstimator, x: np.ndarray):
-    """Forward pass on a standardized (B, C, T) stack: (B, T) outputs and the
+    """Forward pass on a standardized (B, 3, T) stack: (B, T) outputs and the
     intermediates `_backward` reads."""
     pre, spectrum1, _ = _fft_conv(x, model.w1, model.b1)
     hidden = np.tanh(pre) if model.activation == "tanh" else pre
@@ -205,16 +201,8 @@ def _backward(model: ToyEstimator, cache, upstream: np.ndarray) -> np.ndarray:
                            upstream.sum(axis=(0, 2))])
 
 
-def _trace(model: ToyEstimator, trace: Trace) -> np.ndarray:
-    """The (C, T) values of a trace, checked against the model."""
-    if trace.values.shape[1] != model.in_channels:
-        raise InvalidInputError(
-            f"clip has {trace.values.shape[1]} channels, model expects {model.in_channels}")
-    return trace.values.T
-
-
 def _crops(traces, starts, clip_len: int) -> np.ndarray:
-    """Standardized (B, C, clip_len) stack of crops of (C, T) traces."""
+    """Standardized (B, 3, clip_len) stack of crops of (3, T) traces."""
     return standardize_rows(np.stack([trace[:, start:start + clip_len]
                                       for trace, start in zip(traces, starts)]))
 
@@ -229,7 +217,7 @@ def backward(model: ToyEstimator, clip: Trace, upstream: np.ndarray):
                                 f"the clip has {len(clip)} frames")
     if not np.all(np.isfinite(upstream)):
         raise InvalidInputError("upstream values must be finite")
-    _, cache = _forward(model, standardize_rows(_trace(model, clip))[None])
+    _, cache = _forward(model, standardize_rows(clip.values.T)[None])
     return model.split(_backward(model, cache, upstream[None]))
 
 
@@ -256,8 +244,8 @@ class TrainConfig:
                 raise InvalidInputError(f"train.{name} ({getattr(self, name):g}) must be finite")
 
 
-def _split_corpus(model: ToyEstimator, corpus, clip_len: int):
-    """Positives and negatives as lists of ((C, T) trace values, target samples
+def _split_corpus(corpus, clip_len: int):
+    """Positives and negatives as lists of ((3, T) trace values, target samples
     or None), plus the frame rate all clips share."""
     positives, negatives = [], []
     fps = None
@@ -272,7 +260,11 @@ def _split_corpus(model: ToyEstimator, corpus, clip_len: int):
         if target is not None and len(target) != n_frames:
             raise InvalidInputError(
                 "positive corpus clips need a target waveform of their own length")
-        trace = np.ascontiguousarray(_trace(model, clip))
+        # not an exact test: a CSV target's fps comes from its rounded times
+        if target is not None and abs(target.fps - fps) * n_frames / fps >= 0.5:
+            raise InvalidInputError(f"a target at {target.fps:g} fps drifts half a frame or "
+                                    f"more from its clip at {fps:g} fps")
+        trace = np.ascontiguousarray(clip.values.T)
         (negatives if target is None else positives).append(
             (trace, None if target is None else target.samples))
     return positives, negatives, fps
@@ -328,7 +320,7 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
     """
     negative_mix = 0.0 if cfg.loss.negative_loss == "none" else cfg.negative_mix
     model = ToyEstimator.init(seed=cfg.seed) if model is None else model.copy()
-    positives, negatives, fps = _split_corpus(model, corpus, cfg.clip_len)
+    positives, negatives, fps = _split_corpus(corpus, cfg.clip_len)
     if not positives:
         raise InvalidInputError("training corpus has no positive samples")
     if negative_mix > 0 and not negatives:
@@ -336,7 +328,7 @@ def train(cfg: TrainConfig, corpus, val_corpus=None, model: ToyEstimator = None)
 
     validation = None
     if val_corpus:
-        val_pos, val_neg, val_fps = _split_corpus(model, val_corpus, cfg.clip_len)
+        val_pos, val_neg, val_fps = _split_corpus(val_corpus, cfg.clip_len)
         if not val_pos:
             raise InvalidInputError("validation corpus has no positive samples")
         val_samples = val_pos + (val_neg if negative_mix > 0 else [])
@@ -399,8 +391,7 @@ def clip_predictions(model: ToyEstimator, video: Trace, clip_len: int,
         raise InvalidInputError("overlap must be in [0, 1)")
     hop = max(int(round(clip_len * (1.0 - overlap))), 1)
     starts = window_starts(n_frames, clip_len, hop)
-    trace = _trace(model, video)
-    outputs, _ = _forward(model, _crops([trace] * len(starts), starts, clip_len))
+    outputs, _ = _forward(model, _crops([video.values.T] * len(starts), starts, clip_len))
     return outputs, starts
 
 

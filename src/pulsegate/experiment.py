@@ -39,6 +39,7 @@ from .fileio import (
     sha256_file,
     write_cube,
     write_features,
+    write_table,
     write_waveform,
 )
 from .losses import LossSpec
@@ -117,7 +118,6 @@ class ExperimentConfig:
     rate_window_s: float = 10.0
     rate_stride_frames: int = 1
     rate_resample_fps: float = 90.0
-    nfft: int = 5400
     baselines: tuple = ("green", "chrom", "pos")
 
     @classmethod
@@ -142,7 +142,7 @@ class ExperimentConfig:
             source = payload.get(section, {}) if section else payload
             if key in source:
                 values[name] = source[key]
-        cfg = from_json(cls, values, "experiment config", nfft=loss.nfft)
+        cfg = from_json(cls, values, "experiment config")
         # training takes the experiment's seed unless the section sets its own
         cfg.train_cfg = from_json(TrainConfig, {"seed": cfg.seed, **train}, "section 'train'",
                                   loss=loss)
@@ -201,7 +201,8 @@ class ExperimentConfig:
                 f"{self.feature_window_s:g} s) is not a whole number of "
                 f"feature_stride_s ({self.feature_stride_s:g} s) strides")
         resample = check_fps(self.rate_resample_fps, "rate_eval.resample_fps")
-        rate_window(self.rate_window_s, self.rate_stride_frames, resample, self.nfft, "rate_eval.")
+        rate_window(self.rate_window_s, self.rate_stride_frames, resample,
+                    self.train_cfg.loss.nfft, "rate_eval.")
         # rates come from scenes resampled over their span of (frames - 1) / fps
         if self.rate_window_s > (frames - 1) / self.fps:
             raise InvalidInputError(
@@ -325,7 +326,7 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, lis
 def _rates(cfg: ExperimentConfig, wave: Waveform) -> np.ndarray:
     """Windowed pulse rates (bpm) of a waveform resampled to the rate-evaluation fps."""
     return pulse_rate(resample_cubic(wave, cfg.rate_resample_fps), cfg.rate_window_s,
-                      cfg.rate_stride_frames, cfg.nfft).bpm
+                      cfg.rate_stride_frames, cfg.train_cfg.loss.nfft).bpm
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -411,10 +412,7 @@ def _train_variant(cfg, variant, train_videos, val_videos, out_dir):
                           for videos in (train_videos, val_videos))
     model, history, validation = train(train_cfg, corpus, val_corpus=val_corpus, model=init)
     dump_json(model.to_dict(), out_dir / "models" / f"model_{variant}.json")
-    with open(out_dir / "models" / f"history_{variant}.csv", "w") as fh:
-        fh.write("step,loss\n")
-        for i, value in enumerate(history):
-            fh.write(f"{i},{float(value)!r}\n")
+    write_table(out_dir / "models" / f"history_{variant}.csv", ["step", "loss"], enumerate(history))
     return model, validation
 
 
@@ -443,7 +441,8 @@ def _video_pass(cfg, model, video) -> VideoPass:
                                             overlap=0.5)
     wave = Waveform(stitch_overlap_add(outputs, clip_starts, len(video.trace)), video.trace.fps)
     return VideoPass(video, outputs, clip_starts, wave,
-                     extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s, cfg.nfft))
+                     extract_features(wave, cfg.feature_window_s, cfg.feature_stride_s,
+                                      cfg.train_cfg.loss.nfft))
 
 
 def _stack(passes):
@@ -536,15 +535,12 @@ def _dump_plot_data(cfg, plot_dir, variant, side, wave):
     """Periodogram matrix and waveform segment of one test video, as plain CSV."""
     starts, stack = feature_windows(wave.samples, wave.fps, cfg.feature_window_s,
                                     cfg.feature_stride_s)
-    power, in_band = psd_rows(stack, wave.fps, cfg.nfft)
-    with open(plot_dir / f"periodogram_{variant}_{side}.csv", "w") as fh:
-        fh.write(",".join(repr(start / wave.fps) for start in starts) + "\n")
-        for row in power[:, in_band].T.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
-    with open(plot_dir / f"waveform_{variant}_{side}.csv", "w") as fh:
-        fh.write("t,value\n")
-        for i in range(min(int(round(6.0 * wave.fps)), len(wave))):  # the first 6 s
-            fh.write(f"{i / wave.fps!r},{float(wave.samples[i])!r}\n")
+    power, in_band = psd_rows(stack, wave.fps, cfg.train_cfg.loss.nfft)
+    write_table(plot_dir / f"periodogram_{variant}_{side}.csv",
+                [start / wave.fps for start in starts], power[:, in_band].T.tolist())
+    # the waveform's first 6 s
+    write_waveform(Waveform(wave.samples[:int(round(6.0 * wave.fps))], wave.fps),
+                   plot_dir / f"waveform_{variant}_{side}.csv")
 
 
 def _format_tables(cfg: ExperimentConfig, report: dict) -> str:

@@ -1,4 +1,8 @@
-"""File formats: waveform CSV/JSON, raw video cube binaries, feature tables."""
+"""File formats: waveform CSV/JSON, raw video cube binaries, feature tables.
+
+Every CSV is written by `write_table` (Python's `csv` dialect: CRLF line
+ends, floats as their shortest round-trip repr), and every JSON object that
+is read goes through `read_json`."""
 
 from __future__ import annotations
 
@@ -23,21 +27,16 @@ def write_waveform(w: Waveform, path) -> None:
     if path.suffix == ".json":
         dump_json({"fps": w.fps, "samples": list(map(float, w.samples))}, path)
         return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        # csv writes a float as its repr
-        writer.writerows(zip([i / w.fps for i in range(len(w))], w.samples.tolist()))
+    write_table(path, ["t", "value"], zip([i / w.fps for i in range(len(w))], w.samples.tolist()))
 
 
 def read_waveform(path) -> Waveform:
     """Read a waveform from `t,value` CSV or `{"fps":..,"samples":[..]}` JSON."""
     path = Path(path)
     if path.suffix == ".json":
-        with open(path) as fh, parsing(path):
-            payload = json.load(fh)
-            return Waveform(np.asarray(payload["samples"], dtype=float),
-                            float(payload["fps"]))
+        payload = read_json(path)
+        with parsing(path):
+            return Waveform(np.asarray(payload["samples"], dtype=float), float(payload["fps"]))
     with open(path, newline="") as fh, parsing(path):
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -74,8 +73,8 @@ def write_cube(v: VideoCube, path) -> None:
 
 def read_cube(path) -> VideoCube:
     path = Path(path)
-    with open(_sidecar_path(path)) as fh, parsing(_sidecar_path(path)):
-        meta = json.load(fh)
+    meta = read_json(_sidecar_path(path))
+    with parsing(_sidecar_path(path)):
         if meta["dtype"] != "f32" or meta["order"] != "THWC":
             raise InvalidInputError(f"{path}: unsupported cube encoding {meta}")
         shape = tuple(int(meta[key]) for key in ("t", "h", "w", "c"))
@@ -89,12 +88,17 @@ def read_cube(path) -> VideoCube:
 def write_features(path, t_starts, matrix, labels=None) -> None:
     """Write a feature table; `matrix` is (n, 8) in FEATURE_COLUMNS order."""
     matrix = np.asarray(matrix, dtype=float)
+    rows = np.column_stack([np.asarray(t_starts, dtype=float), matrix]).tolist()
+    if labels is not None:
+        rows = [row + [int(label)] for row, label in zip(rows, labels)]
+    write_table(path, list(FEATURE_COLUMNS) + (["label"] if labels is not None else []), rows)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the `header` row, then `rows`; `csv` writes a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_COLUMNS) + (["label"] if labels is not None else []))
-        rows = np.column_stack([np.asarray(t_starts, dtype=float), matrix]).tolist()
-        if labels is not None:
-            rows = [row + [int(label)] for row, label in zip(rows, labels)]
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -121,6 +125,15 @@ def read_features(path):
         raise InvalidInputError(f"{path}: label {bad[0]} is neither LIVE ({LIVE}) "
                                 f"nor ANOMALOUS ({ANOMALOUS})")
     return values[:, 0].copy(), values[:, 1:].copy(), labels
+
+
+def read_json(path) -> dict:
+    """The JSON object held in a file; any other JSON value is bad input."""
+    with open(path) as fh, parsing(path):
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object")
+    return payload
 
 
 def dump_json(obj, path) -> None:

@@ -1,5 +1,8 @@
 """Core signal types and transforms: PSD, Hilbert envelope, resampling,
-standardization, and Hann-weighted overlap-add of windowed outputs."""
+standardization, and Hann-weighted overlap-add of windowed outputs.
+
+A video is RGB: a `VideoCube` holds 3 channels and its `Trace` is (T, 3),
+each checked where it is built, so no consumer checks a channel count."""
 
 from __future__ import annotations
 
@@ -61,33 +64,31 @@ class Waveform:
 
 @dataclass(frozen=True)
 class VideoCube:
-    """T x H x W x C intensity volume with frame rate. Channel order is R,G,B for C=3."""
+    """T x H x W x 3 intensity volume with frame rate, channels in R,G,B order."""
 
     data: np.ndarray
     fps: float
 
     def __post_init__(self):
         data = _signal_array(self, "data", "video cube")
-        if data.ndim != 4:
-            raise InvalidInputError("video cube must be a T x H x W x C array")
-        t, h, w, c = data.shape
-        if t < 2 or h < 1 or w < 1 or c not in (1, 3):
-            raise InvalidInputError(f"bad cube shape {data.shape}")
+        if data.ndim != 4 or data.shape[0] < 2 or 0 in data.shape or data.shape[3] != 3:
+            raise InvalidInputError(
+                f"video cube must be a (T, H, W, 3) RGB array with T >= 2, not {data.shape}")
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-frame channel means of a video, shape (T, C): the input of every
-    pulse estimator.  Channel order is R,G,B for C=3."""
+    """Per-frame R, G and B means of a video, shape (T, 3): the input of every
+    pulse estimator."""
 
     values: np.ndarray
     fps: float
 
     def __post_init__(self):
         values = _signal_array(self, "values", "trace")
-        if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] not in (1, 3):
+        if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != 3:
             raise InvalidInputError(
-                f"trace must be a (T, C) array with T >= 2 and C 1 or 3, not {values.shape}")
+                f"trace must be a (T, 3) RGB array with T >= 2, not {values.shape}")
 
     def __len__(self):
         return self.values.shape[0]

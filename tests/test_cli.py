@@ -29,7 +29,8 @@ from pulsegate.fileio import (
     write_features,
     write_waveform,
 )
-from pulsegate.signal_core import VideoCube, Waveform, spatial_mean_trace
+from pulsegate.signal_core import Waveform, spatial_mean_trace
+from pulsegate.synth import SceneConfig, generate_positive
 
 SCENE = {"duration_s": 16.0, "fps": 30.0, "dims": [8, 8], "hr_trajectory": 75.0,
          "pulse_amplitude": 0.02, "dicrotic_ratio": 0.2,
@@ -46,6 +47,14 @@ def workdir(tmp_path_factory):
     assert main(["synth", "--config", str(scene_path),
                  "--out", str(root / "neg.bin"), "--negative", "shuffle"]) == 0
     return root
+
+
+def write_gray_cube(path, frames, seed):
+    """A cube file of 1 channel, written by hand: `VideoCube` builds only RGB."""
+    data = np.random.default_rng(seed).uniform(0.3, 0.7, (frames, 4, 4, 1))
+    path.write_bytes(data.astype("<f4").tobytes())
+    dump_json({"t": frames, "h": 4, "w": 4, "c": 1, "fps": 30.0, "dtype": "f32",
+               "order": "THWC"}, path.with_suffix(".json"))
 
 
 def main_within(argv, timeout_s=60.0):
@@ -184,12 +193,36 @@ class TestEstimate:
 
     @pytest.mark.parametrize("method", ["green", "chrom", "pos"])
     def test_one_channel_cube_rejected_by_color_baselines(self, tmp_path, capsys, method):
-        cube = VideoCube(np.random.default_rng(1).uniform(0.3, 0.7, (90, 4, 4, 1)), 30.0)
-        write_cube(cube, tmp_path / "gray.bin")
+        write_gray_cube(tmp_path / "gray.bin", 90, seed=1)
         code = main(["estimate", "--method", method, "--in", str(tmp_path / "gray.bin"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert capsys.readouterr().err == "error: color baselines need a 3-channel trace, not 1\n"
+        assert capsys.readouterr().err == (
+            "error: video cube must be a (T, H, W, 3) RGB array with T >= 2, "
+            "not (90, 4, 4, 1)\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_one_channel_cube_rejected_by_model(self, tmp_path, capsys):
+        write_gray_cube(tmp_path / "gray.bin", 90, seed=1)
+        dump_json(ToyEstimator.init(filters=2, kernel_len=5).to_dict(), tmp_path / "model.json")
+        code = main(["estimate", "--method", "model", "--model", str(tmp_path / "model.json"),
+                     "--in", str(tmp_path / "gray.bin"), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: video cube must be a (T, H, W, 3) RGB array with T >= 2, "
+            "not (90, 4, 4, 1)\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_model_of_one_channel_rejected(self, workdir, tmp_path, capsys):
+        # the file's own arrays agree with its in_channels of 1
+        payload = ToyEstimator.init(filters=2, kernel_len=5).to_dict()
+        payload.update(in_channels=1, w1=payload["w1"][:10])
+        dump_json(payload, tmp_path / "model.json")
+        code = main(["estimate", "--method", "model", "--model", str(tmp_path / "model.json"),
+                     "--in", str(workdir / "pos.bin"), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: w1 has shape (2, 1, 5); 2 filters need (2, 3, 5)\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_model_without_path_is_config_error(self, workdir):
@@ -610,8 +643,7 @@ class TestTrain:
     def test_one_channel_corpus_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        cube = VideoCube(np.random.default_rng(2).uniform(0.3, 0.7, (300, 4, 4, 1)), 30.0)
-        write_cube(cube, corpus / "gray.bin")
+        write_gray_cube(corpus / "gray.bin", 300, seed=2)
         write_waveform(Waveform(np.sin(np.arange(300) / 5.0), 30.0), corpus / "gt.csv")
         dump_json({"samples": [{"cube": "gray.bin", "gt": "gt.csv", "positive": True}]},
                   corpus / "manifest.json")
@@ -620,7 +652,28 @@ class TestTrain:
                                          "estimator": {"filters": 2, "kernel_len": 11}}))
         assert main(["train", "--config", str(train_cfg), "--corpus", str(corpus),
                      "--out", str(tmp_path / "model.json")]) == 2
-        assert capsys.readouterr().err == "error: clip has 1 channels, model expects 3\n"
+        assert capsys.readouterr().err == (
+            "error: video cube must be a (T, H, W, 3) RGB array with T >= 2, "
+            "not (300, 4, 4, 1)\n")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_ground_truth_at_another_frame_rate_rejected(self, tmp_path, capsys):
+        # 360 samples at 15 fps for a 360-frame clip at 30 fps: the lengths agree
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        cube, truth = generate_positive(SceneConfig(
+            duration_s=12.0, fps=30.0, dims=(4, 4), hr_trajectory=75.0, seed=3))
+        write_cube(cube, corpus / "pos.bin")
+        write_waveform(Waveform(truth.samples, 15.0), corpus / "gt.csv")
+        dump_json({"samples": [{"cube": "pos.bin", "gt": "gt.csv", "positive": True}]},
+                  corpus / "manifest.json")
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"clip_len": 150, "batch_size": 2, "steps": 2,
+                                         "estimator": {"filters": 2, "kernel_len": 11}}))
+        assert main(["train", "--config", str(train_cfg), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "model.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: a target at 15 fps drifts half a frame or more from its clip at 30 fps\n")
         assert not (tmp_path / "model.json").exists()
 
     # the estimator key, its bad value, and what stderr must say: the key and the value
@@ -1086,6 +1139,19 @@ class TestExperiment:
         with pytest.raises(ValueError, match="broadcast"):
             main(["experiment", "--config", "configs/smoke.json",
                   "--out", str(tmp_path / "run")])
+
+
+def test_cli_import_loads_neither_multiprocessing_nor_scipy():
+    # the benchmark's setup time is this import in a fresh interpreter
+    code = ("import sys, pulsegate.cli; "
+            "print(sorted({'multiprocessing', 'scipy'} & {m.split('.')[0] for m in sys.modules}))")
+    src = str(Path(pulsegate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_public_names_resolve():

@@ -277,11 +277,13 @@ class TestForward:
                 ToyEstimator(**params)
 
     def test_channel_mismatch_rejected(self):
-        model = ToyEstimator.init(seed=3)
-        cube = VideoCube(np.random.default_rng(0).uniform(0, 1, (64, 4, 4, 1)), 30.0)
-        trace = spatial_mean_trace(cube)
-        with pytest.raises(InvalidInputError):
-            clip_predictions(model, trace, len(trace))
+        # a model and a trace are RGB when they are built, so they cannot disagree
+        model = ToyEstimator.init(filters=8, kernel_len=11, seed=3)
+        with pytest.raises(InvalidInputError, match=r"w1 has shape \(8, 1, 11\); "
+                                                    r"8 filters need \(8, 3, 11\)"):
+            ToyEstimator(**{**model.split(model.flat), "w1": model.w1[:, :1]})
+        with pytest.raises(InvalidInputError, match=r"trace must be a \(T, 3\) RGB array"):
+            Trace(np.random.default_rng(0).uniform(0, 1, (64, 1)), 30.0)
 
     def test_edge_padding_regression_no_inband_energy(self):
         # a temporally constant video must not acquire an artificial temporal
@@ -440,6 +442,21 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="target waveform of their own length"):
             train(cfg, corpus)
         with pytest.raises(InvalidInputError, match="target waveform of their own length"):
+            train(cfg, self.small_corpus(n_pos=1, n_neg=0), val_corpus=corpus)
+
+    @pytest.mark.parametrize("target_fps", [30.045, 15.0])
+    def test_target_frame_rate_checked(self, target_fps):
+        # 360 frames: a target at 30.04 fps ends 0.48 frames off its clip, at 30.045 fps 0.54
+        corpus = self.small_corpus(n_pos=2, n_neg=0)
+        trace, truth = corpus[0]
+        cfg = TrainConfig(clip_len=150, batch_size=2, steps=2)
+        corpus[0] = (trace, Waveform(truth.samples, 30.04))
+        train(cfg, corpus)
+        corpus[0] = (trace, Waveform(truth.samples, target_fps))
+        message = f"a target at {target_fps:g} fps drifts half a frame or more"
+        with pytest.raises(InvalidInputError, match=message):
+            train(cfg, corpus)
+        with pytest.raises(InvalidInputError, match=message):
             train(cfg, self.small_corpus(n_pos=1, n_neg=0), val_corpus=corpus)
 
     def test_missing_negatives_rejected(self):

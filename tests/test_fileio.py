@@ -62,7 +62,7 @@ def test_cube_round_trip(tmp_path):
 
 def test_cube_payload_size_checked(tmp_path):
     rng = np.random.default_rng(2)
-    cube = VideoCube(rng.uniform(0, 1, (4, 2, 2, 1)), 10.0)
+    cube = VideoCube(rng.uniform(0, 1, (4, 2, 2, 3)), 10.0)
     path = tmp_path / "cube.bin"
     write_cube(cube, path)
     path.write_bytes(path.read_bytes()[:-4])
@@ -72,9 +72,9 @@ def test_cube_payload_size_checked(tmp_path):
 
 @pytest.mark.parametrize("sidecar", ["[1]", '{"dtype": "f32", "order": "THWC", "t": 4}',
                                      '{"dtype": "f32", "order": "THWC", "t": "four", '
-                                     '"h": 2, "w": 2, "c": 1, "fps": 10}', "{"])
+                                     '"h": 2, "w": 2, "c": 3, "fps": 10}', "{"])
 def test_malformed_sidecar_rejected(tmp_path, sidecar):
-    cube = VideoCube(np.zeros((4, 2, 2, 1)), 10.0)
+    cube = VideoCube(np.zeros((4, 2, 2, 3)), 10.0)
     path = tmp_path / "cube.bin"
     write_cube(cube, path)
     (tmp_path / "cube.json").write_text(sidecar)

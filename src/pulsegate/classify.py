@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, from_json
+from .errors import InvalidInputError, NumericalError, check_positive, from_json
 
 LIVE = 1
 ANOMALOUS = -1
@@ -58,8 +58,7 @@ class SvmModel:
                 raise InvalidInputError(f"{name} must hold one value per column ({columns})")
         if self.kind not in ("two_class", "one_class"):
             raise InvalidInputError(f"kind {self.kind!r} must be 'two_class' or 'one_class'")
-        if not 0 < self.gamma < np.inf:
-            raise InvalidInputError(f"gamma ({self.gamma:g}) must be positive and finite")
+        check_positive(self.gamma, "gamma")
         for name in ("support_vectors", "dual_coef", "bias", "scaler_mean", "scaler_std"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"{name} must be finite")
@@ -187,8 +186,7 @@ def _fit(x: np.ndarray, standardize: bool, dual, **hyper) -> SvmModel:
 def fit_two_class(x: np.ndarray, y: np.ndarray, C: float = 1.0,
                   tol: float = KKT_TOL, standardize: bool = True) -> SvmModel:
     """Train a two-class RBF SVM on labels {LIVE, ANOMALOUS}."""
-    if not C > 0:
-        raise InvalidInputError("C must be positive")
+    check_positive(C, "C")
     x = _check_features(x)
     y = np.asarray(y, dtype=float)
     if y.shape != (x.shape[0],):

@@ -1,5 +1,8 @@
-"""The library's errors, one class per CLI exit code, and the config reader."""
+"""The library's errors, one class per CLI exit code, the config reader, and the
+two range rules every setting shares: `check_positive` and `check_nonnegative`
+each word its rule once, name the setting it is given, and reject NaN."""
 
+import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -24,6 +27,20 @@ def parsing(where):
         yield
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"cannot parse {where}: {exc!r}") from exc
+
+
+def check_positive(value: float, setting: str) -> float:
+    """`value` as a float, once it is positive and finite; `setting` names it in an error."""
+    if not 0 < value < math.inf:
+        raise InvalidInputError(f"{setting} ({value:g}) must be positive and finite")
+    return float(value)
+
+
+def check_nonnegative(value: float, setting: str) -> float:
+    """`value` as a float, once it is finite and at least 0; `setting` names it in an error."""
+    if not 0 <= value < math.inf:
+        raise InvalidInputError(f"{setting} ({value:g}) must be finite and at least 0")
+    return float(value)
 
 
 def check_keys(payload, allowed, where: str) -> None:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, parsing
+from .errors import InvalidInputError, NumericalError, check_positive, parsing
 from .losses import LossSpec, batch_loss
 from .signal_core import (
     Trace,
@@ -71,8 +71,7 @@ class ToyEstimator:
         if kernel_len < 1 or kernel_len % 2 == 0:
             raise InvalidInputError(
                 f"estimator.kernel_len ({kernel_len}) must be odd and at least 1")
-        if not init_scale > 0:
-            raise InvalidInputError(f"estimator.init_scale ({init_scale:g}) must be positive")
+        check_positive(init_scale, "estimator.init_scale")
         check_cells(filters * 3.0 * kernel_len, "estimator.filters with estimator.kernel_len")
         rng = np.random.default_rng(seed)
         return cls(w1=rng.normal(0.0, init_scale, (filters, 3, kernel_len)),

@@ -30,7 +30,14 @@ from .classify import (
     frame_accuracy,
     predict,
 )
-from .errors import InvalidInputError, PulsegateError, check_keys, from_json
+from .errors import (
+    InvalidInputError,
+    PulsegateError,
+    check_keys,
+    check_nonnegative,
+    check_positive,
+    from_json,
+)
 from .estimator import ToyEstimator, TrainConfig, clip_predictions, standardized_stitch, train
 from .evaluate import error_metrics, pulse_rate, rate_window
 from .features import FEATURE_NAMES, FeatureTable, extract_features, feature_layout, feature_windows
@@ -47,7 +54,6 @@ from .signal_core import (
     Trace,
     Waveform,
     check_cells,
-    check_fps,
     psd_rows,
     resample_cubic,
     spatial_mean_trace,
@@ -58,76 +64,64 @@ from .synth import NEGATIVE_KINDS, NegativeTransform, SceneConfig, generate_posi
 VARIANT_ORDER = ("none", "std", "spectral_entropy", "spectral_flatness")
 
 
-# where each ExperimentConfig field sits in the experiment JSON: (section,
-# key), section None at the top level; a missing key keeps the field default
-_JSON_KEYS = {
-    **{name: (None, name) for name in ("seed", "fps", "dims", "variants", "baselines")},
-    **{name: ("scene", name) for name in (
-        "pulse_amplitude", "dicrotic_ratio", "hr_range_bpm", "hrv_step_bpm", "hrv_clamp_bpm",
-        "hrv_knot_spacing_s", "train_sensor_noise", "eval_sensor_noise")},
-    **{name: ("corpus", name) for name in (
-        "n_train_pos", "train_duration_s", "n_val_model", "n_val_svm_pos", "n_val_svm_neg",
-        "n_test_pos", "n_test_neg", "eval_duration_s")},
-    **{name: ("negatives", name) for name in ("normal_sigma", "uniform_bounds")},
-    **{name: ("estimator", name) for name in ("filters", "kernel_len", "init_scale")},
-    "negative_kinds": ("negatives", "kinds"),
-    "feature_window_s": ("features", "window_s"), "feature_stride_s": ("features", "stride_s"),
-    "svm_C": ("svm", "C"), "svm_nu": ("svm", "nu"), "svm_standardize": ("svm", "standardize"),
-    "rate_window_s": ("rate_eval", "window_s"),
-    "rate_stride_frames": ("rate_eval", "stride_frames"),
-    "rate_resample_fps": ("rate_eval", "resample_fps"),
-}
+def _in(section: str, default, key: str = ""):
+    """A field read from `key` (the field's own name if empty) of the JSON
+    section `section`; a field without one sits at the top level."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated view of the experiment JSON."""
+    """Validated view of the experiment JSON; a missing key keeps the field default."""
 
     seed: int = 7
     fps: float = 20.0
     dims: tuple[int, int] = (12, 12)
-    pulse_amplitude: float = 0.015
-    dicrotic_ratio: float = 0.25
-    hr_range_bpm: tuple[float, float] = (73.0, 77.0)
-    hrv_step_bpm: float = 4.0
-    hrv_clamp_bpm: float = 8.0
-    hrv_knot_spacing_s: float = 2.0
-    train_sensor_noise: float = 32.0
-    eval_sensor_noise: float = 6.0
-    n_train_pos: int = 12
-    train_duration_s: float = 20.0
-    n_val_model: int = 4
-    n_val_svm_pos: int = 16
-    n_val_svm_neg: int = 8
-    n_test_pos: int = 12
-    n_test_neg: int = 12
-    eval_duration_s: float = 30.0
-    negative_kinds: tuple = NEGATIVE_KINDS
-    normal_sigma: float = 3.0
-    uniform_bounds: tuple[float, float] = (-3.0, 3.0)
-    filters: int = 8
-    kernel_len: int = 91
-    init_scale: float = 0.1
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
+    pulse_amplitude: float = _in("scene", 0.015)
+    dicrotic_ratio: float = _in("scene", 0.25)
+    hr_range_bpm: tuple[float, float] = _in("scene", (73.0, 77.0))
+    hrv_step_bpm: float = _in("scene", 4.0)
+    hrv_clamp_bpm: float = _in("scene", 8.0)
+    hrv_knot_spacing_s: float = _in("scene", 2.0)
+    train_sensor_noise: float = _in("scene", 32.0)
+    eval_sensor_noise: float = _in("scene", 6.0)
+    n_train_pos: int = _in("corpus", 12)
+    train_duration_s: float = _in("corpus", 20.0)
+    n_val_model: int = _in("corpus", 4)
+    n_val_svm_pos: int = _in("corpus", 16)
+    n_val_svm_neg: int = _in("corpus", 8)
+    n_test_pos: int = _in("corpus", 12)
+    n_test_neg: int = _in("corpus", 12)
+    eval_duration_s: float = _in("corpus", 30.0)
+    negative_kinds: tuple = _in("negatives", NEGATIVE_KINDS, "kinds")
+    normal_sigma: float = _in("negatives", 3.0)
+    uniform_bounds: tuple[float, float] = _in("negatives", (-3.0, 3.0))
+    filters: int = _in("estimator", 8)
+    kernel_len: int = _in("estimator", 91)
+    init_scale: float = _in("estimator", 0.1)
+    train_cfg: TrainConfig = field(default_factory=TrainConfig)  # the "train" section
     variants: tuple = VARIANT_ORDER
-    feature_window_s: float = 10.0
-    feature_stride_s: float = 1.0
-    svm_C: float = 1.0
-    svm_nu: float = 0.5
-    svm_standardize: bool = True
-    rate_window_s: float = 10.0
-    rate_stride_frames: int = 1
-    rate_resample_fps: float = 90.0
+    feature_window_s: float = _in("features", 10.0, "window_s")
+    feature_stride_s: float = _in("features", 1.0, "stride_s")
+    svm_C: float = _in("svm", 1.0, "C")
+    svm_nu: float = _in("svm", 0.5, "nu")
+    svm_standardize: bool = _in("svm", True, "standardize")
+    rate_window_s: float = _in("rate_eval", 10.0, "window_s")
+    rate_stride_frames: int = _in("rate_eval", 1, "stride_frames")
+    rate_resample_fps: float = _in("rate_eval", 90.0, "resample_fps")
     baselines: tuple = ("green", "chrom", "pos")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        sections = {section for section, _ in _JSON_KEYS.values()} - {None}
-        check_keys(payload, {key for section, key in _JSON_KEYS.values() if section is None}
+        # each field's (section, key) in the JSON, section None at the top level
+        places = {f.name: (f.metadata.get("section"), f.metadata.get("key") or f.name)
+                  for f in fields(cls) if f.name != "train_cfg"}
+        sections = {section for section, _ in places.values()} - {None}
+        check_keys(payload, {key for section, key in places.values() if section is None}
                    | sections | {"train"}, "experiment config")
         for name in sections:
             check_keys(payload.get(name, {}),
-                       {key for section, key in _JSON_KEYS.values() if section == name},
+                       {key for section, key in places.values() if section == name},
                        f"section {name!r}")
         # the "train" section holds TrainConfig fields less the loss, which each
         # variant sets itself, and the loss parameters every variant shares
@@ -138,7 +132,7 @@ class ExperimentConfig:
         loss = from_json(LossSpec, {key: train.pop(key) for key in ("nfft", "band_bpm")
                                     if key in train}, "section 'train'")
         values = {}
-        for name, (section, key) in _JSON_KEYS.items():
+        for name, (section, key) in places.items():
             source = payload.get(section, {}) if section else payload
             if key in source:
                 values[name] = source[key]
@@ -160,18 +154,15 @@ class ExperimentConfig:
         ToyEstimator.init(filters=self.filters, kernel_len=self.kernel_len,
                           init_scale=self.init_scale)
         for split in ("train", "eval"):
-            noise = getattr(self, f"{split}_sensor_noise")
-            if noise < 0:
-                raise InvalidInputError(
-                    f"scene.{split}_sensor_noise ({noise:g}) must be at least 0")
+            noise = check_nonnegative(getattr(self, f"{split}_sensor_noise"),
+                                      f"scene.{split}_sensor_noise")
             duration = getattr(self, f"{split}_duration_s")
             SceneConfig(duration_s=duration, fps=self.fps, dims=self.dims,
                         pulse_amplitude=self.pulse_amplitude,
                         dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise)
             hrv_trajectory(np.random.default_rng(0), duration, *self.hr_range_bpm,
                            self.hrv_step_bpm, self.hrv_clamp_bpm, self.hrv_knot_spacing_s)
-        if self.svm_C <= 0:
-            raise InvalidInputError(f"svm.C ({self.svm_C:g}) must be positive")
+        check_positive(self.svm_C, "svm.C")
         if not 0.0 < self.svm_nu <= 1.0:
             raise InvalidInputError(f"svm.nu ({self.svm_nu:g}) must be in (0, 1]")
         for variant in self.variants:
@@ -200,7 +191,7 @@ class ExperimentConfig:
                 f"eval_duration_s - feature_window_s ({self.eval_duration_s:g} - "
                 f"{self.feature_window_s:g} s) is not a whole number of "
                 f"feature_stride_s ({self.feature_stride_s:g} s) strides")
-        resample = check_fps(self.rate_resample_fps, "rate_eval.resample_fps")
+        resample = check_positive(self.rate_resample_fps, "rate_eval.resample_fps")
         rate_window(self.rate_window_s, self.rate_stride_frames, resample,
                     self.train_cfg.loss.nfft, "rate_eval.")
         # rates come from scenes resampled over their span of (frames - 1) / fps
@@ -217,12 +208,9 @@ def hrv_trajectory(rng, duration_s, hr_lo, hr_hi, step_bpm, clamp_bpm, spacing_s
     if not 40.0 <= hr_lo <= hr_hi <= 240.0:
         raise InvalidInputError(f"scene.hr_range_bpm {[hr_lo, hr_hi]} must "
                                 "satisfy 40 <= low <= high <= 240")
-    for key, value in (("hrv_step_bpm", step_bpm), ("hrv_clamp_bpm", clamp_bpm)):
-        if not 0 <= value < np.inf:
-            raise InvalidInputError(f"scene.{key} ({value:g}) must be finite and at least 0")
-    if not 0 < spacing_s < np.inf:
-        raise InvalidInputError(
-            f"scene.hrv_knot_spacing_s ({spacing_s:g}) must be positive and finite")
+    check_nonnegative(step_bpm, "scene.hrv_step_bpm")
+    check_nonnegative(clamp_bpm, "scene.hrv_clamp_bpm")
+    check_positive(spacing_s, "scene.hrv_knot_spacing_s")
     check_cells(duration_s / spacing_s + 2,
                 f"scene.hrv_knot_spacing_s ({spacing_s:g}) over {duration_s:g} s")
     center = float(rng.uniform(hr_lo, hr_hi))

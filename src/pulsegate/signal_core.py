@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_positive
 
 DEFAULT_NFFT = 5400
 DEFAULT_BAND_BPM = (40.0, 240.0)
@@ -24,13 +24,6 @@ _BAND_EPS = 1e-9
 MAX_CELLS = 2 ** 25
 
 
-def check_fps(fps: float, setting: str) -> float:
-    """`fps` as a float, once it is positive and finite; `setting` names it in an error."""
-    if not 0 < fps < np.inf:
-        raise InvalidInputError(f"{setting} ({fps:g}) must be positive and finite")
-    return float(fps)
-
-
 def _signal_array(signal, field: str, name: str) -> np.ndarray:
     """Set a signal type's `field` array as finite floats and its fps as positive
     and finite; `name` names the type in an error."""
@@ -38,7 +31,7 @@ def _signal_array(signal, field: str, name: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise InvalidInputError(f"{name} {field} must be finite")
     object.__setattr__(signal, field, values)
-    object.__setattr__(signal, "fps", check_fps(signal.fps, f"{name} fps"))
+    object.__setattr__(signal, "fps", check_positive(signal.fps, f"{name} fps"))
     return values
 
 
@@ -212,7 +205,7 @@ def resample_cubic(w: Waveform, target_fps: float) -> Waveform:
     The new grid starts at t=0 and spans the original time range; the sample
     count is chosen so the last grid point does not extrapolate.
     """
-    check_fps(target_fps, "target_fps")
+    check_positive(target_fps, "target_fps")
     if len(w) < 4:
         raise InvalidInputError("cubic resampling needs at least 4 samples")
     if target_fps == w.fps:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .signal_core import VideoCube, Waveform, check_fps
+from .errors import InvalidInputError, check_nonnegative, check_positive
+from .signal_core import VideoCube, Waveform
 
 NEGATIVE_KINDS = ("normal", "uniform", "shuffle")
 
@@ -39,7 +39,7 @@ class SceneConfig:
     def __post_init__(self):
         if self.duration_s * self.fps < 2:
             raise InvalidInputError("scene must span at least 2 frames")
-        check_fps(self.fps, "fps")
+        check_positive(self.fps, "fps")
         if np.shape(self.dims) != (2,) or not all(
                 isinstance(d, (int, np.integer)) and d >= 1 for d in self.dims):
             raise InvalidInputError(f"dims {self.dims} must be two positive integers")
@@ -59,9 +59,9 @@ class SceneConfig:
             raise InvalidInputError("hr trajectory must stay within [40, 240] bpm")
         if not (0.0 <= self.dicrotic_ratio <= 1.0):
             raise InvalidInputError(f"dicrotic_ratio ({self.dicrotic_ratio:g}) must be in [0, 1]")
-        if self.sensor_noise_sigma < 0:
-            raise InvalidInputError(
-                f"sensor_noise_sigma ({self.sensor_noise_sigma:g}) must be at least 0")
+        if not np.isfinite(self.pulse_amplitude):
+            raise InvalidInputError(f"pulse_amplitude ({self.pulse_amplitude:g}) must be finite")
+        check_nonnegative(self.sensor_noise_sigma, "sensor_noise_sigma")
 
     def hr_bpm_knots(self):
         """(times, bpms) arrays describing the trajectory."""
@@ -121,11 +121,10 @@ class NegativeTransform:
     def __post_init__(self):
         if self.kind not in NEGATIVE_KINDS:
             raise InvalidInputError(f"unknown negative kind {self.kind!r}")
-        if self.normal_sigma <= 0:
-            raise InvalidInputError("normal_sigma must be positive")
-        if not self.uniform_bounds[0] < self.uniform_bounds[1]:
-            raise InvalidInputError(
-                f"uniform_bounds {list(self.uniform_bounds)} must satisfy low < high")
+        check_positive(self.normal_sigma, "normal_sigma")
+        if not -np.inf < self.uniform_bounds[0] < self.uniform_bounds[1] < np.inf:
+            raise InvalidInputError(f"uniform_bounds {list(self.uniform_bounds)} must be "
+                                    "finite and satisfy low < high")
 
 
 def make_negative(v: VideoCube, transform: NegativeTransform) -> VideoCube:

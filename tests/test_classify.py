@@ -66,7 +66,7 @@ class TestTwoClass:
     def test_box_constraint_must_be_positive(self, C):
         rng = np.random.default_rng(1)
         x, y = gaussian_blobs(rng, n_per_class=10)
-        with pytest.raises(InvalidInputError, match="C must be positive"):
+        with pytest.raises(InvalidInputError, match=rf"C \({C:g}\) must be positive"):
             fit_two_class(x, y, C=C)
 
     def test_kkt_gap_within_tolerance(self):

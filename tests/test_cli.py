@@ -114,6 +114,19 @@ class TestSynth:
             in capsys.readouterr().err
         assert not (tmp_path / "pos.bin").exists()
 
+    # a NaN noise would otherwise write the noiseless cube, with exit 0
+    @pytest.mark.parametrize("key, value, named", [
+        ("sensor_noise_sigma", float("nan"),
+         "sensor_noise_sigma (nan) must be finite and at least 0"),
+        ("pulse_amplitude", float("inf"), "pulse_amplitude (inf) must be finite")])
+    def test_non_finite_scene_setting_rejected(self, tmp_path, capsys, key, value, named):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({**SCENE, key: value}))
+        assert main(["synth", "--config", str(scene_path),
+                     "--out", str(tmp_path / "pos.bin")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "pos.bin").exists()
+
     @pytest.mark.parametrize("fps", [float("inf"), float("nan")])
     def test_non_finite_fps_rejected(self, tmp_path, capsys, fps):
         scene_path = tmp_path / "scene.json"
@@ -964,9 +977,17 @@ class TestExperiment:
         ("train.band_bpm", [240, 40], "band_bpm [240.0, 40.0]"),
         ("train.band_bpm", [40], "'band_bpm' in section 'train'"),
         ("svm.C", 0, "svm.C (0)"),
+        ("svm.C", float("nan"), "svm.C (nan) must be positive and finite"),
+        ("svm.C", float("inf"), "svm.C (inf) must be positive and finite"),
         ("svm.nu", 1.5, "svm.nu (1.5)"),
         ("estimator.kernel_len", 30, "estimator.kernel_len (30)"),
         ("negatives.uniform_bounds", [3, -3], "uniform_bounds [3.0, -3.0]"),
+        ("negatives.uniform_bounds", [float("-inf"), 3],
+         "uniform_bounds [-inf, 3.0] must be finite"),
+        ("negatives.uniform_bounds", [-3, float("inf")],
+         "uniform_bounds [-3.0, inf] must be finite"),
+        ("negatives.normal_sigma", float("nan"), "normal_sigma (nan) must be positive and finite"),
+        ("negatives.normal_sigma", float("inf"), "normal_sigma (inf) must be positive and finite"),
         ("negatives.kinds", [], "negatives.kinds"),
         ("scene.hr_range_bpm", [300, 320], "scene.hr_range_bpm [300.0, 320.0]"),
         ("dims", [8], "'dims' in experiment config"),
@@ -980,11 +1001,19 @@ class TestExperiment:
         ("scene.hrv_clamp_bpm", -1, "scene.hrv_clamp_bpm (-1)"),
         ("scene.train_sensor_noise", -1, "scene.train_sensor_noise (-1)"),
         ("scene.eval_sensor_noise", -1, "scene.eval_sensor_noise (-1)"),
+        ("scene.train_sensor_noise", float("nan"),
+         "scene.train_sensor_noise (nan) must be finite and at least 0"),
+        ("scene.eval_sensor_noise", float("inf"),
+         "scene.eval_sensor_noise (inf) must be finite and at least 0"),
+        ("scene.pulse_amplitude", float("nan"), "pulse_amplitude (nan) must be finite"),
+        ("scene.pulse_amplitude", float("inf"), "pulse_amplitude (inf) must be finite"),
         ("estimator.filters", 0, "estimator.filters (0)"),
         ("estimator.filters", -1, "estimator.filters (-1)"),
         ("estimator.kernel_len", -1, "estimator.kernel_len (-1)"),
         ("estimator.init_scale", 0, "estimator.init_scale (0)"),
         ("estimator.init_scale", -1, "estimator.init_scale (-1)"),
+        ("estimator.init_scale", float("inf"),
+         "estimator.init_scale (inf) must be positive and finite"),
         # rejected before the kernels are drawn: 1e12 x 3 x 31 values
         ("estimator.filters", 10 ** 12,
          "estimator.filters with estimator.kernel_len asks for an array of 9.3e+13 elements"),

@@ -238,9 +238,9 @@ class TrainConfig:
         for name in ("clip_len", "batch_size", "steps", "val_every"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"train.{name} ({getattr(self, name)}) must be at least 1")
-        for name in ("learning_rate", "momentum"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"train.{name} ({getattr(self, name):g}) must be finite")
+        check_positive(self.learning_rate, "train.learning_rate")
+        if not 0.0 <= self.momentum < 1.0:  # NaN fails too
+            raise InvalidInputError(f"train.momentum ({self.momentum:g}) must be in [0, 1)")
 
 
 def _split_corpus(corpus, clip_len: int):

@@ -154,14 +154,7 @@ class ExperimentConfig:
         ToyEstimator.init(filters=self.filters, kernel_len=self.kernel_len,
                           init_scale=self.init_scale)
         for split in ("train", "eval"):
-            noise = check_nonnegative(getattr(self, f"{split}_sensor_noise"),
-                                      f"scene.{split}_sensor_noise")
-            duration = getattr(self, f"{split}_duration_s")
-            SceneConfig(duration_s=duration, fps=self.fps, dims=self.dims,
-                        pulse_amplitude=self.pulse_amplitude,
-                        dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise)
-            hrv_trajectory(np.random.default_rng(0), duration, *self.hr_range_bpm,
-                           self.hrv_step_bpm, self.hrv_clamp_bpm, self.hrv_knot_spacing_s)
+            self.scene(split)
         check_positive(self.svm_C, "svm.C")
         if not 0.0 < self.svm_nu <= 1.0:
             raise InvalidInputError(f"svm.nu ({self.svm_nu:g}) must be in (0, 1]")
@@ -173,11 +166,13 @@ class ExperimentConfig:
                 raise InvalidInputError(f"unknown baseline {name!r}")
         if "none" not in self.variants:
             raise InvalidInputError("the positives-only variant 'none' is required")
-        # the two-class SVM needs both validation sides, the test metrics both test sides
-        for name in ("n_val_svm_pos", "n_val_svm_neg", "n_test_pos", "n_test_neg"):
-            if getattr(self, name) < 1:
+        # training needs a positive, the two-class SVM both validation sides and
+        # the test metrics both test sides; no val_model scene means no checkpoint
+        for name, least in (("n_train_pos", 1), ("n_val_model", 0), ("n_val_svm_pos", 1),
+                            ("n_val_svm_neg", 1), ("n_test_pos", 1), ("n_test_neg", 1)):
+            if getattr(self, name) < least:
                 raise InvalidInputError(
-                    f"corpus.{name} ({getattr(self, name)}) must be at least 1")
+                    f"corpus.{name} ({getattr(self, name)}) must be at least {least}")
         if self.train_cfg.clip_len > self.train_duration_s * self.fps:
             raise InvalidInputError("clip_len exceeds training scene length")
         window, stride = feature_layout(self.feature_window_s, self.feature_stride_s,
@@ -199,6 +194,21 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"rate_eval.window_s ({self.rate_window_s:g} s) does not fit in the "
                 f"{self.eval_duration_s:g} s evaluation scenes less one frame")
+
+    def scene(self, split: str, seed: int = 0, trajectory_seed: int = 0) -> SceneConfig:
+        """The settings of one `split` ("train" or "eval") scene, drawn from `seed`,
+        with its heart-rate walk drawn from `trajectory_seed`."""
+        noise = check_nonnegative(getattr(self, f"{split}_sensor_noise"),
+                                  f"scene.{split}_sensor_noise")
+        duration = getattr(self, f"{split}_duration_s")
+        # built before the walk is drawn: it checks the duration the walk spans
+        scene = SceneConfig(duration_s=duration, fps=self.fps, dims=self.dims,
+                            pulse_amplitude=self.pulse_amplitude,
+                            dicrotic_ratio=self.dicrotic_ratio, sensor_noise_sigma=noise,
+                            seed=seed)
+        return replace(scene, hr_trajectory=hrv_trajectory(
+            np.random.default_rng(trajectory_seed), duration, *self.hr_range_bpm,
+            self.hrv_step_bpm, self.hrv_clamp_bpm, self.hrv_knot_spacing_s))
 
 
 def hrv_trajectory(rng, duration_s, hr_lo, hr_hi, step_bpm, clamp_bpm, spacing_s):
@@ -226,41 +236,34 @@ def _child_seed(seeds: np.random.Generator) -> int:
     return int(seeds.integers(0, 2 ** 62))
 
 
-def _scene(cfg: ExperimentConfig, scene_seeds: tuple[int, int], duration, noise):
-    seed, trajectory_seed = scene_seeds
-    rng = np.random.default_rng(trajectory_seed)
-    trajectory = hrv_trajectory(rng, duration, cfg.hr_range_bpm[0], cfg.hr_range_bpm[1],
-                                cfg.hrv_step_bpm, cfg.hrv_clamp_bpm, cfg.hrv_knot_spacing_s)
-    scene_cfg = SceneConfig(duration_s=duration, fps=cfg.fps, dims=cfg.dims,
-                            hr_trajectory=trajectory, pulse_amplitude=cfg.pulse_amplitude,
-                            dicrotic_ratio=cfg.dicrotic_ratio, sensor_noise_sigma=noise,
-                            seed=seed)
-    return generate_positive(scene_cfg)
-
-
 class Video(NamedTuple):
-    """One labeled scene of a corpus; `truth` is None for a pulseless negative."""
+    """One labeled scene of a corpus; `truth` is None for a pulseless negative,
+    and `rates` holds the truth's windowed pulse rates for a test positive."""
 
     name: str
     trace: Trace
     truth: Waveform | None
+    rates: np.ndarray | None = None
 
 
-def _scene_videos(cfg, scene_seeds, scene, positive, negative, corpus_dir) -> list[Video]:
-    """The positive named `positive` (unless None) and the negative that the
-    (name, NegativeTransform) pair `negative` (unless None) makes of one scene,
-    as traces; with a `corpus_dir`, their full cubes and truth are written there."""
-    cube, truth = _scene(cfg, scene_seeds, *scene)
-    made = [] if positive is None else [(positive, cube, truth)]
+def _scene_videos(cfg, scene_seeds, split, positive, negative, corpus_dir,
+                  rated) -> list[Video]:
+    """The positive named `positive` (unless None), with its truth rates if
+    `rated`, and the negative that the (name, NegativeTransform) pair `negative`
+    (unless None) makes of one `split` scene, as traces; with a `corpus_dir`,
+    their full cubes and truth are written there."""
+    cube, truth = generate_positive(cfg.scene(split, *scene_seeds))
+    made = [] if positive is None else [
+        (positive, cube, truth, _rates(cfg, truth) if rated else None)]
     if negative is not None:
-        made.append((negative[0], make_negative(cube, negative[1]), None))
+        made.append((negative[0], make_negative(cube, negative[1]), None, None))
     if corpus_dir is not None:
-        for name, video_cube, video_truth in made:
+        for name, video_cube, video_truth, _ in made:
             write_cube(video_cube, corpus_dir / f"{name}.bin")
             if video_truth is not None:
                 write_waveform(video_truth, corpus_dir / f"{name}_gt.csv")
-    return [Video(name, spatial_mean_trace(video_cube), video_truth)
-            for name, video_cube, video_truth in made]
+    return [Video(name, spatial_mean_trace(video_cube), video_truth, rates)
+            for name, video_cube, video_truth, rates in made]
 
 
 def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, list[Video]]:
@@ -270,19 +273,18 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, lis
 
     Every seed is drawn here; each scene is then one job for the runner `run`
     (see `_workers`), which makes the scene and its negative, writes them to
-    `corpus_dir` for the train set and returns their traces: at most two full
-    cubes are alive at once in each worker.
+    `corpus_dir` for the train set and returns their traces, with the truth
+    rates of a test positive: at most two full cubes are alive at once in
+    each worker.
     """
     seeds = np.random.default_rng(cfg.seed)
-    train = (cfg.train_duration_s, cfg.train_sensor_noise)
-    evaluation = (cfg.eval_duration_s, cfg.eval_sensor_noise)
-    layout = {"train": (cfg.n_train_pos, None, train),
-              "val_model": (cfg.n_val_model, None, train),
-              "val": (cfg.n_val_svm_pos, cfg.n_val_svm_neg, evaluation),
-              "test": (cfg.n_test_pos, cfg.n_test_neg, evaluation)}
+    layout = {"train": (cfg.n_train_pos, None, "train"),
+              "val_model": (cfg.n_val_model, None, "train"),
+              "val": (cfg.n_val_svm_pos, cfg.n_val_svm_neg, "eval"),
+              "test": (cfg.n_test_pos, cfg.n_test_neg, "eval")}
     corpus_dir.mkdir(parents=True, exist_ok=True)
     jobs, owners = [], []
-    for name, (n_pos, n_neg, scene) in layout.items():
+    for name, (n_pos, n_neg, split) in layout.items():
         own = n_neg is None  # the negatives are made from the set's own positives
         n_neg = n_pos if own else n_neg
         scene_seeds = [(_child_seed(seeds), _child_seed(seeds))
@@ -294,9 +296,9 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, lis
         for i, pair in enumerate(scene_seeds):
             j = i if own else i - n_pos  # the negative made from scene i, if j >= 0
             jobs.append(partial(
-                _scene_videos, cfg, pair, scene, f"{name}_pos_{i:02d}" if i < n_pos else None,
+                _scene_videos, cfg, pair, split, f"{name}_pos_{i:02d}" if i < n_pos else None,
                 (f"{name}_neg_{j:02d}_{transforms[j].kind}", transforms[j]) if j >= 0 else None,
-                corpus_dir if name == "train" else None))
+                corpus_dir if name == "train" else None, name == "test"))
             owners.append(name)
     sets = {name: [] for name in layout}
     for name, videos in zip(owners, run(jobs)):
@@ -324,24 +326,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for sub in ("models", "waves", "features", "svm", "plots"):
         (out_dir / sub).mkdir(exist_ok=True)
 
-    # one worker per usable CPU, up to the largest round of jobs: one job per
-    # scene, then per test positive, then per variant and per baseline
+    # one worker per usable CPU, up to the larger round of jobs: one job per
+    # scene, then one per variant and per baseline
     largest = max(cfg.n_train_pos + cfg.n_val_model + cfg.n_val_svm_pos + cfg.n_val_svm_neg
                   + cfg.n_test_pos + cfg.n_test_neg, len(cfg.variants) + len(cfg.baselines))
     with _workers(min(largest, len(os.sched_getaffinity(0)))) as run:
         sets = _stage("synth", build_corpora, cfg, out_dir / "corpus", run)
         test_pos = [video for video in sets["test"] if video.truth is not None]
-        # on workers too, so that this process never builds the rate tables
-        truths = run([partial(_rates, cfg, video.truth) for video in test_pos])
-        rate_truth = {video.name: rates for video, rates in zip(test_pos, truths)}
 
         # one job per variant and per baseline: each reads only the corpora and
         # writes only its own files, so the outputs do not depend on how many
         # run at once
-        jobs = [partial(_variant_job, cfg, variant, sets, rate_truth, out_dir)
-                for variant in cfg.variants]
+        jobs = [partial(_variant_job, cfg, variant, sets, out_dir) for variant in cfg.variants]
         jobs += [partial(_stage, f"baseline-{name}", _evaluate_baseline,
-                         cfg, name, test_pos, rate_truth, out_dir) for name in cfg.baselines]
+                         cfg, name, test_pos, out_dir) for name in cfg.baselines]
         results = run(jobs)
     report = {"config": asdict(cfg),
               "variants": dict(zip(cfg.variants, results)),
@@ -365,11 +363,11 @@ def _stage(name, fn, *args):
         raise type(exc)(f"stage {name!r} failed: {exc}") from exc
 
 
-def _variant_job(cfg, variant, sets, rate_truth, out_dir) -> dict:
+def _variant_job(cfg, variant, sets, out_dir) -> dict:
     model, validation = _stage(f"train-{variant}", _train_variant, cfg, variant,
                                sets["train"], sets["val_model"], out_dir)
     metrics = _stage(f"evaluate-{variant}", _evaluate_and_write, cfg, variant,
-                     model, sets["val"], sets["test"], rate_truth, out_dir)
+                     model, sets["val"], sets["test"], out_dir)
     return {**metrics, "validation": validation}
 
 
@@ -440,12 +438,12 @@ def _stack(passes):
             np.concatenate([np.full(len(p.table), _LABELS[p.side]) for p in passes]))
 
 
-def _evaluate_and_write(cfg, variant, model, val, test, rate_truth, out_dir) -> dict:
+def _evaluate_and_write(cfg, variant, model, val, test, out_dir) -> dict:
     """One variant's video passes, their metrics block, then their files: the
     feature tables, the SVMs, the test waves and the plot dumps."""
     passes = {split: [_video_pass(cfg, model, video) for video in videos]
               for split, videos in (("val", val), ("test", test))}
-    metrics, svms = score_passes(cfg, passes["val"], passes["test"], rate_truth)
+    metrics, svms = score_passes(cfg, passes["val"], passes["test"])
     wave_dir, feat_dir = out_dir / "waves" / variant, out_dir / "features" / variant
     wave_dir.mkdir(parents=True, exist_ok=True)
     feat_dir.mkdir(parents=True, exist_ok=True)
@@ -461,7 +459,7 @@ def _evaluate_and_write(cfg, variant, model, val, test, rate_truth, out_dir) -> 
     return metrics
 
 
-def score_passes(cfg, val, test, rate_truth) -> tuple[dict, dict]:
+def score_passes(cfg, val, test) -> tuple[dict, dict]:
     """The metrics block of one model's val and test `VideoPass`es, and its two
     SVMs, keyed by kind and fitted on the val features.  Writes no file."""
     _, val_x, val_y = _stack(val)
@@ -482,11 +480,6 @@ def score_passes(cfg, val, test, rate_truth) -> tuple[dict, dict]:
                     predict(svm, r.table.matrix)[0], centers,
                     np.full(len(r.video.trace), _LABELS[side]), cfg.fps,
                     window_s=cfg.feature_window_s)[0]
-    # the rate input is the standardized stitch, as `infer_video` gives
-    rates = error_metrics(
-        np.concatenate([_rates(cfg, standardized_stitch(r.outputs, r.clip_starts, len(r.wave),
-                                                        r.wave.fps)) for r in sides["pos"]]),
-        np.concatenate([rate_truth[r.video.name] for r in sides["pos"]]))
     total = frames["pos"] + frames["neg"]
     return {
         "snr_db": {"positive_median": snr["pos"], "negative_median": snr["neg"],
@@ -498,25 +491,29 @@ def score_passes(cfg, val, test, rate_truth) -> tuple[dict, dict]:
                   "negative_frame_accuracy": correct[kind, "neg"] / frames["neg"],
                   "combined_frame_accuracy": (correct[kind, "pos"] + correct[kind, "neg"]) / total,
                   "frames": total} for kind in svms},
-        "rates": rates.to_dict(),
+        # the rate input is the standardized stitch, as `infer_video` gives
+        "rates": _rate_errors(cfg, [r.video for r in sides["pos"]], [
+            standardized_stitch(r.outputs, r.clip_starts, len(r.wave), r.wave.fps)
+            for r in sides["pos"]]),
         "features": {"degenerate_windows": {
             side: sum(int(r.table.degenerate.sum()) for r in val + test if r.side == side)
             for side in ("pos", "neg")}},
     }, svms
 
 
-def _evaluate_baseline(cfg, name, test_pos, rate_truth, out_dir):
-    estimator = bl.ESTIMATORS[name]
+def _evaluate_baseline(cfg, name, test_pos, out_dir):
     wave_dir = out_dir / "waves" / f"baseline_{name}"
     wave_dir.mkdir(parents=True, exist_ok=True)
-    preds, truths = [], []
-    for video in test_pos:
-        wave = estimator(video.trace)
+    waves = [bl.ESTIMATORS[name](video.trace) for video in test_pos]
+    for video, wave in zip(test_pos, waves):
         write_waveform(wave, wave_dir / f"{video.name}.csv")
-        preds.append(_rates(cfg, wave))
-        truths.append(rate_truth[video.name])
-    return {"rates": error_metrics(np.concatenate(preds),
-                                   np.concatenate(truths)).to_dict()}
+    return {"rates": _rate_errors(cfg, test_pos, waves)}
+
+
+def _rate_errors(cfg, videos, waves) -> dict:
+    """The rate errors of `waves` against the truth rates of the `videos` they estimate."""
+    return error_metrics(np.concatenate([_rates(cfg, wave) for wave in waves]),
+                         np.concatenate([video.rates for video in videos])).to_dict()
 
 
 def _dump_plot_data(cfg, plot_dir, variant, side, wave):

@@ -5,7 +5,8 @@
 return values of the calls it names, and `bench/checks.py` compares each key of
 a study config with its echo in `report.json`.  A renamed or deleted function
 leaves a traced run that exits 0 with a null metric, and a config field read
-from the wrong place fails only the benchmark's correctness check; these tests
+from the wrong place fails only the benchmark's correctness check.  A range
+rule that rejects one of the benchmark's own inputs fails its run.  These tests
 fail first.  The bench scripts are loaded with `runpy`, which writes no
 bytecode next to them.
 """
@@ -23,6 +24,8 @@ import pytest
 
 import pulsegate
 from pulsegate.classify import rbf_kernel, smo_solve_one_class, smo_solve_two_class
+from pulsegate.errors import from_json
+from pulsegate.estimator import TrainConfig
 from pulsegate.experiment import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +78,19 @@ def test_config_echo_holds_every_key(config):
     failures = []
     bench_module("checks")["check_config_echo"](payload, echo, failures)
     assert not failures
+
+
+@pytest.mark.parametrize("name", ["study-train", "study-eval"])
+def test_study_inputs_pass_the_config_reader(tmp_path, name):
+    study = bench_module("workloads")["make"](name)
+    study.prepare(tmp_path, 1)
+    ExperimentConfig.from_dict(json.loads(study.config_path.read_text()))
+
+
+def test_chain_train_config_passes_the_reader(tmp_path):
+    # `pulsegate train` reads the estimator section apart
+    chain = bench_module("workloads")["make"]("cli-chain")
+    chain.prepare(tmp_path, 1)
+    payload = json.loads(chain.train_path.read_text())
+    del payload["estimator"]
+    from_json(TrainConfig, payload, "train config")

@@ -646,11 +646,24 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [("learning_rate", float("nan")),
                                             ("momentum", float("inf"))])
     def test_non_finite_rate_rejected(self, tmp_path, capsys, key, value):
+        self.assert_rate_rejected(tmp_path, capsys, key, value)
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", -0.01), ("learning_rate", 0),
+                                            ("momentum", 1.5), ("momentum", -0.1)])
+    def test_out_of_range_rate_rejected(self, tmp_path, capsys, key, value):
+        # gradient ascent, no training, or momentum that never decays: each
+        # would otherwise train to exit 0
+        self.assert_rate_rejected(tmp_path, capsys, key, value)
+
+    @staticmethod
+    def assert_rate_rejected(tmp_path, capsys, key, value):
+        """`pulsegate train` exits 2 on `value` for `key`, words its rule and writes no model."""
+        rules = {"learning_rate": "must be positive and finite", "momentum": "must be in [0, 1)"}
         train_cfg = tmp_path / "train.json"
         train_cfg.write_text(json.dumps({"clip_len": 150, "steps": 2, key: value}))
         assert main(["train", "--config", str(train_cfg), "--corpus", str(tmp_path),
                      "--out", str(tmp_path / "model.json")]) == 2
-        assert capsys.readouterr().err == f"error: train.{key} ({value:g}) must be finite\n"
+        assert capsys.readouterr().err == f"error: train.{key} ({value:g}) {rules[key]}\n"
         assert not (tmp_path / "model.json").exists()
 
     def test_one_channel_corpus_rejected(self, tmp_path, capsys):
@@ -817,6 +830,15 @@ class TestExperiment:
                     assert pooled.truth is None
                 else:
                     assert np.array_equal(serial.truth.samples, pooled.truth.samples)
+        # on either runner, each test positive carries its truth rates, and
+        # no other video carries rates
+        for corpora in sets.values():
+            for name, videos in corpora.items():
+                for video in videos:
+                    if name == "test" and video.truth is not None:
+                        assert np.array_equal(video.rates, experiment._rates(cfg, video.truth))
+                    else:
+                        assert video.rates is None
         # 6 cubes with their sidecars, 3 truths and the manifest
         assert "manifest.json" in files[1] and len(files[1]) == 16
         assert files[1] == files[2]
@@ -1033,8 +1055,16 @@ class TestExperiment:
         ("features.stride_s", float("inf"), "features.stride_s (inf s) holds no finite number"),
         ("rate_eval.window_s", float("nan"), "rate_eval.window_s (nan s) holds no finite number"),
         ("rate_eval.window_s", float("inf"), "rate_eval.window_s (inf s) holds no finite number"),
-        ("train.learning_rate", float("nan"), "train.learning_rate (nan) must be finite"),
-        ("train.momentum", float("inf"), "train.momentum (inf) must be finite"),
+        ("train.learning_rate", float("nan"),
+         "train.learning_rate (nan) must be positive and finite"),
+        ("train.momentum", float("inf"), "train.momentum (inf) must be in [0, 1)"),
+        ("train.learning_rate", -0.01, "train.learning_rate (-0.01) must be positive and finite"),
+        ("train.learning_rate", 0, "train.learning_rate (0) must be positive and finite"),
+        ("train.momentum", 1.5, "train.momentum (1.5) must be in [0, 1)"),
+        ("train.momentum", -0.1, "train.momentum (-0.1) must be in [0, 1)"),
+        # training needs a positive; no val_model scene means no checkpoint
+        ("corpus.n_train_pos", 0, "corpus.n_train_pos (0) must be at least 1"),
+        ("corpus.n_val_model", -1, "corpus.n_val_model (-1) must be at least 0"),
     ]
 
     @pytest.mark.parametrize("key, value, named", MALFORMED,

@@ -10,11 +10,16 @@ import numpy as np
 from pulsegate import (
     NegativeTransform,
     SceneConfig,
+    VideoCube,
     generate_positive,
     make_negative,
     spatial_mean_trace,
 )
 from pulsegate.signal_core import psd_rows
+
+
+def copy_of(cube):
+    return VideoCube(cube.data.copy(), cube.fps)
 
 
 def trace_summary(name, cube):
@@ -36,12 +41,13 @@ def main():
           f"at {cfg.fps:g} fps, pulse 70->76 bpm\n")
 
     trace_summary("positive", cube)
+    # make_negative overwrites the cube it is given, so each gets a copy
     for kind in ("normal", "uniform", "shuffle"):
-        negative = make_negative(cube, NegativeTransform(kind=kind, seed=11))
+        negative = make_negative(copy_of(cube), NegativeTransform(kind=kind, seed=11))
         trace_summary(kind, negative)
 
     print("\nnegatives keep the scene's appearance: per-frame means differ from")
-    shuffled = make_negative(cube, NegativeTransform(kind="shuffle", seed=11))
+    shuffled = make_negative(copy_of(cube), NegativeTransform(kind="shuffle", seed=11))
     print(f"the positive by at most "
           f"{np.abs(np.sort(cube.data.mean((1, 2, 3))) - np.sort(shuffled.data.mean((1, 2, 3)))).max():.2e} "
           f"after sorting (SHUFFLE is a pure permutation)")

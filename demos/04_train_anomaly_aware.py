@@ -17,6 +17,7 @@ from pulsegate import (
     SceneConfig,
     ToyEstimator,
     TrainConfig,
+    VideoCube,
     Waveform,
     clip_predictions,
     extract_features,
@@ -58,7 +59,9 @@ def main():
     print("building corpus (12 positive scenes + 12 constructed negatives)...")
     train_pos = [scene(100 + i, 20.0, 32.0) for i in range(12)]
     kinds = ("normal", "uniform", "shuffle")
-    train_neg = [make_negative(cube, NegativeTransform(kind=kinds[i % 3], seed=i))
+    # make_negative overwrites the cube it is given: the positive keeps its own
+    train_neg = [make_negative(VideoCube(cube.data.copy(), cube.fps),
+                               NegativeTransform(kind=kinds[i % 3], seed=i))
                  for i, (cube, _) in enumerate(train_pos)]
     # the estimator reads each video's per-frame spatial mean; a sample with a
     # target waveform is a positive, one with None a negative

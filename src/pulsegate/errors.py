@@ -62,6 +62,8 @@ def _cast(kind, value):
         if args and len(value) != len(args):
             raise ValueError(f"{value!r} does not hold {len(args)} values")
         return tuple(map(_cast, args, value)) if args else tuple(value)
+    if origin in (int, float) and isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     if origin is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     if origin is bool and not isinstance(value, bool):
@@ -73,7 +75,7 @@ def from_json(cls, payload, where: str, **given):
     """The dataclass `cls` read from the JSON object `payload`.
 
     Each key names a field, and its value is cast to the field's declared
-    type: an int (rejecting a non-integral number), float, bool, str, or a
+    type: an int (integral) or float (not true or false), bool, str, or a
     tuple from a list, item by item where the tuple declares its item types.
     A field declared as a dataclass is read from a nested object.  A missing
     key keeps the field's default, and the `given` fields come from the caller.

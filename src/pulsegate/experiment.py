@@ -251,19 +251,22 @@ def _scene_videos(cfg, scene_seeds, split, positive, negative, corpus_dir,
     """The positive named `positive` (unless None), with its truth rates if
     `rated`, and the negative that the (name, NegativeTransform) pair `negative`
     (unless None) makes of one `split` scene, as traces; with a `corpus_dir`,
-    their full cubes and truth are written there."""
+    their full cubes and truth are written there.  The negative is made in the
+    positive's cube, so the positive is written and traced first."""
     cube, truth = generate_positive(cfg.scene(split, *scene_seeds))
-    made = [] if positive is None else [
-        (positive, cube, truth, _rates(cfg, truth) if rated else None)]
-    if negative is not None:
-        made.append((negative[0], make_negative(cube, negative[1]), None, None))
-    if corpus_dir is not None:
-        for name, video_cube, video_truth, _ in made:
-            write_cube(video_cube, corpus_dir / f"{name}.bin")
-            if video_truth is not None:
-                write_waveform(video_truth, corpus_dir / f"{name}_gt.csv")
-    return [Video(name, spatial_mean_trace(video_cube), video_truth, rates)
-            for name, video_cube, video_truth, rates in made]
+    videos = []
+    for name, transform in ((positive, None), negative or (None, None)):
+        if name is None:
+            continue
+        if transform is not None:
+            cube, truth = make_negative(cube, transform), None
+        if corpus_dir is not None:
+            write_cube(cube, corpus_dir / f"{name}.bin")
+            if truth is not None:
+                write_waveform(truth, corpus_dir / f"{name}_gt.csv")
+        videos.append(Video(name, spatial_mean_trace(cube), truth,
+                            _rates(cfg, truth) if rated and truth is not None else None))
+    return videos
 
 
 def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, list[Video]]:
@@ -274,8 +277,7 @@ def build_corpora(cfg: ExperimentConfig, corpus_dir: Path, run) -> dict[str, lis
     Every seed is drawn here; each scene is then one job for the runner `run`
     (see `_workers`), which makes the scene and its negative, writes them to
     `corpus_dir` for the train set and returns their traces, with the truth
-    rates of a test positive: at most two full cubes are alive at once in
-    each worker.
+    rates of a test positive: one full cube is alive at a time in each worker.
     """
     seeds = np.random.default_rng(cfg.seed)
     layout = {"train": (cfg.n_train_pos, None, "train"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .classify import ANOMALOUS, LIVE
 from .errors import InvalidInputError, parsing
 from .features import FEATURE_NAMES
-from .signal_core import VideoCube, Waveform
+from .signal_core import VideoCube, Waveform, frame_blocks
 
 FEATURE_COLUMNS = ("t_start",) + FEATURE_NAMES
 
@@ -66,23 +67,32 @@ def write_cube(v: VideoCube, path) -> None:
     """Write a cube as flat little-endian f32 (THWC order) plus a JSON sidecar."""
     path = Path(path)
     t, h, w, c = v.data.shape
-    path.write_bytes(v.data.astype("<f4").tobytes())
+    with open(path, "wb") as fh:
+        for block in frame_blocks(v.data):
+            fh.write(block.astype("<f4", order="C"))
     dump_json({"t": t, "h": h, "w": w, "c": c, "fps": v.fps,
                "dtype": "f32", "order": "THWC"}, _sidecar_path(path))
 
 
 def read_cube(path) -> VideoCube:
-    path = Path(path)
-    meta = read_json(_sidecar_path(path))
-    with parsing(_sidecar_path(path)):
+    """Read a cube that `write_cube` wrote, its sidecar checked against its size."""
+    path, sidecar = Path(path), _sidecar_path(Path(path))
+    meta = read_json(sidecar)
+    with parsing(sidecar):
         if meta["dtype"] != "f32" or meta["order"] != "THWC":
             raise InvalidInputError(f"{path}: unsupported cube encoding {meta}")
-        shape = tuple(int(meta[key]) for key in ("t", "h", "w", "c"))
+        shape = tuple(meta[key] for key in ("t", "h", "w", "c"))
+        if not all(type(d) is int and d > 0 for d in shape) or isinstance(meta["fps"], bool):
+            raise InvalidInputError(f"{sidecar}: t, h, w and c must be positive integers "
+                                    f"and fps a number, not {meta}")
         fps = float(meta["fps"])
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-    if raw.size != np.prod(shape):
+    if path.stat().st_size != 4 * math.prod(shape):
         raise InvalidInputError(f"{path}: payload size does not match sidecar shape")
-    return VideoCube(raw.reshape(shape).astype(float), fps)
+    data = np.empty(shape)
+    with open(path, "rb") as fh:
+        for block in frame_blocks(data):
+            block[...] = np.fromfile(fh, dtype="<f4", count=block.size).reshape(block.shape)
+    return VideoCube(data, fps)
 
 
 def write_features(path, t_starts, matrix, labels=None) -> None:

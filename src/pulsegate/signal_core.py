@@ -22,6 +22,7 @@ _BAND_EPS = 1e-9
 # values are 512 MiB); every shipped config needs about 0.31M, pulse_rate's
 # twiddle tables
 MAX_CELLS = 2 ** 25
+BLOCK_VALUES = 2 ** 16  # the values in one of `frame_blocks`' blocks (512 KiB of float64)
 
 
 def _signal_array(signal, field: str, name: str) -> np.ndarray:
@@ -242,6 +243,14 @@ def standardize(w: Waveform) -> Waveform:
 def spatial_mean_trace(v: VideoCube) -> Trace:
     """The trace of a cube: its per-frame channel means over the spatial dimensions."""
     return Trace(v.data.mean(axis=(1, 2)), v.fps)
+
+
+def frame_blocks(data: np.ndarray):
+    """Views of consecutive blocks of whole frames (axis 0) of `data`, each of about
+    BLOCK_VALUES values, so that a cube path's temporaries stay a block in size."""
+    step = max(1, BLOCK_VALUES // data[0].size)
+    for start in range(0, len(data), step):
+        yield data[start:start + step]
 
 
 def bandpass_brickwall(w: Waveform) -> Waveform:

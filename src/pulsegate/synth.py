@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_nonnegative, check_positive
-from .signal_core import VideoCube, Waveform
+from .signal_core import VideoCube, Waveform, frame_blocks
 
 NEGATIVE_KINDS = ("normal", "uniform", "shuffle")
 
@@ -101,11 +101,13 @@ def generate_positive(cfg: SceneConfig) -> tuple[VideoCube, Waveform]:
     modulation = 1.0 + cfg.pulse_amplitude * gains[None, :] * modulator[:, None]
     cube = channel_base[None, :, :, :] * modulation[:, None, None, :]
     if cfg.sensor_noise_sigma > 0:
-        # in place: the same arithmetic as np.clip(cube * 255 + noise, 0, 255) / 255
-        cube *= 255.0
-        cube += rng.normal(0.0, cfg.sensor_noise_sigma, size=cube.shape)
-        np.clip(cube, 0.0, 255.0, out=cube)
-        cube /= 255.0
+        # in place, a block at a time (the draws are those of one full-size draw):
+        # the same arithmetic as np.clip(cube * 255 + noise, 0, 255) / 255
+        for block in frame_blocks(cube):
+            block *= 255.0
+            block += rng.normal(0.0, cfg.sensor_noise_sigma, size=block.shape)
+            np.clip(block, 0.0, 255.0, out=block)
+            block /= 255.0
     return VideoCube(cube, cfg.fps), Waveform(truth, cfg.fps)
 
 
@@ -132,20 +134,22 @@ def make_negative(v: VideoCube, transform: NegativeTransform) -> VideoCube:
 
     NORMAL/UNIFORM replicate one uniformly chosen frame and add i.i.d.
     per-pixel noise in the 8-bit domain; SHUFFLE permutes the frame order.
-    Dimensions and frame rate are unchanged.
+    Dimensions and frame rate are unchanged.  The negative is made in `v`'s
+    array, so `v` is overwritten, as `Generator.shuffle` overwrites its input.
     """
     rng = np.random.default_rng(transform.seed)
-    n_frames = v.data.shape[0]
+    data = v.data
     if transform.kind == "shuffle":
-        return VideoCube(v.data[rng.permutation(n_frames)], v.fps)
-    frame = v.data[int(rng.integers(n_frames))] * 255.0
-    if transform.kind == "normal":
-        noise = rng.normal(0.0, transform.normal_sigma, size=v.data.shape)
-    else:
-        low, high = transform.uniform_bounds
-        noise = rng.uniform(low, high, size=v.data.shape)
-    # in place: the same arithmetic as np.clip(frame + noise, 0, 255) / 255
-    noise += frame[None, :, :, :]
-    np.clip(noise, 0.0, 255.0, out=noise)
-    noise /= 255.0
-    return VideoCube(noise, v.fps)
+        rng.shuffle(data)  # the frame order of data[rng.permutation(len(data))]
+        return v
+    frame = data[int(rng.integers(len(data)))] * 255.0
+    for block in frame_blocks(data):
+        if transform.kind == "normal":
+            noise = rng.normal(0.0, transform.normal_sigma, size=block.shape)
+        else:
+            noise = rng.uniform(*transform.uniform_bounds, size=block.shape)
+        # the same arithmetic as np.clip(frame + noise, 0, 255) / 255
+        noise += frame
+        np.clip(noise, 0.0, 255.0, out=block)
+        block /= 255.0
+    return v

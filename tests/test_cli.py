@@ -92,7 +92,7 @@ class TestSynth:
                      "--out", str(tmp_path / "pos.bin")]) == 2
         assert repr(key) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("dims", [8]), ("seed", 1.5)])
+    @pytest.mark.parametrize("key, value", [("dims", [8]), ("seed", 1.5), ("fps", True)])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, key, value):
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(json.dumps({**SCENE, key: value}))
@@ -991,6 +991,10 @@ class TestExperiment:
     # the setting, its malformed value, and what stderr must say about it
     MALFORMED = [
         ("corpus.n_test_pos", "two", "'n_test_pos' in experiment config"),
+        # JSON's true is no number, though Python's bool is an int
+        ("corpus.n_test_pos", True, "'n_test_pos' in experiment config"),
+        ("train.steps", True, "'steps' in section 'train'"),
+        ("svm.C", True, "'svm_C' in experiment config"),
         ("train.steps", 10.5, "'steps' in section 'train'"),
         ("train.learning_rate", "fast", "'learning_rate' in section 'train'"),
         ("train.seed", 1.5, "'seed' in section 'train'"),

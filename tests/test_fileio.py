@@ -18,7 +18,7 @@ from pulsegate.fileio import (
     write_features,
     write_waveform,
 )
-from pulsegate.signal_core import VideoCube, Waveform
+from pulsegate.signal_core import BLOCK_VALUES, VideoCube, Waveform
 
 
 def test_waveform_csv_round_trip(tmp_path):
@@ -60,6 +60,18 @@ def test_cube_round_trip(tmp_path):
     np.testing.assert_allclose(back.data, cube.data, atol=1e-7)
 
 
+def test_cube_of_several_blocks_round_trips_exactly(tmp_path):
+    # 50 frames of 40 x 40 x 3 values make 4 blocks, the last a part block;
+    # float32 values survive the f32 payload exactly
+    rng = np.random.default_rng(3)
+    data = rng.uniform(0, 1, (50, 40, 40, 3)).astype(np.float32).astype(float)
+    assert len(data) % (BLOCK_VALUES // data[0].size) and data.size > 3 * BLOCK_VALUES
+    path = tmp_path / "cube.bin"
+    write_cube(VideoCube(data, 25.0), path)
+    assert path.read_bytes() == data.astype("<f4").tobytes()
+    np.testing.assert_array_equal(read_cube(path).data, data)
+
+
 def test_cube_payload_size_checked(tmp_path):
     rng = np.random.default_rng(2)
     cube = VideoCube(rng.uniform(0, 1, (4, 2, 2, 3)), 10.0)
@@ -70,9 +82,17 @@ def test_cube_payload_size_checked(tmp_path):
         read_cube(path)
 
 
+def sidecar_text(**fields):
+    return json.dumps({"dtype": "f32", "order": "THWC", "t": 4, "h": 2, "w": 2, "c": 3,
+                       "fps": 10, **fields})
+
+
+# each of the last three matches the payload's 48 values; a negative pair of
+# dims, a boolean fps and a fractional frame count were once read
 @pytest.mark.parametrize("sidecar", ["[1]", '{"dtype": "f32", "order": "THWC", "t": 4}',
-                                     '{"dtype": "f32", "order": "THWC", "t": "four", '
-                                     '"h": 2, "w": 2, "c": 3, "fps": 10}', "{"])
+                                     sidecar_text(t="four"), "{",
+                                     sidecar_text(t=-4, h=-2), sidecar_text(fps=True),
+                                     sidecar_text(t=4.7)])
 def test_malformed_sidecar_rejected(tmp_path, sidecar):
     cube = VideoCube(np.zeros((4, 2, 2, 3)), 10.0)
     path = tmp_path / "cube.bin"

@@ -13,11 +13,13 @@ from .signal_core import DEFAULT_NFFT, Waveform, band_bin_mask, check_cells, win
 RATE_BAND_HZ = (0.66, 4.0)
 # in-band bins × windows per chunk: bounds the columns of pulse_rate's
 # scratch, a chunk's windows and its span; the prefix sums restart at each
-# chunk, so it also fixes their rounding
-_CHUNK_CELLS = 2 ** 17
+# chunk, so it also fixes their rounding.  Each chunk redoes a window's worth
+# of prefix columns; a study's 30 s series at 90 fps (201 bins × 1,797
+# windows) is one chunk
+_CHUNK_CELLS = 2 ** 19
 # in-band bins per block: bounds the rows of pulse_rate's scratch, a block's
 # prefix sums over a chunk's span and its spectra over a chunk's windows
-_BLOCK_BINS = 32
+_BLOCK_BINS = 16
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,13 @@ def pulse_rate(w: Waveform, window_s: float = 10.0, stride_frames: int = 1,
     μ_s is the window mean and D_k = Σ_{n<W} e^{-2πi·kn/nfft} the Dirichlet
     term.
 
-    The windows go in chunks of about `_CHUNK_CELLS` / in-band bins, and
-    each chunk's bins in blocks of `_BLOCK_BINS`.  So the scratch is one
-    block's prefix sums over a chunk's span and one block's spectra over a
-    chunk's windows, whatever the bin count; a running maximum per window
-    keeps the lowest of equal peaks, as one argmax over every bin would.
+    The windows go in chunks of about `_CHUNK_CELLS` / in-band bins (a
+    study's 30 s series at 90 fps is one chunk), and each chunk's bins in
+    blocks of `_BLOCK_BINS`.  So the scratch is one block's prefix sums over a
+    chunk's span and one block's spectra over a chunk's windows, whatever the
+    bin count, and the cached twiddle table holds about `_CHUNK_CELLS` +
+    bins × window values; a running maximum per window keeps the lowest of
+    equal peaks, as one argmax over every bin would.
     """
     window = rate_window(window_s, stride_frames, w.fps, nfft)
     if len(w) < window:

@@ -53,7 +53,8 @@ def ampd_rows(x: np.ndarray) -> np.ndarray:
     x[i] > x[i-k] and x[i] > x[i+k].  The operating scale is the one with the
     most scale-k maxima (argmin of the miss count, smallest scale on ties);
     peaks are the indices that are maxima at every scale up to it.  Rows are
-    taken in chunks that bound the (rows, scales, n) tensor.
+    taken in chunks that bound the (rows, scales, n) tensor, and a chunk's
+    maxima are AND-accumulated only up to its largest operating scale.
     """
     rows, n = x.shape
     if n < AMPD_MIN_SAMPLES:
@@ -73,8 +74,9 @@ def ampd_rows(x: np.ndarray) -> np.ndarray:
         shifted = sliding_window_view(padded[lo:lo + chunk], n, axis=1)
         maxima = d > shifted[:, max_scale - 1::-1]  # (rows, scales, n), scale k = 1..
         maxima &= d > shifted[:, max_scale + 1:]
-        best = np.argmax(maxima.sum(axis=2), axis=1)  # fewest misses, smallest scale
-        np.logical_and.accumulate(maxima, axis=1, out=maxima)
+        best = np.argmax(np.count_nonzero(maxima, axis=2), axis=1)  # fewest misses, smallest scale
+        used = maxima[:, :best.max() + 1]
+        np.logical_and.accumulate(used, axis=1, out=used)
         keep[lo:lo + chunk] = maxima[np.arange(best.size), best]
     keep[flat] = False
     return keep
@@ -91,6 +93,9 @@ def snr_rows(x: np.ndarray, fps: float, nfft: int) -> np.ndarray:
     Signal power is the in-band power within +-6 bpm of the spectral peak
     plus +-12 bpm of its second harmonic (clipped to the band); noise is the
     remaining in-band power.  Degenerate spectra report the -60 dB floor.
+
+    The rows whose templates hold the same number of bins sum theirs as one
+    (rows, bins) stack: the same pairwise sum per row as a row on its own.
     """
     band_power, in_band = band_power_rows(x, fps, nfft)
     freqs = np.arange(in_band.size) * (fps * 60.0 / nfft)
@@ -98,25 +103,21 @@ def snr_rows(x: np.ndarray, fps: float, nfft: int) -> np.ndarray:
     peak_bpm = freqs[np.argmax(band_power, axis=-1)][:, None]
     template = in_band & ((np.abs(freqs - peak_bpm) <= PEAK_HALFWIDTH_BPM)
                           | (np.abs(freqs - 2.0 * peak_bpm) <= HARMONIC_HALFWIDTH_BPM))
+    live = total > 0.0
+    sizes = np.count_nonzero(template, axis=1)
+    signal = np.zeros(len(x))
+    for size in np.unique(sizes[live]):
+        group = live & (sizes == size)
+        signal[group] = band_power[template & group[:, None]].reshape(-1, size).sum(axis=1)
+    noise = np.maximum(total - signal, 1e-12 * total)  # finite for pure tones
     out = np.full(len(x), SNR_FLOOR_DB)
-    for i in np.flatnonzero(total > 0.0):
-        signal = band_power[i][template[i]].sum()
-        noise = max(total[i] - signal, 1e-12 * total[i])  # finite for pure tones
-        out[i] = max(10.0 * np.log10(signal / noise), SNR_FLOOR_DB)
+    out[live] = np.maximum(10.0 * np.log10(signal[live] / noise[live]), SNR_FLOOR_DB)
     return out
 
 
 def snr_db(w: Waveform, nfft: int = DEFAULT_NFFT) -> float:
     """In-band SNR in dB of one waveform: the one-row `snr_rows`."""
     return float(snr_rows(w.samples[None, :], w.fps, nfft)[0])
-
-
-def _peak_interval_features(trough_indices: np.ndarray, fps: float):
-    """ibi/dibi statistics (seconds) from three or more trough sample indices."""
-    ibis = np.diff(trough_indices) / fps
-    dibis = np.diff(ibis)
-    return (float(ibis.mean()), float(ibis.std()), float(dibis.mean()),
-            float(dibis.std()), float(np.sqrt(np.mean(dibis ** 2))))
 
 
 def feature_layout(window_s: float, stride_s: float, fps: float,
@@ -148,7 +149,9 @@ def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
                      nfft: int = DEFAULT_NFFT) -> FeatureTable:
     """Sliding-window feature extraction, every window in one pass.
 
-    The number of windows is floor((duration - window_s)/stride_s) + 1.
+    The number of windows is floor((duration - window_s)/stride_s) + 1.  The
+    windows with the same trough count take their interval statistics as one
+    (windows, troughs) stack, row by row as a window on its own would.
     """
     starts, stack = feature_windows(w.samples, w.fps, window_s, stride_s)
     matrix = np.zeros((len(stack), len(FEATURE_NAMES)))
@@ -156,7 +159,14 @@ def extract_features(w: Waveform, window_s: float = 10.0, stride_s: float = 1.0,
     matrix[:, 1] = stack.std(axis=-1)
     matrix[:, 2] = hilbert_envelope_rows(stack).mean(axis=-1)
     troughs = ampd_rows(-stack)
-    degenerate = troughs.sum(axis=1) < 3
-    for i in np.flatnonzero(~degenerate):
-        matrix[i, 3:] = _peak_interval_features(np.flatnonzero(troughs[i]), w.fps)
+    counts = np.count_nonzero(troughs, axis=1)
+    degenerate = counts < 3
+    for count in np.unique(counts[~degenerate]):
+        rows = np.flatnonzero(counts == count)
+        # ibi/dibi statistics in seconds, one row per window
+        ibis = np.diff(np.nonzero(troughs[rows])[1].reshape(-1, count), axis=1) / w.fps
+        dibis = np.diff(ibis, axis=1)
+        matrix[rows, 3:] = np.column_stack((ibis.mean(axis=1), ibis.std(axis=1),
+                                            dibis.mean(axis=1), dibis.std(axis=1),
+                                            np.sqrt(np.mean(dibis ** 2, axis=1))))
     return FeatureTable(np.asarray(starts) / w.fps, matrix, degenerate)

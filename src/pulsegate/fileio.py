@@ -7,7 +7,6 @@ is read goes through `read_json`."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -154,6 +153,9 @@ def dump_json(obj, path) -> None:
 
 
 def sha256_file(path) -> str:
+    # imported here: `import pulsegate.cli` should not pay for it
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -19,7 +19,7 @@ DEFAULT_BAND_BPM = (40.0, 240.0)
 # slop for deciding whether a bin frequency sits inside the band
 _BAND_EPS = 1e-9
 # the most elements one array that a setting sizes may hold (2**25 complex
-# values are 512 MiB); every shipped config needs about 0.31M, pulse_rate's
+# values are 512 MiB); every shipped config needs about 0.54M, pulse_rate's
 # twiddle tables
 MAX_CELLS = 2 ** 25
 BLOCK_VALUES = 2 ** 16  # the values in one of `frame_blocks`' blocks (512 KiB of float64)
@@ -241,8 +241,25 @@ def standardize(w: Waveform) -> Waveform:
 
 
 def spatial_mean_trace(v: VideoCube) -> Trace:
-    """The trace of a cube: its per-frame channel means over the spatial dimensions."""
-    return Trace(v.data.mean(axis=(1, 2)), v.fps)
+    """The trace of a cube: its per-frame channel means over the spatial dimensions.
+
+    Each block of frames is copied pixels-first, (pixels, frames, 3), and
+    reduced over its first axis: the same sequential sum over the pixels as
+    `mean(axis=(1, 2))`, bit for bit, without that reduction's 3-value inner
+    loop."""
+    means = np.empty((len(v.data), 3))
+    # one scratch for every block of more than one frame, which holds at most
+    # BLOCK_VALUES values: a fresh copy per block took longer than the sums
+    scratch = np.empty(min(v.data.size, BLOCK_VALUES))
+    start = 0
+    for block in frame_blocks(v.data):
+        pixels = block.reshape(len(block), -1, 3).transpose(1, 0, 2)
+        if len(block) > 1:  # a one-frame block is pixels-first as it stands
+            np.copyto(scratch[:block.size].reshape(pixels.shape), pixels)
+            pixels = scratch[:block.size].reshape(pixels.shape)
+        pixels.mean(axis=0, out=means[start:start + len(block)])
+        start += len(block)
+    return Trace(means, v.fps)
 
 
 def frame_blocks(data: np.ndarray):

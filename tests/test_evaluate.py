@@ -188,16 +188,16 @@ class TestPulseRate:
                 table[0] = 0
 
     def test_tables_over_the_cell_budget_rejected(self, monkeypatch):
-        # the study's layout: 201 in-band bins × a 1,551-sample chunk span
+        # the study's layout: 201 in-band bins × one 2,696-sample chunk span
         w = Waveform(np.sin(np.arange(2696) / 9.0), 90.0)
-        monkeypatch.setattr(signal_core, "MAX_CELLS", 311_750)
+        monkeypatch.setattr(signal_core, "MAX_CELLS", 541_895)
         _rate_tables.cache_clear()
         with pytest.raises(InvalidInputError,
-                           match="nfft=5400 with a 900-sample window asks for an array of 3.118e"):
+                           match="nfft=5400 with a 900-sample window asks for an array of 5.419e"):
             pulse_rate(w)
-        with pytest.raises(InvalidInputError, match="^nfft=311751 asks for an array of 3.118e"):
-            pulse_rate(w, nfft=311_751)
-        monkeypatch.setattr(signal_core, "MAX_CELLS", 311_751)
+        with pytest.raises(InvalidInputError, match="^nfft=541896 asks for an array of 5.419e"):
+            pulse_rate(w, nfft=541_896)
+        monkeypatch.setattr(signal_core, "MAX_CELLS", 541_896)
         assert np.all(np.isfinite(pulse_rate(w).bpm))
 
     def test_times_strictly_increasing_and_in_band(self):
@@ -210,20 +210,24 @@ class TestBinBlocks:
     """The in-band bins go in blocks of `_BLOCK_BINS`: the block size changes
     no rate, bit for bit, and bounds the scratch of a call."""
 
-    @pytest.mark.parametrize("fps", [90.0, 30.0])
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_rates_do_not_depend_on_block_size(self, monkeypatch, fps, stride):
+    @staticmethod
+    def sweep(fps, stride):
+        """40 s whose rate sweeps from 60 to 200 bpm, so the peak moves through
+        later blocks, with a flat stretch that reads NaN; and its in-band bins."""
         rng = np.random.default_rng(int(fps) + stride)
         n = int(40 * fps)
-        # the rate sweeps from 60 to 200 bpm, so the peak moves through later
-        # blocks, and a flat stretch reads NaN
         phase = 2 * np.pi * np.cumsum(np.linspace(1.0, 200.0 / 60.0, n)) / fps
         x = np.sin(phase) + rng.normal(0.0, 0.3, n)
         x[int(12 * fps):int(25 * fps)] = 0.5
-        w = Waveform(x, fps)
         bins = int(band_bin_mask(DEFAULT_NFFT // 2 + 1, fps, DEFAULT_NFFT,
                                  (RATE_BAND_HZ[0] * 60.0, RATE_BAND_HZ[1] * 60.0)).sum())
         assert bins == (201 if fps == 90.0 else 602)
+        return Waveform(x, fps), bins
+
+    @pytest.mark.parametrize("fps", [90.0, 30.0])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rates_do_not_depend_on_block_size(self, monkeypatch, fps, stride):
+        w, bins = self.sweep(fps, stride)
         want = pulse_rate(w, stride_frames=stride).bpm
         assert np.isnan(want).any()
         assert np.nanmax(want) > 190.0  # in-band bin 150 or later: block 5 or later
@@ -231,6 +235,25 @@ class TestBinBlocks:
             monkeypatch.setattr(evaluate, "_BLOCK_BINS", size)
             _rate_tables.cache_clear()
             np.testing.assert_array_equal(pulse_rate(w, stride_frames=stride).bpm, want)
+
+    @pytest.mark.parametrize("fps", [90.0, 30.0])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_rates_do_not_depend_on_chunk_size(self, monkeypatch, fps, stride):
+        # the prefix sums restart at each chunk, so the chunk size moves their
+        # rounding; the rates, which are all that reaches a file, stay put
+        w, bins = self.sweep(fps, stride)
+        windows = (len(w) - int(10 * fps)) // stride + 1
+        rates = {}
+        for cells in (2 ** 15, 2 ** 17, 2 ** 19):
+            monkeypatch.setattr(evaluate, "_CHUNK_CELLS", cells)
+            _rate_tables.cache_clear()
+            rates[cells] = pulse_rate(w, stride_frames=stride).bpm
+            assert _rate_tables(fps, int(10 * fps), stride, DEFAULT_NFFT, windows)[1] \
+                == min(cells // (bins * stride), windows)
+        _rate_tables.cache_clear()
+        assert np.isnan(rates[2 ** 19]).any()
+        for cells in (2 ** 15, 2 ** 17):
+            np.testing.assert_array_equal(rates[cells], rates[2 ** 19])
 
     def test_warm_call_scratch_is_bounded(self):
         # the study's shape: 2,696 samples at 90 fps, 201 in-band bins.  With

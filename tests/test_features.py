@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pulsegate import features
 from pulsegate.errors import InvalidInputError
 from pulsegate.features import (
     _AMPD_CHUNK_CELLS,
@@ -281,6 +282,28 @@ class TestBatchedMatchesPerWindow:
         assert table.degenerate.tolist() == flags
         assert all(flags) == (kind in ("flat", "zero", "ramp", "few_troughs"))
 
+    def test_bit_identical_on_a_mixed_wave(self):
+        # one wave whose windows hold every case at once: a rate sweep (many
+        # trough counts), a flat stretch (the SNR floor), a slow sine (fewer
+        # than 3 troughs) and a pure tone, so the rows grouped by trough count
+        # and by template size come in groups of several sizes
+        fps = 30.0
+        t = np.arange(int(70 * fps)) / fps
+        x = np.sin(2 * np.pi * np.cumsum(np.linspace(0.8, 2.6, t.size)) / fps)
+        x += 0.05 * np.random.default_rng(4).standard_normal(t.size)
+        x[int(18 * fps):int(31 * fps)] = 1.5
+        x[int(31 * fps):int(45 * fps)] = np.sin(2 * np.pi * 0.12 * t[:int(14 * fps)])
+        x[int(45 * fps):] = np.sin(2 * np.pi * 1.5 * t[:t.size - int(45 * fps)])
+        w = Waveform(x, fps)
+        table = extract_features(w)
+        expected, flags = reference_features(w)
+        assert np.array_equal(table.matrix, expected)
+        assert table.degenerate.tolist() == flags
+        counts = ampd_rows(-np.lib.stride_tricks.sliding_window_view(x, 300)[::30]).sum(axis=1)
+        assert (counts == 0).any() and ((counts > 0) & (counts < 3)).any()
+        assert len(set(counts[counts >= 3].tolist())) >= 4
+        assert (column(table, "snr_db") == SNR_FLOOR_DB).any()
+
     def test_bit_identical_across_chunks(self):
         w = reference_wave("pulse", 90.0, duration_s=30.0)
         table = extract_features(w)
@@ -289,6 +312,44 @@ class TestBatchedMatchesPerWindow:
         expected, flags = reference_features(w)
         assert np.array_equal(table.matrix, expected)
         assert table.degenerate.tolist() == flags
+
+
+def every_scale_ampd(x):
+    """`ampd_rows` in one chunk, with every scale's maxima AND-accumulated, and
+    each row's operating scale."""
+    rows, n = x.shape
+    t = np.arange(n) - (n - 1) / 2.0
+    centred = x - x.mean(axis=1, keepdims=True)
+    detrended = centred - (np.sum(centred * t, axis=1, keepdims=True) / np.sum(t * t)) * t
+    flat = np.abs(detrended).max(axis=1) <= 1e-10 * np.abs(x).max(axis=1)
+    max_scale = int(np.ceil(n / 2)) - 1
+    maxima = np.zeros((rows, max_scale, n), dtype=bool)
+    for k in range(1, max_scale + 1):
+        mid = detrended[:, k:n - k]
+        maxima[:, k - 1, k:n - k] = (mid > detrended[:, :n - 2 * k]) & (mid > detrended[:, 2 * k:])
+    best = np.argmax(maxima.sum(axis=2), axis=1)
+    keep = np.logical_and.accumulate(maxima, axis=1)[np.arange(rows), best]
+    keep[flat] = False
+    return keep, best + 1
+
+
+@pytest.mark.parametrize("chunk_cells", [_AMPD_CHUNK_CELLS, 20 * 29 * 60])
+def test_ampd_rows_matches_every_scale_reference(monkeypatch, chunk_cells):
+    # rows whose operating scales differ widely share a chunk, so the scales
+    # past a chunk's largest chosen one must not matter
+    rng = np.random.default_rng(8)
+    t = np.arange(60) / 30.0
+    rows = [np.sin(2 * np.pi * f * t + p) + 0.02 * rng.standard_normal(60)
+            for f, p in zip(rng.uniform(0.3, 6.0, 50), rng.uniform(0, 2 * np.pi, 50))]
+    rows += [rng.standard_normal(60), np.full(60, 2.0), 0.3 * np.arange(60.0)]
+    x = np.array(rows)
+    monkeypatch.setattr(features, "_AMPD_CHUNK_CELLS", chunk_cells)
+    got = ampd_rows(x)
+    want, scales = every_scale_ampd(x)
+    assert np.array_equal(got, want)
+    # 29 scales in all: the accumulation can stop short of the last
+    assert scales.min() <= 3 and 12 <= scales.max() < 29
+    assert got.any(axis=1).sum() >= 50
 
 
 # each one-row view, and its row function on a one-row stack

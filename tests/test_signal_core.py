@@ -259,6 +259,16 @@ class TestSpatialMeanTrace:
         assert np.array_equal(trace.values, cube.data.mean(axis=(1, 2)))
         assert trace.fps == 25.0
 
+    def test_blocked_trace_is_the_spatial_mean_bit_for_bit(self):
+        # odd H and W, 429 values a frame: 152 frames a block, so 400 frames
+        # make three blocks, the last one short.  Values over six decades make
+        # the sum's rounding depend on the order in which pixels are added
+        rng = np.random.default_rng(11)
+        data = rng.random((400, 13, 11, 3)) * 10.0 ** rng.uniform(-3, 3, (400, 13, 11, 3))
+        assert len(list(signal_core.frame_blocks(data))) == 3
+        trace = spatial_mean_trace(VideoCube(data, 30.0))
+        assert np.array_equal(trace.values, data.mean(axis=(1, 2)))
+
 
 def test_bandpass_brickwall_removes_out_of_band():
     fps = 90.0

@@ -248,16 +248,15 @@ def spatial_mean_trace(v: VideoCube) -> Trace:
     `mean(axis=(1, 2))`, bit for bit, without that reduction's 3-value inner
     loop."""
     means = np.empty((len(v.data), 3))
-    # one scratch for every block of more than one frame, which holds at most
-    # BLOCK_VALUES values: a fresh copy per block took longer than the sums
-    scratch = np.empty(min(v.data.size, BLOCK_VALUES))
+    # one scratch for every block, which holds BLOCK_VALUES values or one
+    # frame: a fresh copy per block took longer than the sums
+    scratch = np.empty(min(v.data.size, max(BLOCK_VALUES, v.data[0].size)))
     start = 0
     for block in frame_blocks(v.data):
         pixels = block.reshape(len(block), -1, 3).transpose(1, 0, 2)
-        if len(block) > 1:  # a one-frame block is pixels-first as it stands
-            np.copyto(scratch[:block.size].reshape(pixels.shape), pixels)
-            pixels = scratch[:block.size].reshape(pixels.shape)
-        pixels.mean(axis=0, out=means[start:start + len(block)])
+        copy = scratch[:block.size].reshape(pixels.shape)
+        np.copyto(copy, pixels)
+        copy.mean(axis=0, out=means[start:start + len(block)])
         start += len(block)
     return Trace(means, v.fps)
 

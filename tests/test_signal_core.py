@@ -259,12 +259,14 @@ class TestSpatialMeanTrace:
         assert np.array_equal(trace.values, cube.data.mean(axis=(1, 2)))
         assert trace.fps == 25.0
 
-    def test_blocked_trace_is_the_spatial_mean_bit_for_bit(self):
-        # odd H and W, 429 values a frame: 152 frames a block, so 400 frames
-        # make three blocks, the last one short.  Values over six decades make
+    @pytest.mark.parametrize("shape", [(400, 13, 11, 3), (3, 151, 149, 3)])
+    def test_blocked_trace_is_the_spatial_mean_bit_for_bit(self, shape):
+        # odd H and W and three blocks each: 429 values a frame make 152
+        # frames a block, the last block short; 67,497 values a frame are more
+        # than a block, so each frame is a block.  Values over six decades make
         # the sum's rounding depend on the order in which pixels are added
         rng = np.random.default_rng(11)
-        data = rng.random((400, 13, 11, 3)) * 10.0 ** rng.uniform(-3, 3, (400, 13, 11, 3))
+        data = rng.random(shape) * 10.0 ** rng.uniform(-3, 3, shape)
         assert len(list(signal_core.frame_blocks(data))) == 3
         trace = spatial_mean_trace(VideoCube(data, 30.0))
         assert np.array_equal(trace.values, data.mean(axis=(1, 2)))
